@@ -44,9 +44,7 @@ from .grids import (
     trapezoid_weights,
 )
 from .multipliers import (
-    KktMatrix,
     Multipliers,
-    Remainders,
     assemble_kkt,
     bound_constant,
     compute_remainders,
@@ -86,13 +84,11 @@ __all__ = [
     "GridMismatch",
     "InnerSolveFailed",
     "InvalidLengths",
-    "KktMatrix",
     "MultiplierMatrices",
     "Multipliers",
     "NetworkState",
     "OscillationStats",
     "ProjectionFailed",
-    "Remainders",
     "SingularSystem",
     "StationaryReport",
     "StepReport",

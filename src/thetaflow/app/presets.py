@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ..errors import InvalidLengths
-from ..grids import AngleField, Grid, NetworkState
+from ..grids import AngleField, Grid, NetworkState, trapezoid_integral
 from ..scheme import FlowConfig, project_to_H
 
 __all__ = ["preset_symmetric_lens", "preset_triod", "preset_perturbed"]
@@ -22,10 +22,8 @@ def _grid(length: float, nodes_per_unit: int) -> Grid:
 
 def _discrete_chord(kappa: float, grid: Grid) -> float:
     """Trapezoid x-extent of the arc theta(s) = kappa (s - L/2)."""
-    s = grid.nodes - 0.5 * grid.length
-    v = np.cos(kappa * s)
-    h = grid.spacing
-    return float(h * (np.sum(v) - 0.5 * (v[0] + v[-1])))
+    return trapezoid_integral(np.cos(kappa * (grid.nodes - 0.5 * grid.length)),
+                              grid)
 
 
 def _solve_arc_curvature(grid: Grid, chord: float) -> float:

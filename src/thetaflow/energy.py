@@ -10,7 +10,10 @@ subject to four scalar constraints tying the tangent integrals of the three
 curves together (the curves must keep meeting at their endpoints).
 
 Everything here is plain quadrature and pointwise algebra; no linear or
-nonlinear solves.  The gradient returned by :func:`step_gradient` is the
+nonlinear solves.  The energies, the step gradient, the constraints and
+their gradients are implemented once, on :class:`PackedLayout`, which packs
+the three curves into one nodal vector; the functions taking network states
+pack them and call it.  The gradient returned by :func:`step_gradient` is the
 nodal representer of the first variation with respect to the lumped
 (trapezoid-weighted) L2 inner product, so tolerances on it read as L2
 tolerances on the continuous gradient.
@@ -30,6 +33,8 @@ from .grids import (
 )
 
 __all__ = [
+    "PackedLayout",
+    "cell_flux",
     "p_energy",
     "implicit_step_energy",
     "ConstraintVector",
@@ -44,19 +49,100 @@ __all__ = [
 ]
 
 
-def _flux(slopes: np.ndarray, p: float) -> np.ndarray:
+def cell_flux(slopes: np.ndarray, p: float) -> np.ndarray:
     """Cellwise p-Laplacian flux |u|^(p-2) u, with 0 mapped to 0."""
     return np.sign(slopes) * np.abs(slopes) ** (p - 1.0)
 
 
+class PackedLayout(object):
+    """The three curves of a network packed into one nodal vector of length
+    M = M_1 + M_2 + M_3, curve after curve.
+
+    ``weights`` are the trapezoid weights; ``cell_h`` the cell spacings and
+    ``inv_h`` their inverses, both zero on the two cells that straddle a
+    curve break, which thus carry no slope, energy or flux.  ``signs`` holds
+    +1/-1/0 per node for constraints 1-2 and 3-4.  Node sums are pairwise
+    ``np.sum`` reductions: BLAS sums are too coarse for the noise-level
+    tests of the inner solver.  (4, M) temporaries are kept few, as fresh
+    ones are slow to allocate at fine meshes.
+    """
+
+    def __init__(self, state: NetworkState):
+        grids = state.grids
+        counts = [g.node_count for g in grids]
+        self.breaks = np.cumsum(counts)[:-1]
+        self.weights = np.concatenate([trapezoid_weights(g) for g in grids])
+        self.cell_h = np.concatenate([
+            np.append(np.full(g.node_count - 1, g.spacing), 0.0) for g in grids
+        ])[:-1]
+        self.inv_h = np.divide(1.0, self.cell_h, out=np.zeros_like(self.cell_h),
+                               where=self.cell_h > 0.0)
+        self.signs = (np.repeat([1.0, -1.0, 0.0], counts),
+                      np.repeat([-1.0, 0.0, 1.0], counts))
+        self.junction_offsets = state.offsets.ravel()
+        self.p = state.p_exponent
+
+    @classmethod
+    def of(cls, state: NetworkState):
+        """(layout, packed nodal values) of a state."""
+        return cls(state), cls.pack(state)
+
+    @staticmethod
+    def pack(state: NetworkState) -> np.ndarray:
+        return np.concatenate(state.values())
+
+    def unpack(self, theta: np.ndarray):
+        """Per-curve views of a packed vector."""
+        return tuple(np.split(theta, self.breaks))
+
+    def inner(self, a: np.ndarray, b: np.ndarray):
+        """Lumped L2 products sum_k w_k a[..., k] b_k (each row of a with b)."""
+        return np.sum(a * (self.weights * b), axis=-1)
+
+    def gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix of lumped L2 products of the rows of ``a`` with those of ``b``."""
+        return np.sum((a * self.weights)[:, None] * b[None], axis=-1)
+
+    def slopes(self, theta: np.ndarray) -> np.ndarray:
+        return np.diff(theta) * self.inv_h
+
+    def elastic_energy(self, theta: np.ndarray) -> float:
+        """sum_j (1/p) int |d theta^j/ds|^p (midpoint rule)."""
+        energy = np.sum(self.cell_h * np.abs(self.slopes(theta)) ** self.p)
+        return float(energy) / self.p
+
+    def step_energy(self, theta, theta_prev, tau: float) -> float:
+        """Elastic energy plus (1/(2 tau)) ||theta - theta_prev||_L2^2."""
+        d = theta - theta_prev
+        return self.elastic_energy(theta) + float(self.inner(d, d)) / (2.0 * tau)
+
+    def elastic_gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Lumped L2 gradient of the elastic energy (flux differences)."""
+        padded = np.zeros(theta.shape[0] + 1)
+        padded[1:-1] = cell_flux(self.slopes(theta), self.p)
+        return (padded[:-1] - padded[1:]) / self.weights
+
+    def step_gradient(self, theta, theta_prev, tau: float) -> np.ndarray:
+        """Lumped L2 gradient of :meth:`step_energy`."""
+        return self.elastic_gradient(theta) + (theta - theta_prev) / tau
+
+    def constraint_values(self, theta: np.ndarray) -> np.ndarray:
+        """The four junction constraints (see :func:`constraint_vector`)."""
+        wc, ws = self.weights * np.cos(theta), self.weights * np.sin(theta)
+        return np.array([np.sum(sg * t) for sg in self.signs
+                         for t in (wc, ws)]) - self.junction_offsets
+
+    def constraint_gradients(self, theta: np.ndarray) -> np.ndarray:
+        """(4, M) lumped L2 gradients of the four constraints."""
+        c, s = np.cos(theta), np.sin(theta)
+        s12, s31 = self.signs
+        return np.stack([-s12 * s, s12 * c, -s31 * s, s31 * c])
+
+
 def p_energy(state: NetworkState) -> float:
     """Total elastic energy sum_j (1/p) int |d theta^j/ds|^p (midpoint rule)."""
-    p = state.p_exponent
-    total = 0.0
-    for f in state.fields:
-        slopes = midpoint_gradient(f)
-        total += f.grid.spacing * np.sum(np.abs(slopes) ** p)
-    return total / p
+    layout, theta = PackedLayout.of(state)
+    return layout.elastic_energy(theta)
 
 
 def implicit_step_energy(candidate: NetworkState, prev: NetworkState,
@@ -65,11 +151,8 @@ def implicit_step_energy(candidate: NetworkState, prev: NetworkState,
     require_compatible(candidate, prev)
     if tau <= 0.0:
         raise ValueError("time step tau must be positive")
-    penalty = 0.0
-    for fc, fp in zip(candidate.fields, prev.fields):
-        d = fc.values - fp.values
-        penalty += trapezoid_integral(d * d, fc.grid)
-    return p_energy(candidate) + penalty / (2.0 * tau)
+    layout, theta = PackedLayout.of(candidate)
+    return layout.step_energy(theta, layout.pack(prev), tau)
 
 
 @dataclass(frozen=True)
@@ -94,16 +177,8 @@ def constraint_vector(state: NetworkState) -> ConstraintVector:
     All four vanish exactly when the three curves traced out from a common
     junction end at mutually consistent points.
     """
-    ic = [trapezoid_integral(np.cos(f.values), f.grid) for f in state.fields]
-    isn = [trapezoid_integral(np.sin(f.values), f.grid) for f in state.fields]
-    off = state.offsets
-    c = np.array([
-        ic[0] - ic[1] - off[0, 0],
-        isn[0] - isn[1] - off[0, 1],
-        ic[2] - ic[0] - off[1, 0],
-        isn[2] - isn[0] - off[1, 1],
-    ])
-    return ConstraintVector(c)
+    layout, theta = PackedLayout.of(state)
+    return ConstraintVector(layout.constraint_values(theta))
 
 
 def constraint_gradients(state: NetworkState):
@@ -113,15 +188,8 @@ def constraint_gradients(state: NetworkState):
     d c_l / d theta^j.  Pairing any of these against a variation with the
     trapezoid rule gives the exact derivative of ``constraint_vector``.
     """
-    sins = [np.sin(f.values) for f in state.fields]
-    coss = [np.cos(f.values) for f in state.fields]
-    zeros = [np.zeros_like(f.values) for f in state.fields]
-    return [
-        (-sins[0], sins[1], zeros[2]),
-        (coss[0], -coss[1], zeros[2]),
-        (sins[0], zeros[1], -sins[2]),
-        (-coss[0], zeros[1], coss[2]),
-    ]
+    layout, theta = PackedLayout.of(state)
+    return [layout.unpack(g) for g in layout.constraint_gradients(theta)]
 
 
 @dataclass(frozen=True)
@@ -189,22 +257,27 @@ def _sharp_modulus_inverse(f: AngleField, y: float) -> float:
     """Largest r = k*h such that |theta(s) - theta(t)| <= y whenever
     |s - t| <= r, measured over grid nodes.
 
-    For the piecewise-linear interpolant this node-pair scan is sharp at
+    For the piecewise-linear interpolant this node measure is sharp at
     grid-multiple distances: on each cell theta is monotone affine, so the
     oscillation over any window is attained with both ends at nodes once the
     window is widened to the enclosing grid multiple.
+
+    The window oscillation is nondecreasing in k, so k is found by bisection
+    over running max/min filters: O(m log m) time, O(m) memory.
     """
+    # scipy.ndimage is slow to import and only this diagnostic needs it
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
     vals = f.values
-    m = vals.shape[0]
-    diff = np.abs(vals[:, None] - vals[None, :])
-    # osc_by_gap[k] = max |theta_i - theta_j| over |i - j| <= k
-    worst_at_gap = np.zeros(m)
-    for k in range(1, m):
-        worst_at_gap[k] = np.max(np.diagonal(diff, offset=k))
-    osc_by_gap = np.maximum.accumulate(worst_at_gap)
-    ok = np.flatnonzero(osc_by_gap <= y)
-    k_best = int(ok[-1]) if ok.size else 0
-    return k_best * f.grid.spacing
+    lo, hi = 0, vals.shape[0]  # the answer k lies in [lo, hi)
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        osc = np.max(maximum_filter1d(vals, k + 1) - minimum_filter1d(vals, k + 1))
+        if osc <= y:
+            lo = k
+        else:
+            hi = k
+    return lo * f.grid.spacing
 
 
 @dataclass(frozen=True)
@@ -224,7 +297,7 @@ def oscillation_stats(f: AngleField, modulus_inverse=None) -> OscillationStats:
 
     delta0 = min(osc, pi) and r the largest window over which theta varies
     by at most delta0/4.  ``modulus_inverse(f, y)`` may replace the default
-    sharp node-pair scan, e.g. with an analytic modulus of continuity; it
+    sharp node-based search, e.g. with an analytic modulus of continuity; it
     must never overestimate the true window.
     """
     if modulus_inverse is None:
@@ -253,15 +326,5 @@ def step_gradient(candidate: NetworkState, prev: NetworkState, tau: float):
     trapezoid weights yields exactly these values.
     """
     require_compatible(candidate, prev)
-    p = candidate.p_exponent
-    out = []
-    for fc, fp in zip(candidate.fields, prev.fields):
-        h = fc.grid.spacing
-        flux = _flux(midpoint_gradient(fc), p)
-        g = np.empty_like(fc.values)
-        g[1:-1] = (flux[:-1] - flux[1:]) / h
-        g[0] = -2.0 * flux[0] / h
-        g[-1] = 2.0 * flux[-1] / h
-        g += (fc.values - fp.values) / tau
-        out.append(g)
-    return tuple(out)
+    layout, theta = PackedLayout.of(candidate)
+    return layout.unpack(layout.step_gradient(theta, layout.pack(prev), tau))

@@ -28,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import MultiplierMatrices, constraint_gradients, p_energy
+from .energy import MultiplierMatrices, PackedLayout, p_energy
 from .errors import DegenerateGeometry, SingularSystem
-from .grids import NetworkState, require_compatible, trapezoid_integral
+from .grids import NetworkState, require_compatible
 
 __all__ = [
     "Multipliers",
-    "KktMatrix",
-    "Remainders",
     "variation_directions",
+    "directions_from_gradients",
     "assemble_kkt",
     "directional_constraint_jacobian",
     "compute_remainders",
@@ -59,21 +58,11 @@ class Multipliers(object):
         return float(np.linalg.norm(self.lam) + np.linalg.norm(self.mu))
 
 
-@dataclass(frozen=True)
-class KktMatrix(object):
-    matrix: np.ndarray  # (4, 4)
-
-    @property
-    def cond(self) -> float:
-        return float(np.linalg.cond(self.matrix))
-
-
-@dataclass(frozen=True)
-class Remainders(object):
-    """Movement remainders R23, R21 entering the multiplier right-hand side."""
-
-    r23: np.ndarray
-    r21: np.ndarray
+def directions_from_gradients(grads: np.ndarray) -> np.ndarray:
+    """phi_1..phi_4 from the packed constraint gradients g_1..g_4 (rows):
+    phi_1 = g_1 + g_3, phi_2 = g_2 + g_4, phi_3 = -g_1, phi_4 = -g_2."""
+    g1, g2, g3, g4 = grads
+    return np.stack([g1 + g3, g2 + g4, -g1, -g2])
 
 
 def variation_directions(state: NetworkState):
@@ -86,18 +75,12 @@ def variation_directions(state: NetworkState):
     complementary to its own constraint pair, which is what decouples the
     multiplier system into the 2x2 blocks of :func:`assemble_kkt`.
     """
-    sins = [np.sin(f.values) for f in state.fields]
-    coss = [np.cos(f.values) for f in state.fields]
-    zeros = [np.zeros_like(f.values) for f in state.fields]
-    return (
-        (zeros[0], sins[1], -sins[2]),
-        (zeros[0], -coss[1], coss[2]),
-        (sins[0], -sins[1], zeros[2]),
-        (-coss[0], coss[1], zeros[2]),
-    )
+    layout, theta = PackedLayout.of(state)
+    grads = layout.constraint_gradients(theta)
+    return tuple(layout.unpack(phi) for phi in directions_from_gradients(grads))
 
 
-def assemble_kkt(data: MultiplierMatrices) -> KktMatrix:
+def assemble_kkt(data: MultiplierMatrices) -> np.ndarray:
     """Block matrix [[A2, -(A1 + A2)], [A3, A1]] of the multiplier system."""
     a1, a2, a3 = data.A
     j = np.empty((4, 4))
@@ -105,7 +88,7 @@ def assemble_kkt(data: MultiplierMatrices) -> KktMatrix:
     j[:2, 2:] = -(a1 + a2)
     j[2:, :2] = a3
     j[2:, 2:] = a1
-    return KktMatrix(j)
+    return j
 
 
 def directional_constraint_jacobian(state: NetworkState, directions) -> np.ndarray:
@@ -116,20 +99,15 @@ def directional_constraint_jacobian(state: NetworkState, directions) -> np.ndarr
     ``assemble_kkt`` exactly; the Newton projection uses it with directions
     frozen at a different state.
     """
-    grads = constraint_gradients(state)
-    j = np.empty((4, len(directions)))
-    for l, grad in enumerate(grads):
-        for r, direction in enumerate(directions):
-            j[l, r] = sum(
-                trapezoid_integral(g * d, f.grid)
-                for g, d, f in zip(grad, direction, state.fields)
-            )
-    return j
+    layout, theta = PackedLayout.of(state)
+    grads = layout.constraint_gradients(theta)
+    dirs = np.stack([np.concatenate(d) for d in directions])
+    return layout.gram(grads, dirs)
 
 
 def compute_remainders(candidate: NetworkState, prev: NetworkState,
-                       tau: float) -> Remainders:
-    """Movement contributions to the multiplier right-hand side.
+                       tau: float) -> np.ndarray:
+    """Movement contributions (R23, R21) to the multiplier right-hand side.
 
     R23 = (1/tau) [ int_3 (dtheta3)(sin theta3, -cos theta3)
                     - int_2 (dtheta2)(sin theta2, -cos theta2) ]
@@ -137,21 +115,17 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
                     - int_1 (dtheta1)(sin theta1, -cos theta1) ]
 
     with dtheta = candidate - prev and all trigonometric factors evaluated
-    at the candidate.  At tau-scale movement dtheta = O(tau) these stay
-    O(1), which is what keeps the multipliers bounded along the flow.
+    at the candidate, returned as one array: -(1/tau) <phi_r, dtheta>.  At
+    tau-scale movement dtheta = O(tau) these stay O(1), which is what keeps
+    the multipliers bounded along the flow.
     """
     require_compatible(candidate, prev)
-    pieces = []
-    for fc, fp in zip(candidate.fields, prev.fields):
-        d = fc.values - fp.values
-        pieces.append(np.array([
-            trapezoid_integral(d * np.sin(fc.values), fc.grid),
-            -trapezoid_integral(d * np.cos(fc.values), fc.grid),
-        ]) / tau)
-    return Remainders(r23=pieces[2] - pieces[1], r21=pieces[1] - pieces[0])
+    layout, theta = PackedLayout.of(candidate)
+    phi = directions_from_gradients(layout.constraint_gradients(theta))
+    return -layout.inner(phi, theta - layout.pack(prev)) / tau
 
 
-def solve_multipliers(data: MultiplierMatrices, rem: Remainders,
+def solve_multipliers(data: MultiplierMatrices, rem: np.ndarray,
                       cond_cap: float = 1e12) -> Multipliers:
     """Solve x . J = rhs for the multipliers.
 
@@ -160,17 +134,18 @@ def solve_multipliers(data: MultiplierMatrices, rem: Remainders,
     solved residual fails ``|x.J - rhs| <= 1e-9 (1 + |rhs|)``.
     """
     kkt = assemble_kkt(data)
-    if not np.all(np.isfinite(kkt.matrix)):
+    if not np.all(np.isfinite(kkt)):
         raise SingularSystem("multiplier system contains non-finite entries")
-    if kkt.cond > cond_cap:
+    cond = float(np.linalg.cond(kkt))
+    if cond > cond_cap:
         raise SingularSystem(
-            f"multiplier system condition number {kkt.cond:.3e} exceeds "
+            f"multiplier system condition number {cond:.3e} exceeds "
             f"cap {cond_cap:.3e}"
         )
     g1, g2, g3 = data.G
-    rhs = np.concatenate([g3 - g2 + rem.r23, g2 - g1 + rem.r21])
-    x = np.linalg.solve(kkt.matrix.T, rhs)
-    resid = float(np.max(np.abs(x @ kkt.matrix - rhs)))
+    rhs = np.concatenate([g3 - g2, g2 - g1]) + rem
+    x = np.linalg.solve(kkt.T, rhs)
+    resid = float(np.max(np.abs(x @ kkt - rhs)))
     if resid > 1e-9 * (1.0 + float(np.linalg.norm(rhs))):
         raise SingularSystem(
             f"multiplier solve residual {resid:.3e} out of tolerance"

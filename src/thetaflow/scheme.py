@@ -1,13 +1,21 @@
 """Minimizing-movement scheme for the constrained p-elastic flow.
 
 Each time step minimizes the implicit step functional (elastic energy plus
-movement penalty) over the constraint set by projected gradient descent:
-the lumped L2 gradient is projected onto the tangent space of the four
-junction constraints, a Barzilai-Borwein step length is tried and backtracked
-under an Armijo test, and every trial point is pulled back onto the
-constraint set by a Newton projection along variation directions frozen at
-the trial.  Acceptance is monotone in the step functional, which is what
-makes the a-priori estimates of :func:`run_flow` hold by construction:
+movement penalty) over the four junction constraints, on one packed nodal
+vector (:class:`thetaflow.energy.PackedLayout`, built once per step); only
+the step's result becomes a validated NetworkState.  Each inner iteration
+takes the constrained Newton direction of the bordered system
+[[B, C^T], [C, 0]] (B the banded step Hessian, uncoupled across curve
+breaks; C the constraint gradients), eliminated by one banded solve with
+five right-hand sides and a 4x4 Schur complement.  Armijo backtracking
+follows, each trial projected onto the constraint set by Newton iteration
+along variation directions frozen at the trial.  Once the predicted decrease
+is below the rounding noise of the functional, a trial within that noise
+also passes if it halves the tangential gradient norm.  The iteration stops
+at ``tol_inner`` or at the working-precision stall: 16 accepted iterates
+that together lowered the functional by no more than rounding.  Acceptance
+is monotone in the step functional, which is what makes the a-priori
+estimates of :func:`run_flow` hold by construction:
 
   * the elastic energy never increases along the flow,
   * half the summed tau * ||velocity||_L2^2 stays below the initial energy,
@@ -21,16 +29,17 @@ These are asserted after every accepted step and raise EstimateViolation
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from .energy import (
-    constraint_gradients,
-    constraint_vector,
+    ConstraintVector,
+    PackedLayout,
     assemble_multiplier_data,
-    implicit_step_energy,
+    constraint_vector,
     p_energy,
     step_gradient,
 )
@@ -42,15 +51,14 @@ from .errors import (
     SingularSystem,
     ThetaflowError,
 )
-from .grids import NetworkState, trapezoid_integral, trapezoid_weights
+from .grids import NetworkState, trapezoid_integral
 from .multipliers import (
     Multipliers,
     bound_constant,
     compute_remainders,
-    directional_constraint_jacobian,
+    directions_from_gradients,
     multiplier_bound,
     solve_multipliers,
-    variation_directions,
 )
 
 __all__ = [
@@ -89,16 +97,20 @@ class FlowConfig(object):
     max_halvings: int = 3
 
     def __post_init__(self):
+        for name in ("p_exponent", "tau", "T", "tol_inner", "tol_constraint",
+                     "projection_tol", "cond_cap", "osc_floor", "det_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.p_exponent <= 1.0:
             raise ValueError("p must exceed 1")
-        if self.tau <= 0.0 or self.T <= 0.0:
-            raise ValueError("tau and T must be positive")
         if self.tau > self.T:
             raise ValueError("tau must not exceed the horizon T")
-        for name in ("tol_inner", "tol_constraint", "cond_cap", "osc_floor",
-                     "det_floor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name, least in (("max_inner_iters", 1), ("newton_max_iters", 1),
+                            ("max_halvings", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not (0.0 < self.armijo_c1 < 1.0):
             raise ValueError("armijo_c1 must lie in (0, 1)")
         if not (0.0 < self.armijo_backtrack < 1.0):
@@ -181,10 +193,6 @@ class Trajectory(object):
         raise ValueError("side must be 'upper' or 'lower'")
 
 
-def _curve_weights(state: NetworkState):
-    return [trapezoid_weights(f.grid) for f in state.fields]
-
-
 def _flatness_guard(state: NetworkState, osc_floor: float):
     """(guard holds?, per-curve oscillations).
 
@@ -209,21 +217,30 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     inputs with constraint defect above 1 and raises ProjectionFailed when
     Newton stagnates.
     """
-    tol = cfg.projection_tol
-    c = constraint_vector(state).values
-    defect = float(np.max(np.abs(c)))
-    if defect <= tol:
+    layout, theta = PackedLayout.of(state)
+    projected = _project(layout, theta, cfg)
+    if projected is theta:
         return state
+    return state.with_values(layout.unpack(projected))
+
+
+def _project(layout: PackedLayout, theta: np.ndarray,
+             cfg: FlowConfig) -> np.ndarray:
+    """:func:`project_to_H` on a packed vector; ``theta`` itself if admissible."""
+    tol = cfg.projection_tol
+    c = layout.constraint_values(theta)
+    defect = ConstraintVector(c).defect
+    if defect <= tol:
+        return theta
     if defect > 1.0:
         raise ProjectionFailed(
             f"constraint defect {defect:.3e} too large to project"
         )
-    directions = variation_directions(state)
-    base = state.values()
+    grads = layout.constraint_gradients(theta)
+    directions = directions_from_gradients(grads)
     t = np.zeros(4)
-    current = state
     for _ in range(cfg.newton_max_iters):
-        jac = directional_constraint_jacobian(current, directions)
+        jac = layout.gram(grads, directions)
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > cfg.cond_cap:
             raise SingularSystem(
@@ -231,95 +248,74 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
                 f"(cond {cond:.3e})"
             )
         t = t + np.linalg.solve(jac, -c)
-        vals = [
-            b + sum(t[r] * directions[r][j] for r in range(4))
-            for j, b in enumerate(base)
-        ]
-        current = state.with_values(vals)
-        c = constraint_vector(current).values
-        if float(np.max(np.abs(c))) <= tol:
+        current = theta + t @ directions
+        c = layout.constraint_values(current)
+        if ConstraintVector(c).defect <= tol:
             return current
+        grads = layout.constraint_gradients(current)
     raise ProjectionFailed(
         f"Newton projection stagnated at defect {np.max(np.abs(c)):.3e}"
     )
 
 
-def _tangent_project(state: NetworkState, grad, weights):
-    """Remove the constraint-gradient components from a nodal gradient."""
-    grads = constraint_gradients(state)
-    gram = np.zeros((4, 4))
-    b = np.zeros(4)
-    per_curve = []
-    for j in range(3):
-        gj = np.stack([grads[l][j] for l in range(4)])
-        wgj = gj * weights[j]
-        gram += wgj @ gj.T
-        b += wgj @ grad[j]
-        per_curve.append(gj)
-    coef, *_ = np.linalg.lstsq(gram, b, rcond=None)
-    return tuple(grad[j] - coef @ per_curve[j] for j in range(3))
+def _tangent_project(layout: PackedLayout, grads: np.ndarray,
+                     grad: np.ndarray) -> np.ndarray:
+    """Remove the components along the constraint gradients ``grads``
+    (rows) from a nodal gradient, in the lumped L2 inner product."""
+    gram = layout.gram(grads, grads)
+    coef, *_ = np.linalg.lstsq(gram, layout.inner(grads, grad), rcond=None)
+    return grad - coef @ grads
 
 
-def _lumped_norm_sq(arrays, weights) -> float:
-    return float(sum(np.dot(w, a * a) for a, w in zip(arrays, weights)))
-
-
-def _hessian_bands(f, p: float, tau: float, weights: np.ndarray) -> np.ndarray:
-    """Symmetric banded (upper form) Hessian of the step functional on one
-    curve: movement mass / tau plus the lagged-diffusivity elastic part.
+def _hessian_bands(layout: PackedLayout, theta: np.ndarray,
+                   tau: float) -> np.ndarray:
+    """Symmetric banded (upper form) Hessian of the step functional:
+    movement mass / tau plus the lagged-diffusivity elastic part.
 
     For p < 2 the cell diffusivities |D|^(p-2) are clamped away from the
     singularity at flat cells; the matrix only preconditions, so the clamp
     costs accuracy of the direction, never correctness.
     """
-    h = f.grid.spacing
-    mag = np.abs(np.diff(f.values)) / h
+    p = layout.p
+    mag = np.abs(layout.slopes(theta))
     if p < 2.0:
         mag = np.maximum(mag, 1e-8)
-    om = (p - 1.0) * mag ** (p - 2.0) / h
-    m = f.grid.node_count
-    ab = np.zeros((2, m))
+    om = (p - 1.0) * mag ** (p - 2.0) * layout.inv_h
+    ab = np.zeros((2, theta.shape[0]))
     ab[1, :-1] += om
     ab[1, 1:] += om
     ab[0, 1:] = -om
-    ab[1] += weights / tau
+    ab[1] += layout.weights / tau
     return ab
 
 
-def _newton_direction(state: NetworkState, weights, grad, p: float,
-                      tau: float):
+def _newton_direction(layout: PackedLayout, theta: np.ndarray,
+                      grad: np.ndarray, grads: np.ndarray,
+                      tau: float) -> np.ndarray:
     """Constrained Newton direction from the bordered system
 
         [ B   C^T ] [ d ]   [ e ]
         [ C    0  ] [ y ] = [ 0 ]
 
     with B the banded step-functional Hessian, e the Euclidean gradient and
-    C the Euclidean constraint gradients; eliminated through B (five banded
-    solves per curve) and a 4x4 Schur complement.  Its fixed point d = 0 is
-    exactly the constrained first-order condition: the gradient lies in the
-    span of the constraint gradients.
+    C the Euclidean constraint gradients; eliminated through B (one banded
+    solve with five right-hand sides) and a 4x4 Schur complement.  Its fixed
+    point d = 0 is exactly the constrained first-order condition: the
+    gradient lies in the span of the constraint gradients.
     """
-    grads = constraint_gradients(state)
-    d0 = []
-    z = []
-    schur = np.zeros((4, 4))
-    rhs = np.zeros(4)
-    for j, (f, w) in enumerate(zip(state.fields, weights)):
-        ab = _hessian_bands(f, p, tau, w)
-        cols = np.stack([w * grad[j]] + [w * grads[l][j] for l in range(4)],
-                        axis=1)
-        sol = solveh_banded(ab, cols)
-        d0.append(sol[:, 0])
-        zj = sol[:, 1:]
-        z.append(zj)
-        schur += cols[:, 1:].T @ zj
-        rhs += cols[:, 1:].T @ sol[:, 0]
-    y, *_ = np.linalg.lstsq(schur, rhs, rcond=None)
-    return tuple(d0[j] - z[j] @ y for j in range(3))
+    rhs = np.vstack([grad, grads])
+    rhs *= layout.weights
+    sol = solveh_banded(_hessian_bands(layout, theta, tau), rhs.T,
+                        overwrite_ab=True, overwrite_b=True)
+    d0, z = sol[:, 0], sol[:, 1:]
+    schur = layout.gram(grads, z.T)
+    y, *_ = np.linalg.lstsq(schur, layout.inner(grads, d0), rcond=None)
+    return d0 - z @ y
 
 
-def _inner_descent(prev: NetworkState, cfg: FlowConfig, tau: float):
-    """Monotone descent for one implicit step.
+def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
+                   cfg: FlowConfig, tau: float):
+    """Monotone descent for one implicit step, on packed vectors.
 
     Directions come from the constrained Newton system (banded Hessian
     bordered by the constraint gradients), are accepted by an Armijo test,
@@ -330,60 +326,58 @@ def _inner_descent(prev: NetworkState, cfg: FlowConfig, tau: float):
     rounding); that is what lets the iteration reach gradient tolerances
     far below sqrt(eps * energy).
 
-    Returns (state, inner_iters, converged).  ``converged`` is False either
+    Returns (theta, inner_iters, converged).  ``converged`` is False either
     when no acceptable trial exists at the floor step length (iterate
     accepted: no further progress is numerically possible) or when the
     iteration cap was hit, in which case the caller rejects the step.
     """
-    weights = _curve_weights(prev)
-    p = prev.p_exponent
-    state = prev
-    energy = implicit_step_energy(state, prev, tau)
+    theta = theta_prev
+    energy = layout.step_energy(theta, theta_prev, tau)
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
     for it in range(cfg.max_inner_iters):
-        grad = step_gradient(state, prev, tau)
-        gp = _tangent_project(state, grad, weights)
-        gp_sq = _lumped_norm_sq(gp, weights)
+        grad = layout.step_gradient(theta, theta_prev, tau)
+        grads = layout.constraint_gradients(theta)
+        gp = _tangent_project(layout, grads, grad)
+        gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= cfg.tol_inner:
-            return state, it, True
+            return theta, it, True
         if len(history) > window and history[-window - 1] - energy <= window * noise:
             # the last `window` accepted steps together moved the energy by
             # less than rounding: for p < 2 the degenerate flux makes the
             # gradient tolerance unreachable in doubles, so treat this as
             # converged to working precision
-            return state, it, False
-        euclid = [w * g for w, g in zip(weights, grad)]
-        d = _newton_direction(state, weights, grad, p, tau)
-        slope = float(sum(np.dot(e, dj) for e, dj in zip(euclid, d)))
+            return theta, it, False
+        d = _newton_direction(layout, theta, grad, grads, tau)
+        slope = float(layout.inner(grad, d))
         if not np.isfinite(slope) or slope <= 0.0:
             d, slope = gp, gp_sq
         alpha = 1.0
         accepted = None
         while alpha >= 1e-14:
-            trial_vals = [v - alpha * dj for v, dj in zip(state.values(), d)]
             try:
-                trial = project_to_H(prev.with_values(trial_vals), cfg)
+                trial = _project(layout, theta - alpha * d, cfg)
             except (ProjectionFailed, SingularSystem):
                 alpha *= cfg.armijo_backtrack
                 continue
-            trial_energy = implicit_step_energy(trial, prev, tau)
+            trial_energy = layout.step_energy(trial, theta_prev, tau)
             if trial_energy <= energy - cfg.armijo_c1 * alpha * slope:
                 accepted = (trial, trial_energy)
                 break
             if cfg.armijo_c1 * alpha * slope <= noise and trial_energy <= energy + noise:
                 gp_t = _tangent_project(
-                    trial, step_gradient(trial, prev, tau), weights)
-                if _lumped_norm_sq(gp_t, weights) <= 0.25 * gp_sq:
+                    layout, layout.constraint_gradients(trial),
+                    layout.step_gradient(trial, theta_prev, tau))
+                if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
                     accepted = (trial, trial_energy)
                     break
             alpha *= cfg.armijo_backtrack
         if accepted is None:
-            return state, it, False
-        state, energy = accepted
+            return theta, it, False
+        theta, energy = accepted
         history.append(energy)
-    return state, cfg.max_inner_iters, False
+    return theta, cfg.max_inner_iters, False
 
 
 def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
@@ -398,25 +392,22 @@ def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
     exactly the optimality system the inner solver drives to zero
     tangentially.
     """
+    layout, theta = PackedLayout.of(candidate)
     x = np.concatenate([mult.lam, mult.mu])
-    grad = step_gradient(candidate, prev, tau)
-    grads = constraint_gradients(candidate)
+    density = (np.concatenate(step_gradient(candidate, prev, tau))
+               + x @ layout.constraint_gradients(theta))
+    # squared H1 norm of the hat at node k: mass 2 w_k / 3 plus the 1/h of
+    # each cell in its support
+    padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
+    hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
+    scaled = np.abs(layout.weights * density) / np.sqrt(hat_sq)
     worst = 0.0
-    for j, f in enumerate(candidate.fields):
-        h = f.grid.spacing
-        w = trapezoid_weights(f.grid)
-        density = grad[j] + sum(x[l] * grads[l][j] for l in range(4))
-        pairing = w * density
-        m = f.grid.node_count
-        mass = np.full(m, 2.0 * h / 3.0)
-        mass[0] = mass[-1] = h / 3.0
-        deriv = np.full(m, 2.0 / h)
-        deriv[0] = deriv[-1] = 1.0 / h
-        scaled = np.abs(pairing) / np.sqrt(mass + deriv)
+    for part in layout.unpack(scaled):
+        m = part.shape[0]
         if test_resolution is not None and test_resolution < m:
             idx = np.unique(np.linspace(0, m - 1, test_resolution).round().astype(int))
-            scaled = scaled[idx]
-        worst = max(worst, float(np.max(scaled)))
+            part = part[idx]
+        worst = max(worst, float(np.max(part)))
     return worst
 
 
@@ -447,26 +438,26 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
             f"{np.array2string(oscs, precision=3)} with floor {cfg.osc_floor:g} "
             "and no strictly-shortest third curve on a theta network"
         )
-    state, iters, converged = _inner_descent(prev, cfg, tau)
+    layout, theta_prev = PackedLayout.of(prev)
+    theta, iters, converged = _inner_descent(layout, theta_prev, cfg, tau)
     if not converged and iters >= cfg.max_inner_iters:
         raise InnerSolveFailed(
             f"inner solver hit the {cfg.max_inner_iters}-iteration cap "
             f"at tau={tau:g}"
         )
 
-    diffs = [fc.values - fp.values for fc, fp in zip(state.fields, prev.fields)]
-    move_sq = sum(trapezoid_integral(d * d, f.grid)
-                  for d, f in zip(diffs, state.fields))
-    velocity_l1 = sum(trapezoid_integral(np.abs(d), f.grid)
-                      for d, f in zip(diffs, state.fields))
+    state = prev.with_values(layout.unpack(theta))
+    move = theta - theta_prev
+    move_sq = float(layout.inner(move, move))
+    velocity_l1 = float(layout.inner(np.abs(move), 1.0))
     data = assemble_multiplier_data(state)
     rem = compute_remainders(state, prev, tau)
     mult = solve_multipliers(data, rem, cfg.cond_cap)
     report = StepReport(
         step_index=-1,
         tau=tau,
-        energy_before=p_energy(prev),
-        energy_after=p_energy(state),
+        energy_before=layout.elastic_energy(theta_prev),
+        energy_after=layout.elastic_energy(theta),
         penalty_value=move_sq / (2.0 * tau),
         velocity_l2sq=move_sq / tau**2,
         velocity_l1=velocity_l1,
@@ -474,7 +465,8 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
         mult_bound=multiplier_bound(data, state, velocity_l1, tau,
                                     cfg.det_floor),
         bound_const=bound_constant(data, state, cfg.det_floor),
-        constraint_defect=constraint_vector(state).defect,
+        constraint_defect=ConstraintVector(
+            layout.constraint_values(theta)).defect,
         dets=data.dets,
         oscs=np.array([f.oscillation() for f in state.fields]),
         weak_residual_value=_weak_residual_pair(state, prev, tau, mult),
@@ -499,6 +491,11 @@ def _attempt_step(prev: NetworkState, cfg: FlowConfig):
     )
 
 
+def _l2_norms(state: NetworkState):
+    return [math.sqrt(trapezoid_integral(v * v, f.grid))
+            for v, f in zip(state.values(), state.fields)]
+
+
 class _EstimateLedger(object):
     """Running a-priori estimates checked after every accepted step."""
 
@@ -506,10 +503,7 @@ class _EstimateLedger(object):
         self.cfg = cfg
         self.d0 = p_energy(initial)
         self.lam_total = float(sum(initial.lengths))
-        self.l2_initial = [
-            math.sqrt(trapezoid_integral(v * v, f.grid))
-            for v, f in zip(initial.values(), initial.fields)
-        ]
+        self.l2_initial = _l2_norms(initial)
         self.dissipation = 0.0
         self.mult_sq = 0.0
         self.c_star = 0.0
@@ -545,8 +539,7 @@ class _EstimateLedger(object):
         if self.mult_sq > budget * (1.0 + 1e-6) + 1e-12:
             self._fail("multiplier square budget", self.mult_sq, budget)
         growth = math.sqrt(2.0 * horizon * self.d0)
-        for j, (v, f) in enumerate(zip(state.values(), state.fields)):
-            norm = math.sqrt(trapezoid_integral(v * v, f.grid))
+        for j, norm in enumerate(_l2_norms(state)):
             cap = self.l2_initial[j] + growth
             if norm > cap * (1.0 + 1e-9) + 1e-9:
                 self._fail(f"L2 growth of curve {j + 1}", norm, cap)

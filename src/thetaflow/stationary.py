@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .energy import PackedLayout, cell_flux
 from .grids import AngleField, NetworkState, midpoint_gradient
 from .multipliers import Multipliers
 
@@ -53,21 +54,6 @@ class StationaryReport(object):
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals))
-
-
-def _cell_flux(f: AngleField, p: float) -> np.ndarray:
-    slopes = midpoint_gradient(f)
-    return np.sign(slopes) * np.abs(slopes) ** (p - 1.0)
-
-
-def _trig_rhs(state: NetworkState, mult: Multipliers):
-    lam, mu = mult.lam, mult.mu
-    t1, t2, t3 = (f.values for f in state.fields)
-    return (
-        -(lam[0] - mu[0]) * np.sin(t1) + (lam[1] - mu[1]) * np.cos(t1),
-        lam[0] * np.sin(t2) - lam[1] * np.cos(t2),
-        -mu[0] * np.sin(t3) + mu[1] * np.cos(t3),
-    )
 
 
 def _endpoint_value(cells: np.ndarray, start: bool) -> float:
@@ -135,7 +121,7 @@ def junction_balance(state: NetworkState, mult: Multipliers) -> float:
             theta = f.values[k]
             tangent = np.array([np.cos(theta), np.sin(theta)])
             normal = np.array([-tangent[1], tangent[0]])
-            flux = _cell_flux(f, p)
+            flux = cell_flux(midpoint_gradient(f), p)
             lhs += _endpoint_fluxdiv(flux, f.grid.spacing, start) * normal
             slope_end = _endpoint_value(midpoint_gradient(f), start)
             conserved = ((p - 1.0) / p) * abs(slope_end) ** p - float(
@@ -156,16 +142,17 @@ def stationary_residual(state: NetworkState, mult: Multipliers,
     and perturbing it by delta moves them by exactly delta.
     """
     p = state.p_exponent
-    rhs = list(_trig_rhs(state, mult))
+    layout, theta = PackedLayout.of(state)
+    # rhs_1..rhs_3 are the constraint gradients weighted by (lambda, mu)
+    x = np.concatenate([mult.lam, mult.mu])
+    rhs = layout.unpack(x @ layout.constraint_gradients(theta))
     if extra_rhs is not None:
         rhs = [r + np.asarray(e, dtype=float) for r, e in zip(rhs, extra_rhs)]
-    residuals = np.empty(3)
+    divergence = layout.unpack(-layout.elastic_gradient(theta))
+    residuals = np.array([float(np.max(np.abs(div[1:-1] - r[1:-1])))
+                          for div, r in zip(divergence, rhs)])
     bc = 0.0
-    for j, f in enumerate(state.fields):
-        h = f.grid.spacing
-        flux = _cell_flux(f, p)
-        interior_div = (flux[1:] - flux[:-1]) / h
-        residuals[j] = float(np.max(np.abs(interior_div - rhs[j][1:-1])))
+    for f in state.fields:
         slopes = midpoint_gradient(f)
         bc = max(bc, abs(float(slopes[0])), abs(float(slopes[-1])))
     coeffs = conserved_coefficients(mult)

@@ -7,11 +7,18 @@ from thetaflow import AngleField, Grid, NetworkState
 from oracles import random_angle_field_values
 
 
+def _node_counts(m):
+    """One node count per curve: ``m`` itself if a triple, else m thrice."""
+    return tuple(m) if np.ndim(m) else (m, m, m)
+
+
 def make_state(rng, lengths=(1.0, 0.9, 0.7), m=9, p=2.0, offsets=None,
                scale=1.0, smooth=True):
+    """A random network state; ``m`` is a node count for all three curves
+    or one per curve."""
     fields = tuple(
-        AngleField(Grid(L, m), random_angle_field_values(rng, m, smooth, scale))
-        for L in lengths
+        AngleField(Grid(L, mj), random_angle_field_values(rng, mj, smooth, scale))
+        for L, mj in zip(lengths, _node_counts(m))
     )
     if offsets is None:
         return NetworkState(fields, p_exponent=p)
@@ -30,18 +37,21 @@ def make_pair(rng, tau=0.05, step_scale=0.1, **kwargs):
 
 def steep_pair(rng, m=5, p=2.0, tau=0.1):
     """A pair whose candidate slopes stay well away from zero, so that
-    p < 2 flux derivatives remain bounded for finite-difference checks."""
+    p < 2 flux derivatives remain bounded for finite-difference checks.
+    ``m`` is a node count for all three curves or one per curve."""
     lengths = (1.0, 0.9, 0.7)
+    counts = _node_counts(m)
     values = []
-    for L in lengths:
-        h = L / (m - 1)
-        slopes = rng.uniform(0.4, 1.5, size=m - 1) * rng.choice([-1.0, 1.0], size=m - 1)
+    for L, mj in zip(lengths, counts):
+        h = L / (mj - 1)
+        slopes = rng.uniform(0.4, 1.5, size=mj - 1) * rng.choice([-1.0, 1.0], size=mj - 1)
         vals = np.concatenate([[rng.uniform(-1, 1)], np.cumsum(slopes * h)])
         vals[1:] += vals[0]
         values.append(vals)
-    fields = tuple(AngleField(Grid(L, m), v) for L, v in zip(lengths, values))
+    fields = tuple(AngleField(Grid(L, mj), v)
+                   for L, mj, v in zip(lengths, counts, values))
     cand = NetworkState(fields, p_exponent=p)
     prev = cand.with_values(tuple(
-        v + 0.02 * rng.normal(size=m) for v in cand.values()
+        v + 0.02 * rng.normal(size=len(v)) for v in cand.values()
     ))
     return cand, prev, tau

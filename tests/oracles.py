@@ -89,6 +89,22 @@ def double_sum_det(values, length):
     return 0.5 * total
 
 
+def node_pair_modulus_inverse(values, spacing, y):
+    """Largest k*h such that |theta_i - theta_j| <= y whenever |i - j| <= k,
+    by scanning every node pair (m x m differences)."""
+    vals = np.asarray(values, dtype=float)
+    m = vals.shape[0]
+    diff = np.abs(vals[:, None] - vals[None, :])
+    # osc_by_gap[k] = max |theta_i - theta_j| over |i - j| <= k
+    worst_at_gap = np.zeros(m)
+    for k in range(1, m):
+        worst_at_gap[k] = np.max(np.diagonal(diff, offset=k))
+    osc_by_gap = np.maximum.accumulate(worst_at_gap)
+    ok = np.flatnonzero(osc_by_gap <= y)
+    k_best = int(ok[-1]) if ok.size else 0
+    return k_best * spacing
+
+
 def naive_gram(values, length):
     """The 2x2 matrix [[int sin^2, -int sin cos], [-int sin cos, int cos^2]]."""
     v = np.asarray(values, dtype=float)

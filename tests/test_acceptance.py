@@ -171,7 +171,7 @@ def test_c08_constraint_jacobian_matches_finite_differences():
             AngleField(Grid(L, m), random_angle_field_values(rng, m))
             for L in lengths)
         s = NetworkState(fields)
-        kkt = assemble_kkt(assemble_multiplier_data(s)).matrix
+        kkt = assemble_kkt(assemble_multiplier_data(s))
         phi = variation_directions(s)
         for r in range(4):
             up = s.with_values(tuple(v + eps * d

@@ -135,3 +135,11 @@ def test_cli_main_is_importable_and_matches_subprocess(tmp_path, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert "error" in captured.err
+
+
+def test_run_command_rejects_infinite_horizon(tmp_path, capsys):
+    # T = inf would keep the run loop going forever; it is a usage error
+    code = cli_main(["run", "--preset", "lens", "--nodes-per-unit", "20",
+                     "--T", "inf", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from thetaflow import (
     step_gradient,
     trapezoid_weights,
 )
+from thetaflow.energy import _sharp_modulus_inverse
 
 from helpers import make_pair, make_state, steep_pair
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     naive_gram,
     naive_p_energy,
     naive_step_energy,
+    node_pair_modulus_inverse,
     random_angle_field_values,
 )
 
@@ -75,26 +77,31 @@ def test_implicit_step_energy_rejects_mismatched_grids(rng):
 
 def test_constraint_vector_matches_naive(rng):
     offsets = [[0.3, -0.1], [0.2, 0.4]]
-    s = make_state(rng, offsets=offsets, m=15)
-    expect = naive_constraints(s.values(), s.lengths, offsets)
-    got = constraint_vector(s).values
-    assert np.allclose(got, expect, atol=1e-13)
-    assert constraint_vector(s).defect == pytest.approx(
-        np.max(np.abs(expect)), abs=1e-13)
+    # unequal node counts put the curve breaks of the packed layout at
+    # positions equal counts never test
+    for m in (15, (7, 11, 5)):
+        s = make_state(rng, offsets=offsets, m=m)
+        expect = naive_constraints(s.values(), s.lengths, offsets)
+        got = constraint_vector(s).values
+        assert np.allclose(got, expect, atol=1e-13)
+        assert constraint_vector(s).defect == pytest.approx(
+            np.max(np.abs(expect)), abs=1e-13)
 
 
 def test_constraint_gradients_match_finite_differences(rng):
-    s = make_state(rng, m=9)
-    weights = [trapezoid_weights(g) for g in s.grids]
-    grads = constraint_gradients(s)
-    eps = 1e-7
-    for l in range(4):
-        direction = [random_angle_field_values(rng, 9) for _ in range(3)]
-        up = s.with_values(tuple(v + eps * d for v, d in zip(s.values(), direction)))
-        dn = s.with_values(tuple(v - eps * d for v, d in zip(s.values(), direction)))
-        fd = (constraint_vector(up).values[l] - constraint_vector(dn).values[l]) / (2 * eps)
-        pairing = sum(w @ (g * d) for w, g, d in zip(weights, grads[l], direction))
-        assert fd == pytest.approx(pairing, abs=5e-7)
+    for m in (9, (7, 11, 5)):
+        s = make_state(rng, m=m)
+        weights = [trapezoid_weights(g) for g in s.grids]
+        grads = constraint_gradients(s)
+        eps = 1e-7
+        for l in range(4):
+            direction = [random_angle_field_values(rng, len(v))
+                         for v in s.values()]
+            up = s.with_values(tuple(v + eps * d for v, d in zip(s.values(), direction)))
+            dn = s.with_values(tuple(v - eps * d for v, d in zip(s.values(), direction)))
+            fd = (constraint_vector(up).values[l] - constraint_vector(dn).values[l]) / (2 * eps)
+            pairing = sum(w @ (g * d) for w, g, d in zip(weights, grads[l], direction))
+            assert fd == pytest.approx(pairing, abs=5e-7)
 
 
 def test_multiplier_data_matches_naive_assembly(rng):
@@ -154,6 +161,31 @@ def test_oscillation_bound_is_sharp_scale_for_linear_field():
     assert stats.det_lower_bound == pytest.approx(expect, rel=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=3, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**31),
+    scale=st.floats(min_value=0.05, max_value=4.0),
+    smooth=st.booleans(),
+    frac=st.floats(min_value=0.0, max_value=1.2),
+    tie=st.booleans(),
+)
+def test_modulus_inverse_matches_node_pair_scan(m, seed, scale, smooth, frac,
+                                                tie):
+    rng = np.random.default_rng(seed)
+    f = AngleField(Grid(1.3, m),
+                   random_angle_field_values(rng, m, smooth=smooth, scale=scale))
+    if tie:
+        # a level equal to some node-pair difference: the window bound is
+        # attained exactly, so "<= y" must agree at the tie
+        i, j = rng.integers(0, m, size=2)
+        y = abs(f.values[i] - f.values[j])
+    else:
+        y = frac * f.oscillation()
+    expect = node_pair_modulus_inverse(f.values, f.grid.spacing, y)
+    assert _sharp_modulus_inverse(f, y) == expect
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(min_value=4, max_value=48),
@@ -189,14 +221,15 @@ def test_oscillation_bound_accepts_custom_modulus(rng):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_step_gradient_matches_finite_differences(rng, p):
-    cand, prev, tau = steep_pair(rng, m=5, p=p)
-    grads = step_gradient(cand, prev, tau)
-    fd = fd_step_gradient([v for v in cand.values()],
-                          [v for v in prev.values()],
-                          cand.lengths, p, tau)
-    for got, expect in zip(grads, fd):
-        scale = max(1.0, float(np.max(np.abs(expect))))
-        assert np.max(np.abs(got - expect)) / scale < 1e-6
+    for m in (5, (7, 11, 5)):
+        cand, prev, tau = steep_pair(rng, m=m, p=p)
+        grads = step_gradient(cand, prev, tau)
+        fd = fd_step_gradient([v for v in cand.values()],
+                              [v for v in prev.values()],
+                              cand.lengths, p, tau)
+        for got, expect in zip(grads, fd):
+            scale = max(1.0, float(np.max(np.abs(expect))))
+            assert np.max(np.abs(got - expect)) / scale < 1e-6
 
 
 def test_step_gradient_vanishes_at_quadratic_minimum(rng):

@@ -40,6 +40,13 @@ def test_flow_config_validation():
         FlowConfig(tol_inner=0.0)
     with pytest.raises(ValueError):
         FlowConfig(armijo_backtrack=1.0)
+    # non-finite and out-of-range values; T=inf would never end run_flow
+    bad = [dict(tau=np.nan), dict(p_exponent=np.nan), dict(tol_inner=np.nan),
+           dict(T=np.inf), dict(max_halvings=-1), dict(max_inner_iters=0),
+           dict(newton_max_iters=0)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            FlowConfig(**kwargs)
 
 
 def test_project_returns_admissible_input_unchanged():
