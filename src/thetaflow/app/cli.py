@@ -23,7 +23,7 @@ import numpy as np
 from ..energy import constraint_vector, oscillation_stats, p_energy
 from ..errors import ThetaflowError
 from ..scheme import FlowConfig, run_flow
-from ..stationary import detect_stationarity
+from ..stationary import check_scan, detect_stationarity
 from .emit import RunSpec, emit_frames, load_state, save_state
 from .presets import preset_perturbed, preset_symmetric_lens, preset_triod
 
@@ -177,6 +177,7 @@ def _cmd_run(args):
 
 
 def _cmd_stationary(args):
+    check_scan(args.window, args.vel_tol)
     code, traj, halt, spec = _execute_flow(args)
     if traj is None:
         return code
@@ -198,6 +199,8 @@ def _cmd_refine(args):
     if args.input:
         raise ValueError("refine needs a --preset (state files have a "
                          "fixed grid)")
+    if args.levels < 1:
+        raise ValueError(f"--levels must be at least 1 (got {args.levels})")
     rows = []
     finals = []
     for level in range(args.levels):

@@ -8,9 +8,12 @@ State files are JSON:
 
 CSV trajectories hold one row per (selected step, curve, node) with columns
 ``step,t,curve,s,theta,x,y``; floats are printed with 17 significant digits
-so files round-trip doubles exactly.  SVG frames are deterministic plain
-strings (no plotting library): the viewBox is fixed from the first frame's
-bounding box inflated by 20 percent, so frames of one run are comparable.
+so files round-trip doubles exactly.  They are written one (frame, curve)
+chunk at a time, all ``theta,x,y`` values of a chunk in one ``%`` over a
+row template whose ``curve,s`` columns are formatted once per run.  SVG
+frames are deterministic plain strings (no plotting library), one ``%``
+per polyline; the viewBox is fixed from the first frame's bounding box
+inflated by 20 percent, so frames of one run are comparable.
 """
 
 import json
@@ -25,10 +28,6 @@ from ..scheme import FlowConfig, StepReport, Trajectory
 __all__ = ["RunSpec", "save_state", "load_state", "emit_frames"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -121,19 +120,18 @@ def _stationary_dict(rep) -> dict:
 
 
 def _write_csv(traj: Trajectory, indices, path: str) -> None:
+    # per node "curve,s,%.17g,%.17g,%.17g\n"; every state shares the grid
+    tails = [[f"{j + 1},{s:.17g},%.17g,%.17g,%.17g\n"
+              for s in f.grid.nodes.tolist()]
+             for j, f in enumerate(traj.states[0].fields)]
     with open(path, "w") as fh:
         fh.write("step,t,curve,s,theta,x,y\n")
         for i in indices:
             state = traj.states[i]
-            t = traj.times[i]
-            for j, (f, pos) in enumerate(zip(state.fields, _positions(state))):
-                s_nodes = f.grid.nodes
-                for k in range(f.grid.node_count):
-                    fh.write(
-                        f"{i},{_g17(t)},{j + 1},{_g17(s_nodes[k])},"
-                        f"{_g17(f.values[k])},{_g17(pos[k][0])},"
-                        f"{_g17(pos[k][1])}\n"
-                    )
+            prefix = "%d,%.17g," % (i, traj.times[i])
+            for f, pos, tail in zip(state.fields, _positions(state), tails):
+                rows = np.column_stack([f.values, pos]).ravel().tolist()
+                fh.write((prefix + prefix.join(tail)) % tuple(rows))
 
 
 def _frame_bbox(state: NetworkState):
@@ -154,8 +152,10 @@ def _svg_frame(state: NetworkState, caption: str, lo, hi) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{view}" width="640" height="640">\n'
     ]
-    for color, pos in zip(_COLORS, _positions(state)):
-        pts = " ".join(f"{x:.6g},{-y:.6g}" for x, y in pos)
+    positions = _positions(state)
+    for color, pos in zip(_COLORS, positions):
+        flipped = np.column_stack([pos[:, 0], -pos[:, 1]]).ravel().tolist()
+        pts = " ".join(["%.6g,%.6g"] * len(pos)) % tuple(flipped)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke:.6g}"/>\n'
@@ -164,7 +164,7 @@ def _svg_frame(state: NetworkState, caption: str, lo, hi) -> str:
     parts.append(
         f'<circle cx="0" cy="0" r="{marker:.6g}" fill="#000000"/>\n'
     )
-    for pos in _positions(state):
+    for pos in positions:
         parts.append(
             f'<circle cx="{pos[-1][0]:.6g}" cy="{-pos[-1][1]:.6g}" '
             f'r="{marker:.6g}" fill="#555555"/>\n'

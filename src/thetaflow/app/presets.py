@@ -17,6 +17,9 @@ __all__ = ["preset_symmetric_lens", "preset_triod", "preset_perturbed"]
 
 
 def _grid(length: float, nodes_per_unit: int) -> Grid:
+    if not nodes_per_unit >= 1:
+        raise ValueError(f"nodes_per_unit must be at least 1 "
+                         f"(got {nodes_per_unit!r})")
     return Grid(length, max(3, int(round(length * nodes_per_unit)) + 1))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import MultiplierMatrices, PackedLayout, p_energy
+from .energy import MultiplierMatrices, PackedLayout
 from .errors import DegenerateGeometry, SingularSystem
 from .grids import NetworkState, require_compatible
 
@@ -183,19 +183,18 @@ def bound_constant(data: MultiplierMatrices, state: NetworkState,
     return c_lam + c_mu
 
 
-def multiplier_bound(data: MultiplierMatrices, state: NetworkState,
-                     velocity_l1: float, tau: float,
-                     det_floor: float = 1e-12) -> float:
+def multiplier_bound(bound_const: float, p_exponent: float, energy: float,
+                     velocity_l1: float, tau: float) -> float:
     """Explicit upper bound on |lambda| + |mu| for the step's multipliers:
 
         C * ( sum_j int |theta_s|^p  +  velocity_l1 / tau )
 
-    where ``velocity_l1 = sum_j int |candidate - prev|`` and C is
-    :func:`bound_constant`.  The right-hand sides of the multiplier system
-    satisfy |rhs| <= S + velocity_l1 / tau, and C dominates the norm of the
-    block elimination, so the solved multipliers always sit below this
-    number (up to rounding).
+    where C = ``bound_const`` is :func:`bound_constant` of the candidate,
+    S = sum_j int |theta_s|^p = ``p_exponent * energy`` with ``energy`` its
+    elastic energy, and ``velocity_l1 = sum_j int |candidate - prev|``.
+    The right-hand sides of the multiplier system satisfy
+    |rhs| <= S + velocity_l1 / tau, and C dominates the norm of the block
+    elimination, so the solved multipliers always sit below this number
+    (up to rounding).
     """
-    c = bound_constant(data, state, det_floor)
-    s = state.p_exponent * p_energy(state)
-    return c * (s + velocity_l1 / tau)
+    return bound_const * (p_exponent * energy + velocity_l1 / tau)

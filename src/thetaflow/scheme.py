@@ -453,18 +453,20 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     data = assemble_multiplier_data(state)
     rem = compute_remainders(state, prev, tau)
     mult = solve_multipliers(data, rem, cfg.cond_cap)
+    energy_after = layout.elastic_energy(theta)
+    bound_const = bound_constant(data, state, cfg.det_floor)
     report = StepReport(
         step_index=-1,
         tau=tau,
         energy_before=layout.elastic_energy(theta_prev),
-        energy_after=layout.elastic_energy(theta),
+        energy_after=energy_after,
         penalty_value=move_sq / (2.0 * tau),
         velocity_l2sq=move_sq / tau**2,
         velocity_l1=velocity_l1,
         multipliers=mult,
-        mult_bound=multiplier_bound(data, state, velocity_l1, tau,
-                                    cfg.det_floor),
-        bound_const=bound_constant(data, state, cfg.det_floor),
+        mult_bound=multiplier_bound(bound_const, state.p_exponent,
+                                    energy_after, velocity_l1, tau),
+        bound_const=bound_const,
         constraint_defect=ConstraintVector(
             layout.constraint_values(theta)).defect,
         dets=data.dets,

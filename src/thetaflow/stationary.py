@@ -22,6 +22,8 @@ diagnostics are computed here with one-sided second-order differences at the
 endpoints so that their decay under refinement is not masked by the stencil.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "conserved_coefficients",
     "conserved_quantity",
     "junction_balance",
+    "check_scan",
     "detect_stationarity",
 ]
 
@@ -169,13 +172,24 @@ def stationary_residual(state: NetworkState, mult: Multipliers,
     )
 
 
+def check_scan(window: int, tol: float) -> None:
+    """Raise ValueError unless ``window`` is an integer >= 1 and ``tol`` is
+    finite and positive."""
+    if not (isinstance(window, numbers.Integral) and window >= 1):
+        raise ValueError(f"window must be an integer >= 1 (got {window!r})")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive (got {tol!r})")
+
+
 def detect_stationarity(traj, window: int = 25, tol: float = 1e-6):
     """Scan the last ``window`` steps for an L2 velocity below ``tol``.
 
     Returns the StationaryReport (with ``step_index`` set) of the earliest
     minimum-velocity step in the window, or None when every velocity in the
-    window exceeds the tolerance.
+    window exceeds the tolerance.  Raises ValueError on the arguments that
+    :func:`check_scan` rejects.
     """
+    check_scan(window, tol)
     if not traj.reports:
         return None
     w = min(window, len(traj.reports))

@@ -177,3 +177,79 @@ def random_angle_field_values(rng, m, smooth=True, scale=1.0):
     for freq in range(1, 4):
         vals += rng.normal() / freq * np.sin(np.pi * freq * s + rng.uniform(0, 2 * np.pi))
     return scale * vals
+
+
+def loop_positions(values, length):
+    """Node positions of a curve starting at the origin: running sum of
+    trapezoid increments (h/2) (tangent_k + tangent_k+1), one node at a time."""
+    v = np.asarray(values, dtype=float)
+    h = length / (len(v) - 1)
+    cos, sin = np.cos(v), np.sin(v)
+    pos = np.zeros((len(v), 2))
+    for k in range(len(v) - 1):
+        pos[k + 1, 0] = pos[k, 0] + 0.5 * h * (cos[k] + cos[k + 1])
+        pos[k + 1, 1] = pos[k, 1] + 0.5 * h * (sin[k] + sin[k + 1])
+    return pos
+
+
+def _g17(x):
+    return format(float(x), ".17g")
+
+
+def per_value_csv(frames):
+    """Trajectory CSV text, one format call per value.
+
+    ``frames`` lists (step, t, curves) with curves a list of
+    (nodal values, length) per curve."""
+    rows = ["step,t,curve,s,theta,x,y\n"]
+    for i, t, curves in frames:
+        for j, (values, length) in enumerate(curves):
+            pos = loop_positions(values, length)
+            s_nodes = np.linspace(0.0, length, len(values))
+            for k in range(len(values)):
+                rows.append(
+                    f"{i},{_g17(t)},{j + 1},{_g17(s_nodes[k])},"
+                    f"{_g17(values[k])},{_g17(pos[k][0])},{_g17(pos[k][1])}\n"
+                )
+    return "".join(rows)
+
+
+def svg_view_box(curves):
+    """(lo, hi) corners of the curves' bounding box padded by 20 percent."""
+    pts = np.vstack([loop_positions(v, l) for v, l in curves])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 0.2 * max(float(np.max(hi - lo)), 1e-6)
+    return lo - pad, hi + pad
+
+
+def per_value_svg_frame(curves, caption, lo, hi):
+    """One SVG frame of ``curves`` (as in :func:`per_value_csv`), one
+    f-string per polyline point; y is flipped because SVG y grows down."""
+    width = hi[0] - lo[0]
+    height = hi[1] - lo[1]
+    view = f"{lo[0]:.6g} {-hi[1]:.6g} {width:.6g} {height:.6g}"
+    stroke = 0.006 * max(width, height)
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{view}" width="640" height="640">\n'
+    ]
+    positions = [loop_positions(v, l) for v, l in curves]
+    for color, pos in zip(("#1f77b4", "#d62728", "#2ca02c"), positions):
+        pts = " ".join(f"{x:.6g},{-y:.6g}" for x, y in pos)
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{stroke:.6g}"/>\n'
+        )
+    marker = 1.6 * stroke
+    parts.append(f'<circle cx="0" cy="0" r="{marker:.6g}" fill="#000000"/>\n')
+    for pos in positions:
+        parts.append(
+            f'<circle cx="{pos[-1][0]:.6g}" cy="{-pos[-1][1]:.6g}" '
+            f'r="{marker:.6g}" fill="#555555"/>\n'
+        )
+    parts.append(
+        f'<text x="{lo[0] + 0.02 * width:.6g}" y="{-hi[1] + 0.07 * height:.6g}" '
+        f'font-size="{0.05 * height:.6g}" font-family="monospace">'
+        f"{caption}</text>\n</svg>\n"
+    )
+    return "".join(parts)

@@ -20,7 +20,13 @@ from thetaflow.app.presets import (
     preset_triod,
 )
 
-from oracles import LENS_CURVATURE_CONTINUUM, lens_curvature_reference
+from oracles import (
+    LENS_CURVATURE_CONTINUUM,
+    lens_curvature_reference,
+    per_value_csv,
+    per_value_svg_frame,
+    svg_view_box,
+)
 
 
 def test_lens_curvature_reference_is_frozen_correctly():
@@ -210,3 +216,31 @@ def test_emit_respects_stride(one_step_lens, tmp_path):
                    emit=("svg",))
     written = emit_frames(traj, spec)
     assert len(written) == 2
+
+
+def test_emit_bytes_match_per_value_oracle(tmp_path):
+    # a triod has nonzero offsets, so coordinates take both signs; three
+    # steps at stride 2 select states 0 and 2 plus the forced final state 3
+    triod = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
+                         (1.35, 1.3, 0.95), nodes_per_unit=40, p=3.0)
+    cfg = FlowConfig(p_exponent=3.0, tau=1e-3, T=3e-3)
+    traj = run_flow(triod, cfg)
+    assert len(traj.states) == 4
+    spec = RunSpec(flow=cfg, out_dir=str(tmp_path), stride=2,
+                   emit=("csv", "svg"))
+    emit_frames(traj, spec)
+    frames = [(i, traj.times[i],
+               [(f.values, f.grid.length) for f in traj.states[i].fields])
+              for i in (0, 2, 3)]
+    pts = np.vstack([cumulative_tangent_integral(f) for f in triod.fields])
+    assert (pts < 0).any(axis=0).all() and (pts > 0).any(axis=0).all()
+
+    with open(tmp_path / "trajectory.csv", "rb") as fh:
+        assert fh.read() == per_value_csv(frames).encode()
+    lo, hi = svg_view_box(frames[0][2])
+    assert sorted(os.listdir(tmp_path / "frames")) == [
+        f"frame_{i:06d}.svg" for i, _, _ in frames]
+    for i, t, curves in frames:
+        caption = f"t={t:.6g} E={p_energy(traj.states[i]):.6g}"
+        with open(tmp_path / "frames" / f"frame_{i:06d}.svg", "rb") as fh:
+            assert fh.read() == per_value_svg_frame(curves, caption, lo, hi).encode()

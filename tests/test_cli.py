@@ -143,3 +143,27 @@ def test_run_command_rejects_infinite_horizon(tmp_path, capsys):
                      "--T", "inf", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("stationary", ["--vel-tol", "nan"]),
+    ("stationary", ["--vel-tol", "inf"]),
+    ("stationary", ["--vel-tol", "0"]),
+    ("stationary", ["--vel-tol=-1e-6"]),
+    ("stationary", ["--window", "0"]),
+    ("stationary", ["--window", "-2"]),
+    ("run", ["--nodes-per-unit", "0"]),
+    ("run", ["--nodes-per-unit", "-3"]),
+    ("refine", ["--levels", "0"]),
+    ("refine", ["--levels", "-1"]),
+])
+def test_bad_flag_values_exit_one_before_running(command, flags, tmp_path,
+                                                 capsys):
+    out = tmp_path / "out"
+    code = cli_main([command, "--preset", "lens", "--nodes-per-unit", "20",
+                     "--tau", "1e-2", "--T", "0.05", "--out", str(out),
+                     *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: " in captured.err
+    assert not out.exists()

@@ -15,6 +15,7 @@ from thetaflow import (
     constraint_vector,
     directional_constraint_jacobian,
     multiplier_bound,
+    p_energy,
     solve_multipliers,
     trapezoid_weights,
     variation_directions,
@@ -136,7 +137,7 @@ def test_bound_dominates_solved_multipliers(rng):
         try:
             mult = solve_multipliers(data, compute_remainders(cand, prev, tau))
             bound = multiplier_bound(
-                data, cand,
+                bound_constant(data, cand), cand.p_exponent, p_energy(cand),
                 velocity_l1=sum(
                     trapezoid_weights(g) @ np.abs(c - q)
                     for g, c, q in zip(cand.grids, cand.values(), prev.values())),

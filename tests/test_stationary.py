@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thetaflow import (
     AngleField,
@@ -127,6 +131,35 @@ def test_detection_handles_empty_trajectory():
     from thetaflow import Trajectory
     traj = Trajectory(states=(lens,), reports=(), times=np.array([0.0]))
     assert detect_stationarity(traj) is None
+
+
+@pytest.fixture(scope="module")
+def short_lens_run():
+    lens = preset_symmetric_lens(nodes_per_unit=20)
+    return run_flow(lens, FlowConfig(tau=1e-2, T=6e-2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=st.integers(), tol=st.floats())
+@example(window=-2, tol=1e9)
+@example(window=3, tol=float("nan"))
+@example(window=3, tol=1e9)
+def test_detection_rejects_bad_arguments_or_meets_tol(short_lens_run,
+                                                      window, tol):
+    traj = short_lens_run
+    valid = window >= 1 and math.isfinite(tol) and tol > 0.0
+    try:
+        report = detect_stationarity(traj, window, tol)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    vels = np.sqrt([r.velocity_l2sq for r in traj.reports])
+    if report is None:
+        assert np.all(vels[-window:] > tol)
+    else:
+        assert len(traj.reports) - window <= report.step_index
+        assert vels[report.step_index] <= tol
 
 
 def test_max_residual_property(rng):
