@@ -120,14 +120,17 @@ def _build_state(args):
 
 
 def _run_spec(args) -> RunSpec:
+    """The run's settings; the grid settings are None with ``--input``,
+    whose state file fixes the grid."""
     emit = tuple(k for k in args.emit.split(",") if k)
+    from_preset = args.input is None
     return RunSpec(
         flow=_build_config(args, args.p),
         preset=args.preset,
         input_path=args.input,
-        nodes_per_unit=args.nodes_per_unit,
-        amplitude=args.amplitude,
-        seed=args.seed,
+        nodes_per_unit=args.nodes_per_unit if from_preset else None,
+        amplitude=args.amplitude if from_preset else None,
+        seed=args.seed if from_preset else None,
         out_dir=args.out,
         stride=args.stride,
         emit=emit,

@@ -68,7 +68,11 @@ def save_state(state: NetworkState, path: str) -> None:
 
 def load_state(path: str) -> NetworkState:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as err:
+            raise ValueError(f"malformed state file {path}: nested too "
+                             "deeply") from err
     try:
         curves = doc["curves"]
         fields = tuple(

@@ -26,9 +26,7 @@ import numpy as np
 from .grids import (
     AngleField,
     NetworkState,
-    midpoint_gradient,
     require_compatible,
-    trapezoid_integral,
     trapezoid_weights,
 )
 
@@ -60,25 +58,46 @@ class PackedLayout(object):
 
     ``weights`` are the trapezoid weights; ``cell_h`` the cell spacings and
     ``inv_h`` their inverses, both zero on the two cells that straddle a
-    curve break, which thus carry no slope, energy or flux.  ``signs`` holds
-    +1/-1/0 per node for constraints 1-2 and 3-4.  Node sums are pairwise
-    ``np.sum`` reductions: BLAS sums are too coarse for the noise-level
-    tests of the inner solver.  (4, M) temporaries are kept few, as fresh
-    ones are slow to allocate at fine meshes.
+    curve break, which thus carry no slope, energy or flux.  ``starts`` and
+    ``counts`` locate the curves.
+
+    The four junction constraints are tangent integrals, so every quantity
+    the solver needs from them is built from the six per-curve functions
+    e_{2j+a} = T_a on curve j (zero elsewhere), with T = (sin, cos) theta
+    the (2, M) array of :meth:`tangents`:
+
+      * the constraint gradients are g = E e, E the constant (4, 6) matrix
+        below; the variation directions are phi = D g = (D E) e;
+      * lumped products with the e_b are per-curve node sums
+        (:meth:`curve_sums`, one ``np.add.reduceat`` over the curve starts,
+        as accurate as a pairwise sum), so every 4x4 matrix of the solver
+        is E @ (block-diagonal per-curve 2x2 moments) @ F^T
+        (:meth:`gradient_products`): the Gram matrix of the gradients
+        takes F = E, the projection Jacobian F = D E;
+      * a combination sum_b c_b e_b is :meth:`fields` of c and T.
+
+    Node sums are pairwise: BLAS sums are too coarse for the noise-level
+    tests of the inner solver.
     """
+
+    # g_k = sum_b E[k, b] e_b: c1, c2 pair curves 1 and 2, c3, c4 curves 3
+    # and 1; each gradient is -sin (c1, c3) or cos (c2, c4) times the signs
+    SIGNS = np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]])
+    E = np.kron(SIGNS, np.diag([-1.0, 1.0]))
+    # phi_1 = g_1 + g_3, phi_2 = g_2 + g_4, phi_3 = -g_1, phi_4 = -g_2
+    D = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                  [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
 
     def __init__(self, state: NetworkState):
         grids = state.grids
-        counts = [g.node_count for g in grids]
-        self.breaks = np.cumsum(counts)[:-1]
+        self.counts = np.array([g.node_count for g in grids])
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
         self.weights = np.concatenate([trapezoid_weights(g) for g in grids])
         self.cell_h = np.concatenate([
             np.append(np.full(g.node_count - 1, g.spacing), 0.0) for g in grids
         ])[:-1]
         self.inv_h = np.divide(1.0, self.cell_h, out=np.zeros_like(self.cell_h),
                                where=self.cell_h > 0.0)
-        self.signs = (np.repeat([1.0, -1.0, 0.0], counts),
-                      np.repeat([-1.0, 0.0, 1.0], counts))
         self.junction_offsets = state.offsets.ravel()
         self.p = state.p_exponent
 
@@ -93,15 +112,56 @@ class PackedLayout(object):
 
     def unpack(self, theta: np.ndarray):
         """Per-curve views of a packed vector."""
-        return tuple(np.split(theta, self.breaks))
+        return tuple(np.split(theta, self.starts[1:]))
 
     def inner(self, a: np.ndarray, b: np.ndarray):
         """Lumped L2 products sum_k w_k a[..., k] b_k (each row of a with b)."""
         return np.sum(a * (self.weights * b), axis=-1)
 
-    def gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix of lumped L2 products of the rows of ``a`` with those of ``b``."""
-        return np.sum((a * self.weights)[:, None] * b[None], axis=-1)
+    @staticmethod
+    def tangents(theta: np.ndarray) -> np.ndarray:
+        """T = (sin theta, cos theta), shape (2, M)."""
+        out = np.empty((2, theta.shape[0]))
+        np.sin(theta, out=out[0])
+        np.cos(theta, out=out[1])
+        return out
+
+    def curve_sums(self, a: np.ndarray, b=None) -> np.ndarray:
+        """Lumped integrals of ``a * b`` (``a`` alone if b is None) over
+        each curve: shape (..., 3).  ``a`` is weighted before it is
+        broadcast against ``b``, much the faster order for the
+        (2, 1, M) x (1, 2, M) products of :meth:`gradient_products`."""
+        rows = a * self.weights
+        if b is not None:
+            rows = rows * b
+        return np.add.reduceat(rows, self.starts, axis=-1)
+
+    def products(self, basis: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The six lumped products <e_b, f>, b = 2j + a, of the basis built
+        from ``basis`` (2, M) with one nodal vector ``f``."""
+        return self.curve_sums(basis, f).T.ravel()
+
+    def gradient_products(self, tangents: np.ndarray, other: np.ndarray,
+                          coef: np.ndarray) -> np.ndarray:
+        """Lumped products <g_k, f_r> of the constraint gradients g = E e
+        (e built on ``tangents``) with the fields f_r = sum_c coef[r, c] o_c
+        (o built on ``other``, (2, M)), shape (4, n).
+
+        e_b and o_c on different curves are orthogonal, so this is
+        E @ blockdiag(per-curve 2x2 moments <T_a, other_a'>) @ coef^T.
+        """
+        blocks = self.curve_sums(tangents[:, None], other[None])  # (2, 2, 3)
+        moments = np.zeros((3, 2, 3, 2))
+        j = np.arange(3)
+        moments[j, :, j, :] = blocks.transpose(2, 0, 1)
+        return self.E @ moments.reshape(6, 6) @ coef.T
+
+    def fields(self, coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """sum_b coef[..., b] e_b with e_{2j+a} = basis[a] on curve j:
+        nodal arrays of shape (..., M)."""
+        per_curve = coef.reshape(coef.shape[:-1] + (3, 2)).swapaxes(-1, -2)
+        per_node = np.repeat(per_curve, self.counts, axis=-1)
+        return np.einsum("...am,am->...m", per_node, basis)
 
     def slopes(self, theta: np.ndarray) -> np.ndarray:
         return np.diff(theta) * self.inv_h
@@ -126,17 +186,29 @@ class PackedLayout(object):
         """Lumped L2 gradient of :meth:`step_energy`."""
         return self.elastic_gradient(theta) + (theta - theta_prev) / tau
 
-    def constraint_values(self, theta: np.ndarray) -> np.ndarray:
-        """The four junction constraints (see :func:`constraint_vector`)."""
-        wc, ws = self.weights * np.cos(theta), self.weights * np.sin(theta)
-        return np.array([np.sum(sg * t) for sg in self.signs
-                         for t in (wc, ws)]) - self.junction_offsets
+    def constraint_values(self, tangents: np.ndarray) -> np.ndarray:
+        """The four junction constraints (see :func:`constraint_vector`)
+        from the tangents T of :meth:`tangents`."""
+        cos_sin = self.curve_sums(tangents[::-1])  # (2, 3): rows cos, sin
+        return np.ravel(self.SIGNS @ cos_sin.T) - self.junction_offsets
 
-    def constraint_gradients(self, theta: np.ndarray) -> np.ndarray:
-        """(4, M) lumped L2 gradients of the four constraints."""
-        c, s = np.cos(theta), np.sin(theta)
-        s12, s31 = self.signs
-        return np.stack([-s12 * s, s12 * c, -s31 * s, s31 * c])
+    def remainders(self, tangents: np.ndarray, move: np.ndarray,
+                   tau: float) -> np.ndarray:
+        """-(1/tau) <phi_r, move> = -(1/tau) (D E <e_b, move>)_r, the
+        movement part of the multiplier right-hand side."""
+        return -(self.D @ self.E) @ self.products(tangents, move) / tau
+
+    def multiplier_data(self, theta: np.ndarray,
+                        tangents: np.ndarray) -> "MultiplierMatrices":
+        """A, G and det A (see :class:`MultiplierMatrices`): A from the
+        per-curve moments of T, G from one cellwise reduceat."""
+        (ss, sc), (_, cc) = self.curve_sums(tangents[:, None], tangents[None])
+        A = np.array([[ss, -sc], [-sc, cc]]).transpose(2, 0, 1)
+        mid = 0.5 * (theta[:-1] + theta[1:])
+        w = self.cell_h * np.abs(self.slopes(theta)) ** self.p
+        G = np.add.reduceat(w * np.stack([np.cos(mid), np.sin(mid)]),
+                            self.starts, axis=-1).T
+        return MultiplierMatrices(A=A, G=G, dets=ss * cc - sc * sc)
 
 
 def p_energy(state: NetworkState) -> float:
@@ -178,7 +250,7 @@ def constraint_vector(state: NetworkState) -> ConstraintVector:
     junction end at mutually consistent points.
     """
     layout, theta = PackedLayout.of(state)
-    return ConstraintVector(layout.constraint_values(theta))
+    return ConstraintVector(layout.constraint_values(layout.tangents(theta)))
 
 
 def constraint_gradients(state: NetworkState):
@@ -189,7 +261,8 @@ def constraint_gradients(state: NetworkState):
     trapezoid rule gives the exact derivative of ``constraint_vector``.
     """
     layout, theta = PackedLayout.of(state)
-    return [layout.unpack(g) for g in layout.constraint_gradients(theta)]
+    return [layout.unpack(g)
+            for g in layout.fields(layout.E, layout.tangents(theta))]
 
 
 @dataclass(frozen=True)
@@ -211,28 +284,10 @@ class MultiplierMatrices(object):
     dets: np.ndarray
 
 
-def _curve_gram(f: AngleField) -> np.ndarray:
-    s = np.sin(f.values)
-    c = np.cos(f.values)
-    ss = trapezoid_integral(s * s, f.grid)
-    cc = trapezoid_integral(c * c, f.grid)
-    sc = trapezoid_integral(s * c, f.grid)
-    return np.array([[ss, -sc], [-sc, cc]])
-
-
-def _curve_forcing(f: AngleField, p: float) -> np.ndarray:
-    slopes = midpoint_gradient(f)
-    mid = 0.5 * (f.values[:-1] + f.values[1:])
-    w = f.grid.spacing * np.abs(slopes) ** p
-    return np.array([np.sum(w * np.cos(mid)), np.sum(w * np.sin(mid))])
-
-
 def assemble_multiplier_data(state: NetworkState) -> MultiplierMatrices:
     """Assemble the A matrices, forcing vectors G and determinants."""
-    A = np.stack([_curve_gram(f) for f in state.fields])
-    G = np.stack([_curve_forcing(f, state.p_exponent) for f in state.fields])
-    dets = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    return MultiplierMatrices(A=A, G=G, dets=dets)
+    layout, theta = PackedLayout.of(state)
+    return layout.multiplier_data(theta, layout.tangents(theta))
 
 
 def det_identity_check(f: AngleField):
@@ -245,9 +300,9 @@ def det_identity_check(f: AngleField):
     exactly (Lagrange identity), for any quadrature weights, so the two
     numbers agree to rounding.  Quadratic cost in the node count.
     """
-    gram = _curve_gram(f)
-    det = float(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0])
     w = trapezoid_weights(f.grid)
+    s, c = np.sin(f.values), np.cos(f.values)
+    det = float(np.sum(w * s * s) * np.sum(w * c * c) - np.sum(w * s * c) ** 2)
     diff = f.values[:, None] - f.values[None, :]
     double = 0.5 * float(w @ (np.sin(diff) ** 2) @ w)
     return det, double

@@ -35,7 +35,6 @@ from .grids import NetworkState, require_compatible
 __all__ = [
     "Multipliers",
     "variation_directions",
-    "directions_from_gradients",
     "assemble_kkt",
     "directional_constraint_jacobian",
     "compute_remainders",
@@ -58,13 +57,6 @@ class Multipliers(object):
         return float(np.linalg.norm(self.lam) + np.linalg.norm(self.mu))
 
 
-def directions_from_gradients(grads: np.ndarray) -> np.ndarray:
-    """phi_1..phi_4 from the packed constraint gradients g_1..g_4 (rows):
-    phi_1 = g_1 + g_3, phi_2 = g_2 + g_4, phi_3 = -g_1, phi_4 = -g_2."""
-    g1, g2, g3, g4 = grads
-    return np.stack([g1 + g3, g2 + g4, -g1, -g2])
-
-
 def variation_directions(state: NetworkState):
     """The four variation fields phi_1..phi_4 as nodal triples.
 
@@ -76,8 +68,8 @@ def variation_directions(state: NetworkState):
     multiplier system into the 2x2 blocks of :func:`assemble_kkt`.
     """
     layout, theta = PackedLayout.of(state)
-    grads = layout.constraint_gradients(theta)
-    return tuple(layout.unpack(phi) for phi in directions_from_gradients(grads))
+    phi = layout.fields(layout.D @ layout.E, layout.tangents(theta))
+    return tuple(layout.unpack(d) for d in phi)
 
 
 def assemble_kkt(data: MultiplierMatrices) -> np.ndarray:
@@ -100,9 +92,10 @@ def directional_constraint_jacobian(state: NetworkState, directions) -> np.ndarr
     frozen at a different state.
     """
     layout, theta = PackedLayout.of(state)
-    grads = layout.constraint_gradients(theta)
     dirs = np.stack([np.concatenate(d) for d in directions])
-    return layout.gram(grads, dirs)
+    tangents = layout.tangents(theta)
+    return layout.E @ np.stack([layout.products(tangents, d) for d in dirs],
+                               axis=-1)
 
 
 def compute_remainders(candidate: NetworkState, prev: NetworkState,
@@ -121,8 +114,8 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
     """
     require_compatible(candidate, prev)
     layout, theta = PackedLayout.of(candidate)
-    phi = directions_from_gradients(layout.constraint_gradients(theta))
-    return -layout.inner(phi, theta - layout.pack(prev)) / tau
+    return layout.remainders(layout.tangents(theta), theta - layout.pack(prev),
+                             tau)
 
 
 def solve_multipliers(data: MultiplierMatrices, rem: np.ndarray,

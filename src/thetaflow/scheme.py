@@ -3,13 +3,18 @@
 Each time step minimizes the implicit step functional (elastic energy plus
 movement penalty) over the four junction constraints, on one packed nodal
 vector (:class:`thetaflow.energy.PackedLayout`, built once per step); only
-the step's result becomes a validated NetworkState.  Each inner iteration
-takes the constrained Newton direction of the bordered system
-[[B, C^T], [C, 0]] (B the banded step Hessian, uncoupled across curve
-breaks; C the constraint gradients), eliminated by one banded solve with
-five right-hand sides and a 4x4 Schur complement.  Armijo backtracking
-follows, each trial projected onto the constraint set by Newton iteration
-along variation directions frozen at the trial.  Once the predicted decrease
+the step's result becomes a validated NetworkState.  The constraint
+gradients are +-sin theta or +-cos theta on single curves, so the iteration
+carries only the (2, M) array T = (sin, cos) theta of its iterate and takes
+every 4x4 matrix from per-curve moments of T.  Each inner iteration takes
+the constrained Newton direction of the bordered system [[B, C^T], [C, 0]]
+(B the banded step Hessian, uncoupled across curve breaks; C the constraint
+gradients), eliminated by one banded solve with three right-hand sides
+(gradient, sin theta, cos theta) and a 4x4 Schur complement.  Armijo
+backtracking follows, each trial projected onto the constraint set by
+Newton iteration along variation directions frozen at the trial; the
+accepted trial's T serves the next iteration, and the step's report is
+assembled from the final T.  Once the predicted decrease
 is below the rounding noise of the functional, a trial within that noise
 also passes if it halves the tangential gradient norm.  The iteration stops
 at ``tol_inner`` or at the working-precision stall: 16 accepted iterates
@@ -38,7 +43,6 @@ from scipy.linalg import solveh_banded
 from .energy import (
     ConstraintVector,
     PackedLayout,
-    assemble_multiplier_data,
     constraint_vector,
     p_energy,
     step_gradient,
@@ -55,8 +59,6 @@ from .grids import NetworkState, trapezoid_integral
 from .multipliers import (
     Multipliers,
     bound_constant,
-    compute_remainders,
-    directions_from_gradients,
     multiplier_bound,
     solve_multipliers,
 )
@@ -218,29 +220,36 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     Newton stagnates.
     """
     layout, theta = PackedLayout.of(state)
-    projected = _project(layout, theta, cfg)
+    projected, _ = _project(layout, theta, cfg)
     if projected is theta:
         return state
     return state.with_values(layout.unpack(projected))
 
 
-def _project(layout: PackedLayout, theta: np.ndarray,
-             cfg: FlowConfig) -> np.ndarray:
-    """:func:`project_to_H` on a packed vector; ``theta`` itself if admissible."""
+def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
+    """:func:`project_to_H` on a packed vector: (projected vector, its
+    tangents T), the vector being ``theta`` itself if admissible.
+
+    The directions phi = (D E) e are frozen at ``theta`` (tangents T0), so
+    the Jacobian at the current point (tangents T) is the products of its
+    constraint gradients with them, and a step t moves by
+    fields(t (D E), T0).
+    """
     tol = cfg.projection_tol
-    c = layout.constraint_values(theta)
+    frozen = layout.tangents(theta)
+    c = layout.constraint_values(frozen)
     defect = ConstraintVector(c).defect
     if defect <= tol:
-        return theta
+        return theta, frozen
     if defect > 1.0:
         raise ProjectionFailed(
             f"constraint defect {defect:.3e} too large to project"
         )
-    grads = layout.constraint_gradients(theta)
-    directions = directions_from_gradients(grads)
+    de = layout.D @ layout.E
     t = np.zeros(4)
+    tangents = frozen
     for _ in range(cfg.newton_max_iters):
-        jac = layout.gram(grads, directions)
+        jac = layout.gradient_products(tangents, frozen, de)
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > cfg.cond_cap:
             raise SingularSystem(
@@ -248,23 +257,26 @@ def _project(layout: PackedLayout, theta: np.ndarray,
                 f"(cond {cond:.3e})"
             )
         t = t + np.linalg.solve(jac, -c)
-        current = theta + t @ directions
-        c = layout.constraint_values(current)
+        current = theta + layout.fields(t @ de, frozen)
+        tangents = layout.tangents(current)
+        c = layout.constraint_values(tangents)
         if ConstraintVector(c).defect <= tol:
-            return current
-        grads = layout.constraint_gradients(current)
+            return current, tangents
     raise ProjectionFailed(
         f"Newton projection stagnated at defect {np.max(np.abs(c)):.3e}"
     )
 
 
-def _tangent_project(layout: PackedLayout, grads: np.ndarray,
+def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
                      grad: np.ndarray) -> np.ndarray:
-    """Remove the components along the constraint gradients ``grads``
-    (rows) from a nodal gradient, in the lumped L2 inner product."""
-    gram = layout.gram(grads, grads)
-    coef, *_ = np.linalg.lstsq(gram, layout.inner(grads, grad), rcond=None)
-    return grad - coef @ grads
+    """Remove the components along the constraint gradients g = E e (built
+    from ``tangents``) from a nodal gradient, in the lumped L2 inner
+    product."""
+    e = layout.E
+    gram = layout.gradient_products(tangents, tangents, e)
+    coef, *_ = np.linalg.lstsq(gram, e @ layout.products(tangents, grad),
+                               rcond=None)
+    return grad - layout.fields(coef @ e, tangents)
 
 
 def _hessian_bands(layout: PackedLayout, theta: np.ndarray,
@@ -290,7 +302,7 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray,
 
 
 def _newton_direction(layout: PackedLayout, theta: np.ndarray,
-                      grad: np.ndarray, grads: np.ndarray,
+                      tangents: np.ndarray, grad: np.ndarray,
                       tau: float) -> np.ndarray:
     """Constrained Newton direction from the bordered system
 
@@ -298,19 +310,26 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
         [ C    0  ] [ y ] = [ 0 ]
 
     with B the banded step-functional Hessian, e the Euclidean gradient and
-    C the Euclidean constraint gradients; eliminated through B (one banded
-    solve with five right-hand sides) and a 4x4 Schur complement.  Its fixed
-    point d = 0 is exactly the constrained first-order condition: the
-    gradient lies in the span of the constraint gradients.
+    C the Euclidean constraint gradients (W g, W the trapezoid weights),
+    eliminated through B and a 4x4 Schur complement.  B does not couple
+    curves, so B^-1 W (sigma T_a) = sigma B^-1 W T_a for per-curve
+    factors sigma: one banded solve with the three right-hand sides
+    W (grad, sin theta, cos theta) gives d0 = B^-1 W grad and U =
+    B^-1 W T, the Schur complement is E @ blockdiag(<T_a, U_a'>) @ E^T and
+    B^-1 C^T y = fields(y E, U).  Its fixed point d = 0 is exactly the
+    constrained first-order condition: the gradient lies in the span of the
+    constraint gradients.
     """
-    rhs = np.vstack([grad, grads])
+    rhs = np.vstack([grad, tangents])
     rhs *= layout.weights
     sol = solveh_banded(_hessian_bands(layout, theta, tau), rhs.T,
                         overwrite_ab=True, overwrite_b=True)
-    d0, z = sol[:, 0], sol[:, 1:]
-    schur = layout.gram(grads, z.T)
-    y, *_ = np.linalg.lstsq(schur, layout.inner(grads, d0), rcond=None)
-    return d0 - z @ y
+    d0, u = sol[:, 0], sol[:, 1:].T
+    e = layout.E
+    schur = layout.gradient_products(tangents, u, e)
+    y, *_ = np.linalg.lstsq(schur, e @ layout.products(tangents, d0),
+                            rcond=None)
+    return d0 - layout.fields(y @ e, u)
 
 
 def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
@@ -324,32 +343,33 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     floating-point resolution of the energy, acceptance switches to halving
     the projected gradient norm (without letting the energy rise beyond
     rounding); that is what lets the iteration reach gradient tolerances
-    far below sqrt(eps * energy).
+    far below sqrt(eps * energy).  The tangents T of the accepted trial,
+    computed to test its constraints, serve the next iteration.
 
-    Returns (theta, inner_iters, converged).  ``converged`` is False either
-    when no acceptable trial exists at the floor step length (iterate
-    accepted: no further progress is numerically possible) or when the
-    iteration cap was hit, in which case the caller rejects the step.
+    Returns (theta, tangents, inner_iters, converged).  ``converged`` is
+    False either when no acceptable trial exists at the floor step length
+    (iterate accepted: no further progress is numerically possible) or when
+    the iteration cap was hit, in which case the caller rejects the step.
     """
     theta = theta_prev
+    tangents = layout.tangents(theta)
     energy = layout.step_energy(theta, theta_prev, tau)
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
     for it in range(cfg.max_inner_iters):
         grad = layout.step_gradient(theta, theta_prev, tau)
-        grads = layout.constraint_gradients(theta)
-        gp = _tangent_project(layout, grads, grad)
+        gp = _tangent_project(layout, tangents, grad)
         gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= cfg.tol_inner:
-            return theta, it, True
+            return theta, tangents, it, True
         if len(history) > window and history[-window - 1] - energy <= window * noise:
             # the last `window` accepted steps together moved the energy by
             # less than rounding: for p < 2 the degenerate flux makes the
             # gradient tolerance unreachable in doubles, so treat this as
             # converged to working precision
-            return theta, it, False
-        d = _newton_direction(layout, theta, grad, grads, tau)
+            return theta, tangents, it, False
+        d = _newton_direction(layout, theta, tangents, grad, tau)
         slope = float(layout.inner(grad, d))
         if not np.isfinite(slope) or slope <= 0.0:
             d, slope = gp, gp_sq
@@ -357,27 +377,49 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
         accepted = None
         while alpha >= 1e-14:
             try:
-                trial = _project(layout, theta - alpha * d, cfg)
+                trial, trial_tangents = _project(layout, theta - alpha * d, cfg)
             except (ProjectionFailed, SingularSystem):
                 alpha *= cfg.armijo_backtrack
                 continue
             trial_energy = layout.step_energy(trial, theta_prev, tau)
             if trial_energy <= energy - cfg.armijo_c1 * alpha * slope:
-                accepted = (trial, trial_energy)
+                accepted = (trial, trial_tangents, trial_energy)
                 break
             if cfg.armijo_c1 * alpha * slope <= noise and trial_energy <= energy + noise:
                 gp_t = _tangent_project(
-                    layout, layout.constraint_gradients(trial),
+                    layout, trial_tangents,
                     layout.step_gradient(trial, theta_prev, tau))
                 if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
-                    accepted = (trial, trial_energy)
+                    accepted = (trial, trial_tangents, trial_energy)
                     break
             alpha *= cfg.armijo_backtrack
         if accepted is None:
-            return theta, it, False
-        theta, energy = accepted
+            return theta, tangents, it, False
+        theta, tangents, energy = accepted
         history.append(energy)
-    return theta, cfg.max_inner_iters, False
+    return theta, tangents, cfg.max_inner_iters, False
+
+
+def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
+                   gradient: np.ndarray, mult: Multipliers,
+                   test_resolution=None) -> float:
+    """:func:`_weak_residual_pair` from the packed step gradient and the
+    tangents of the candidate."""
+    x = np.concatenate([mult.lam, mult.mu])
+    density = gradient + layout.fields(x @ layout.E, tangents)
+    # squared H1 norm of the hat at node k: mass 2 w_k / 3 plus the 1/h of
+    # each cell in its support
+    padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
+    hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
+    scaled = np.abs(layout.weights * density) / np.sqrt(hat_sq)
+    worst = 0.0
+    for part in layout.unpack(scaled):
+        m = part.shape[0]
+        if test_resolution is not None and test_resolution < m:
+            idx = np.unique(np.linspace(0, m - 1, test_resolution).round().astype(int))
+            part = part[idx]
+        worst = max(worst, float(np.max(part)))
+    return worst
 
 
 def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
@@ -393,22 +435,9 @@ def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
     tangentially.
     """
     layout, theta = PackedLayout.of(candidate)
-    x = np.concatenate([mult.lam, mult.mu])
-    density = (np.concatenate(step_gradient(candidate, prev, tau))
-               + x @ layout.constraint_gradients(theta))
-    # squared H1 norm of the hat at node k: mass 2 w_k / 3 plus the 1/h of
-    # each cell in its support
-    padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
-    hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
-    scaled = np.abs(layout.weights * density) / np.sqrt(hat_sq)
-    worst = 0.0
-    for part in layout.unpack(scaled):
-        m = part.shape[0]
-        if test_resolution is not None and test_resolution < m:
-            idx = np.unique(np.linspace(0, m - 1, test_resolution).round().astype(int))
-            part = part[idx]
-        worst = max(worst, float(np.max(part)))
-    return worst
+    return _weak_residual(layout, layout.tangents(theta),
+                          np.concatenate(step_gradient(candidate, prev, tau)),
+                          mult, test_resolution)
 
 
 def weak_residual(traj: Trajectory, step_index: int,
@@ -439,20 +468,22 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
             "and no strictly-shortest third curve on a theta network"
         )
     layout, theta_prev = PackedLayout.of(prev)
-    theta, iters, converged = _inner_descent(layout, theta_prev, cfg, tau)
+    theta, tangents, iters, converged = _inner_descent(layout, theta_prev,
+                                                       cfg, tau)
     if not converged and iters >= cfg.max_inner_iters:
         raise InnerSolveFailed(
             f"inner solver hit the {cfg.max_inner_iters}-iteration cap "
             f"at tau={tau:g}"
         )
 
+    # the report reuses the layout and the tangents of the final iterate
     state = prev.with_values(layout.unpack(theta))
     move = theta - theta_prev
     move_sq = float(layout.inner(move, move))
     velocity_l1 = float(layout.inner(np.abs(move), 1.0))
-    data = assemble_multiplier_data(state)
-    rem = compute_remainders(state, prev, tau)
-    mult = solve_multipliers(data, rem, cfg.cond_cap)
+    data = layout.multiplier_data(theta, tangents)
+    mult = solve_multipliers(data, layout.remainders(tangents, move, tau),
+                             cfg.cond_cap)
     energy_after = layout.elastic_energy(theta)
     bound_const = bound_constant(data, state, cfg.det_floor)
     report = StepReport(
@@ -468,10 +499,12 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
                                     energy_after, velocity_l1, tau),
         bound_const=bound_const,
         constraint_defect=ConstraintVector(
-            layout.constraint_values(theta)).defect,
+            layout.constraint_values(tangents)).defect,
         dets=data.dets,
         oscs=np.array([f.oscillation() for f in state.fields]),
-        weak_residual_value=_weak_residual_pair(state, prev, tau, mult),
+        weak_residual_value=_weak_residual(
+            layout, tangents,
+            np.concatenate(step_gradient(state, prev, tau)), mult),
         inner_iters=iters,
         inner_converged=converged,
     )

@@ -148,7 +148,7 @@ def stationary_residual(state: NetworkState, mult: Multipliers,
     layout, theta = PackedLayout.of(state)
     # rhs_1..rhs_3 are the constraint gradients weighted by (lambda, mu)
     x = np.concatenate([mult.lam, mult.mu])
-    rhs = layout.unpack(x @ layout.constraint_gradients(theta))
+    rhs = layout.unpack(layout.fields(x @ layout.E, layout.tangents(theta)))
     if extra_rhs is not None:
         rhs = [r + np.asarray(e, dtype=float) for r, e in zip(rhs, extra_rhs)]
     divergence = layout.unpack(-layout.elastic_gradient(theta))

@@ -1,8 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from thetaflow import FlowConfig, run_flow
 from thetaflow.app.presets import preset_symmetric_lens
+
+# CI runs the property tests on a fixed example sequence, so a failure there
+# reproduces locally with CI=1 (GitHub Actions sets CI).  The example
+# database is off: a derandomized run replays nothing from it.
+settings.register_profile("derandomized", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("derandomized")
 
 
 @pytest.fixture

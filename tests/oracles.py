@@ -5,6 +5,7 @@ reusing package internals, so agreement with the package is meaningful.
 """
 
 import numpy as np
+from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
 
@@ -153,6 +154,74 @@ def brute_force_multipliers(cand_list, prev_list, lengths, p, tau):
                           g[1] - g[0] + (r[1] - r[0])])
     x, *_ = np.linalg.lstsq(kkt.T, rhs, rcond=None)
     return x[:2], x[2:]
+
+
+def packed_weights(values_list, lengths):
+    """Trapezoid weights of the curves, concatenated curve after curve."""
+    out = []
+    for values, length in zip(values_list, lengths):
+        m = len(values)
+        w = np.full(m, length / (m - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        out.append(w)
+    return np.concatenate(out)
+
+
+def packed_constraint_gradients(values_list):
+    """(4, M) lumped gradients of the four constraints, curve after curve:
+
+        g1 = (-sin t1, sin t2, 0)    g2 = (cos t1, -cos t2, 0)
+        g3 = (sin t1, 0, -sin t3)    g4 = (-cos t1, 0, cos t3)
+    """
+    t1, t2, t3 = (np.asarray(v, dtype=float) for v in values_list)
+    s1, s2, s3 = np.sin(t1), np.sin(t2), np.sin(t3)
+    c1, c2, c3 = np.cos(t1), np.cos(t2), np.cos(t3)
+    z1, z2, z3 = np.zeros_like(t1), np.zeros_like(t2), np.zeros_like(t3)
+    return np.array([
+        np.concatenate([-s1, s2, z3]),
+        np.concatenate([c1, -c2, z3]),
+        np.concatenate([s1, z2, -s3]),
+        np.concatenate([-c1, z2, c3]),
+    ])
+
+
+def rows_gram(weights, a, b):
+    """Lumped products of the rows of ``a`` with those of ``b``, one
+    (4, 4, M) product summed over nodes."""
+    return np.sum((a * weights)[:, None] * b[None], axis=-1)
+
+
+def rows_tangent_project(weights, grads, grad):
+    """``grad`` minus its lumped L2 projection onto the rows of ``grads``
+    (4, M), through their 4x4 Gram matrix."""
+    gram = rows_gram(weights, grads, grads)
+    rhs = np.sum(grads * (weights * grad), axis=-1)
+    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    return grad - coef @ grads
+
+
+def rows_projection_jacobian(weights, grads, frozen_grads):
+    """J[l, r] = <g_l, phi_r> with g at the current point and the variation
+    directions phi_1 = g1 + g3, phi_2 = g2 + g4, phi_3 = -g1, phi_4 = -g2
+    built from gradients frozen at another point."""
+    g1, g2, g3, g4 = frozen_grads
+    phi = np.array([g1 + g3, g2 + g4, -g1, -g2])
+    return rows_gram(weights, grads, phi)
+
+
+def rows_newton_direction(weights, grads, grad, bands):
+    """(direction, Schur complement) of the bordered system
+    [[B, C^T], [C, 0]] [d, y] = [W grad, 0], C = W grads, B given in upper
+    banded form: one banded solve with the five right-hand sides
+    W (grad, g1..g4)."""
+    rhs = np.vstack([grad, grads]) * weights
+    sol = solveh_banded(bands, rhs.T)
+    d0, z = sol[:, 0], sol[:, 1:]
+    schur = rows_gram(weights, grads, z.T)
+    rhs4 = np.sum(grads * (weights * d0), axis=-1)
+    y, *_ = np.linalg.lstsq(schur, rhs4, rcond=None)
+    return d0 - z @ y, schur
 
 
 LENS_CURVATURE_CONTINUUM = 1.8954942670339809

@@ -167,3 +167,27 @@ def test_bad_flag_values_exit_one_before_running(command, flags, tmp_path,
     assert code == 1
     assert "error: " in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_deeply_nested_state_file_exits_one(command, tmp_path, capsys):
+    # json.load raises RecursionError on deep nesting; it is a malformed file
+    path = tmp_path / "f.json"
+    path.write_text("[" * 100_000)
+    code = cli_main([command, "--input", str(path)])
+    assert code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_report_records_grid_settings_only_for_presets(tmp_path):
+    state_path = str(tmp_path / "lens20.json")
+    save_state(preset_symmetric_lens(nodes_per_unit=20), state_path)
+    grid_keys = ("nodes_per_unit", "amplitude", "seed")
+    for source, expect in ((["--input", state_path], (None, None, None)),
+                           (["--preset", "lens"], (20, 0.05, 0))):
+        out = tmp_path / source[0].lstrip("-")
+        code = cli_main(["run", *source, "--nodes-per-unit", "20",
+                         "--tau", "1e-2", "--T", "0.02", "--out", str(out)])
+        assert code == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert tuple(config[k] for k in grid_keys) == expect

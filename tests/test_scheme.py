@@ -12,21 +12,43 @@ from thetaflow import (
     NetworkState,
     ProjectionFailed,
     Trajectory,
+    assemble_multiplier_data,
+    compute_remainders,
     constraint_gradients,
     constraint_vector,
     minimize_step,
     p_energy,
     project_to_H,
     run_flow,
+    solve_multipliers,
     step_gradient,
     weak_residual,
 )
-from thetaflow.scheme import _weak_residual_pair
+from scipy.linalg import solveh_banded
+
+from thetaflow.energy import PackedLayout
+from thetaflow.scheme import (
+    _hessian_bands,
+    _newton_direction,
+    _tangent_project,
+    _weak_residual_pair,
+)
 
 from helpers import make_state
-from oracles import random_angle_field_values
+from oracles import (
+    packed_constraint_gradients,
+    packed_weights,
+    random_angle_field_values,
+    rows_newton_direction,
+    rows_projection_jacobian,
+    rows_tangent_project,
+)
 
-from thetaflow.app.presets import preset_perturbed, preset_symmetric_lens
+from thetaflow.app.presets import (
+    preset_perturbed,
+    preset_symmetric_lens,
+    preset_triod,
+)
 
 
 def test_flow_config_validation():
@@ -92,6 +114,22 @@ def test_minimize_step_decreases_energy_and_stays_admissible():
     assert rep.inner_converged
     assert rep.multipliers.total_norm <= rep.mult_bound * (1 + 1e-9)
     assert rep.weak_residual_value < 1e-6
+
+
+def test_step_report_matches_public_path():
+    # minimize_step assembles its report from the final iterate's tangents;
+    # the public functions recompute everything from the returned states
+    lens = preset_symmetric_lens(nodes_per_unit=50)
+    cfg = FlowConfig(tau=1e-3)
+    state, rep = minimize_step(lens, cfg)
+    data = assemble_multiplier_data(state)
+    mult = solve_multipliers(data, compute_remainders(state, lens, rep.tau),
+                             cfg.cond_cap)
+    _assert_rel_close(rep.dets, data.dets)
+    _assert_rel_close(np.concatenate([rep.multipliers.lam, rep.multipliers.mu]),
+                      np.concatenate([mult.lam, mult.mu]))
+    _assert_rel_close(rep.weak_residual_value,
+                      _weak_residual_pair(state, lens, rep.tau, mult))
 
 
 def test_minimize_step_flags_stalled_inner_iteration():
@@ -306,3 +344,42 @@ def test_perturbed_and_clean_flows_reach_the_same_critical_energy(rng):
     assert noisy_final <= p_energy(noisy)
     assert clean_final < p_energy(base)
     assert noisy_final == pytest.approx(clean_final, rel=1e-6)
+
+
+def _assert_rel_close(got, expect, rel=1e-12):
+    assert np.max(np.abs(got - expect)) <= rel * np.max(np.abs(expect))
+
+
+def test_moment_kernel_matches_row_oracles(rng):
+    # The solver's tangent projection, projection Jacobian and Schur
+    # complement come from per-curve sin/cos moments; the oracles build the
+    # (4, M) constraint-gradient rows from their definition instead.
+    triod = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
+                         (1.35, 1.3, 0.95), nodes_per_unit=8, p=3.0)
+    assert not triod.is_theta
+    tau = 0.05
+    for state in (make_state(rng, m=(7, 11, 5)), triod):
+        layout, theta = PackedLayout.of(state)
+        weights = packed_weights(state.values(), state.lengths)
+        grads = packed_constraint_gradients(state.values())
+        tangents = layout.tangents(theta)
+        grad = rng.normal(size=theta.shape)
+
+        _assert_rel_close(_tangent_project(layout, tangents, grad),
+                          rows_tangent_project(weights, grads, grad))
+
+        moved = theta + 0.1 * rng.normal(size=theta.shape)
+        _assert_rel_close(
+            layout.gradient_products(layout.tangents(moved), tangents,
+                                     layout.D @ layout.E),
+            rows_projection_jacobian(
+                weights, packed_constraint_gradients(layout.unpack(moved)),
+                grads))
+
+        bands = _hessian_bands(layout, theta, tau)
+        direction, schur = rows_newton_direction(weights, grads, grad, bands)
+        u = solveh_banded(bands, (tangents * weights).T).T
+        _assert_rel_close(layout.gradient_products(tangents, u, layout.E),
+                          schur)
+        _assert_rel_close(
+            _newton_direction(layout, theta, tangents, grad, tau), direction)
