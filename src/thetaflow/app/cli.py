@@ -120,17 +120,20 @@ def _build_state(args):
 
 
 def _run_spec(args) -> RunSpec:
-    """The run's settings; the grid settings are None with ``--input``,
-    whose state file fixes the grid."""
+    """The run's settings as :func:`_build_state` uses them: with
+    ``--input`` the state file fixes the grid, so preset and grid settings
+    are None; otherwise the preset defaults to ``lens``, and amplitude and
+    seed are None unless the preset perturbs."""
     emit = tuple(k for k in args.emit.split(",") if k)
-    from_preset = args.input is None
+    preset = None if args.input else args.preset or "lens"
+    perturbed = preset == "perturbed-lens"
     return RunSpec(
         flow=_build_config(args, args.p),
-        preset=args.preset,
+        preset=preset,
         input_path=args.input,
-        nodes_per_unit=args.nodes_per_unit if from_preset else None,
-        amplitude=args.amplitude if from_preset else None,
-        seed=args.seed if from_preset else None,
+        nodes_per_unit=None if args.input else args.nodes_per_unit,
+        amplitude=args.amplitude if perturbed else None,
+        seed=args.seed if perturbed else None,
         out_dir=args.out,
         stride=args.stride,
         emit=emit,

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..errors import InvalidLengths
 from ..grids import AngleField, Grid, NetworkState, cumulative_tangent_integral
 from ..scheme import FlowConfig, StepReport, Trajectory
 
@@ -67,6 +68,8 @@ def save_state(state: NetworkState, path: str) -> None:
 
 
 def load_state(path: str) -> NetworkState:
+    """Read a state file; any document that is not a valid state raises
+    ValueError (OSError if the file cannot be read)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -82,7 +85,8 @@ def load_state(path: str) -> NetworkState:
         )
         return NetworkState(fields, np.asarray(doc["offsets"], dtype=float),
                             float(doc["p"]))
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError, InvalidLengths) as err:
+        # OverflowError: an integer beyond float range, such as 10**400
         raise ValueError(f"malformed state file {path}: {err}") from err
 
 

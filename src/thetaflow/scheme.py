@@ -14,13 +14,16 @@ gradients), eliminated by one banded solve with three right-hand sides
 backtracking follows, each trial projected onto the constraint set by
 Newton iteration along variation directions frozen at the trial; the
 accepted trial's T serves the next iteration, and the step's report is
-assembled from the final T.  Once the predicted decrease
-is below the rounding noise of the functional, a trial within that noise
-also passes if it halves the tangential gradient norm.  The iteration stops
-at ``tol_inner`` or at the working-precision stall: 16 accepted iterates
-that together lowered the functional by no more than rounding.  Acceptance
-is monotone in the step functional, which is what makes the a-priori
-estimates of :func:`run_flow` hold by construction:
+assembled from the final T.  The Armijo slope pairs the direction with the
+tangential gradient, whose rounding stays small near convergence.  Once the
+predicted decrease is below the rounding noise of the functional, a trial
+within that noise also passes if it halves the tangential gradient norm.
+The iteration stops at ``tol_inner``, or at the working-precision floor: a
+slope below that noise whose full step passes neither test, since no
+shorter step could show a measurable decrease.  Each step reports which
+rule ended it (``StepReport.termination``).  Acceptance is monotone in the
+step functional, which is what makes the a-priori estimates of
+:func:`run_flow` hold by construction:
 
   * the elastic energy never increases along the flow,
   * half the summed tau * ||velocity||_L2^2 stays below the initial energy,
@@ -125,7 +128,13 @@ class FlowConfig(object):
 
 @dataclass(frozen=True)
 class StepReport(object):
-    """Per-step diagnostics; all runtime estimates are checked against these."""
+    """Per-step diagnostics; all runtime estimates are checked against these.
+
+    ``termination`` names the rule that ended the inner solve:
+    ``"gradient_tol"``, ``"precision_floor"``, ``"stall_window"`` or
+    ``"line_search_floor"`` (see ``_inner_descent``); ``inner_converged``
+    is ``termination == "gradient_tol"``.
+    """
 
     step_index: int
     tau: float
@@ -143,6 +152,7 @@ class StepReport(object):
     weak_residual_value: float
     inner_iters: int
     inner_converged: bool
+    termination: str
 
 
 @dataclass(frozen=True)
@@ -339,17 +349,31 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     Directions come from the constrained Newton system (banded Hessian
     bordered by the constraint gradients), are accepted by an Armijo test,
     and every trial point is pulled back onto the constraint set before
-    evaluation.  Once the predicted Armijo decrement falls below the
-    floating-point resolution of the energy, acceptance switches to halving
-    the projected gradient norm (without letting the energy rise beyond
-    rounding); that is what lets the iteration reach gradient tolerances
-    far below sqrt(eps * energy).  The tangents T of the accepted trial,
+    evaluation.  The Armijo slope is <gp, d> with gp the tangent-projected
+    gradient: for a direction tangent to the constraints it equals
+    <grad, d>, but the normal part of grad, which near convergence is many
+    orders larger than gp, no longer swamps it with rounding.  Once the
+    predicted Armijo decrement falls below the floating-point resolution of
+    the energy, a trial also passes if it halves the projected gradient
+    norm without letting the energy rise beyond rounding; that is what lets
+    the iteration reach gradient tolerances far below sqrt(eps * energy).
+    If the slope itself is below that resolution and the full step passes
+    neither test, no backtracked trial could show a measurable decrease,
+    so the iteration stops at once.  The tangents T of the accepted trial,
     computed to test its constraints, serve the next iteration.
 
-    Returns (theta, tangents, inner_iters, converged).  ``converged`` is
-    False either when no acceptable trial exists at the floor step length
-    (iterate accepted: no further progress is numerically possible) or when
-    the iteration cap was hit, in which case the caller rejects the step.
+    Returns (theta, tangents, inner_iters, termination), termination being
+    one of
+
+      * ``"gradient_tol"``: the projected gradient norm reached
+        ``tol_inner``;
+      * ``"precision_floor"``: the rule above (iterate kept);
+      * ``"stall_window"``: a backstop, 16 accepted iterates that together
+        lowered the functional by no more than rounding (iterate kept);
+      * ``"line_search_floor"``: no acceptable trial down to step length
+        1e-14 (iterate kept);
+      * ``"iter_cap"``: ``max_inner_iters`` reached; the caller rejects
+        the step.
     """
     theta = theta_prev
     tangents = layout.tangents(theta)
@@ -362,15 +386,11 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
         gp = _tangent_project(layout, tangents, grad)
         gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= cfg.tol_inner:
-            return theta, tangents, it, True
+            return theta, tangents, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
-            # the last `window` accepted steps together moved the energy by
-            # less than rounding: for p < 2 the degenerate flux makes the
-            # gradient tolerance unreachable in doubles, so treat this as
-            # converged to working precision
-            return theta, tangents, it, False
+            return theta, tangents, it, "stall_window"
         d = _newton_direction(layout, theta, tangents, grad, tau)
-        slope = float(layout.inner(grad, d))
+        slope = float(layout.inner(gp, d))
         if not np.isfinite(slope) or slope <= 0.0:
             d, slope = gp, gp_sq
         alpha = 1.0
@@ -379,25 +399,27 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
             try:
                 trial, trial_tangents = _project(layout, theta - alpha * d, cfg)
             except (ProjectionFailed, SingularSystem):
-                alpha *= cfg.armijo_backtrack
-                continue
-            trial_energy = layout.step_energy(trial, theta_prev, tau)
-            if trial_energy <= energy - cfg.armijo_c1 * alpha * slope:
-                accepted = (trial, trial_tangents, trial_energy)
-                break
-            if cfg.armijo_c1 * alpha * slope <= noise and trial_energy <= energy + noise:
-                gp_t = _tangent_project(
-                    layout, trial_tangents,
-                    layout.step_gradient(trial, theta_prev, tau))
-                if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
+                pass
+            else:
+                trial_energy = layout.step_energy(trial, theta_prev, tau)
+                if trial_energy <= energy - cfg.armijo_c1 * alpha * slope:
                     accepted = (trial, trial_tangents, trial_energy)
                     break
+                if cfg.armijo_c1 * alpha * slope <= noise and trial_energy <= energy + noise:
+                    gp_t = _tangent_project(
+                        layout, trial_tangents,
+                        layout.step_gradient(trial, theta_prev, tau))
+                    if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
+                        accepted = (trial, trial_tangents, trial_energy)
+                        break
+            if slope <= noise:
+                return theta, tangents, it, "precision_floor"
             alpha *= cfg.armijo_backtrack
         if accepted is None:
-            return theta, tangents, it, False
+            return theta, tangents, it, "line_search_floor"
         theta, tangents, energy = accepted
         history.append(energy)
-    return theta, tangents, cfg.max_inner_iters, False
+    return theta, tangents, cfg.max_inner_iters, "iter_cap"
 
 
 def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
@@ -468,9 +490,9 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
             "and no strictly-shortest third curve on a theta network"
         )
     layout, theta_prev = PackedLayout.of(prev)
-    theta, tangents, iters, converged = _inner_descent(layout, theta_prev,
-                                                       cfg, tau)
-    if not converged and iters >= cfg.max_inner_iters:
+    theta, tangents, iters, termination = _inner_descent(layout, theta_prev,
+                                                         cfg, tau)
+    if termination == "iter_cap":
         raise InnerSolveFailed(
             f"inner solver hit the {cfg.max_inner_iters}-iteration cap "
             f"at tau={tau:g}"
@@ -506,7 +528,8 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
             layout, tangents,
             np.concatenate(step_gradient(state, prev, tau)), mult),
         inner_iters=iters,
-        inner_converged=converged,
+        inner_converged=termination == "gradient_tol",
+        termination=termination,
     )
     return state, report
 

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thetaflow import (
     FlowConfig,
@@ -137,6 +139,46 @@ def test_load_state_rejects_malformed_documents(tmp_path):
         load_state(path)
     with pytest.raises(OSError):
         load_state(os.path.join(tmp_path, "missing.json"))
+
+
+_HUGE = 10**400  # a JSON integer beyond float range
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.sampled_from([_HUGE, -_HUGE]) | st.text(max_size=4))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+_numbers = st.floats() | st.integers() | st.sampled_from([_HUGE, -_HUGE])
+# state-shaped documents, so the validators behind the key lookups run too
+_curves = st.fixed_dictionaries({
+    "length": _numbers | _json_values,
+    "values": st.lists(_numbers, max_size=6) | _json_values,
+})
+_state_docs = st.fixed_dictionaries({
+    "p": _numbers | _json_values,
+    "offsets": st.lists(st.lists(_numbers, max_size=3), max_size=3) | _json_values,
+    "curves": st.lists(_curves, max_size=4) | _json_values,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_state_docs | _json_values)
+@example(doc={"p": 2.0, "offsets": [[0, 0], [0, 0]],
+              "curves": [{"length": _HUGE, "values": [0, 0, 0]}] * 3})
+@example(doc={"p": 2.0, "offsets": [[0, 0], [0, 0]],
+              "curves": [{"length": 1.0, "values": [0, 0, 0]},
+                         {"length": 1.0, "values": [0, 0, 0]},
+                         {"length": 2.0, "values": [0, 0, 0]}]})
+def test_load_state_yields_a_state_or_value_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "load_state_doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = load_state(str(path))
+    except ValueError:
+        return
+    assert len(loaded.fields) == 3
 
 
 def test_run_spec_validation():

@@ -179,15 +179,55 @@ def test_deeply_nested_state_file_exits_one(command, tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("key", ["values", "length", "p"])
+def test_oversized_integer_in_state_file_exits_one(command, key, tmp_path,
+                                                   capsys, monkeypatch):
+    # 10**400 is valid JSON, but converting it to a float overflows
+    huge = 10**400
+    curve = {"length": 1.0, "values": [0.0, 0.5, 1.0]}
+    doc = {"p": 2.0, "offsets": [[0, 0], [0, 0]],
+           "curves": [curve, dict(curve), dict(curve)]}
+    if key == "p":
+        doc["p"] = huge
+    elif key == "length":
+        curve["length"] = huge
+    else:
+        curve["values"] = [0.0, huge, 1.0]
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code = cli_main([command, "--input", "f.json"])
+    assert code == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_report_records_grid_settings_only_for_presets(tmp_path):
     state_path = str(tmp_path / "lens20.json")
     save_state(preset_symmetric_lens(nodes_per_unit=20), state_path)
     grid_keys = ("nodes_per_unit", "amplitude", "seed")
+    # the lens preset ignores amplitude and seed
     for source, expect in ((["--input", state_path], (None, None, None)),
-                           (["--preset", "lens"], (20, 0.05, 0))):
+                           (["--preset", "lens"], (20, None, None))):
         out = tmp_path / source[0].lstrip("-")
         code = cli_main(["run", *source, "--nodes-per-unit", "20",
                          "--tau", "1e-2", "--T", "0.02", "--out", str(out)])
         assert code == 0
         config = json.loads((out / "report.json").read_text())["config"]
         assert tuple(config[k] for k in grid_keys) == expect
+
+
+@pytest.mark.parametrize("source,expect", [
+    ([], ("lens", None, None)),
+    (["--preset", "triod"], ("triod", None, None)),
+    (["--preset", "perturbed-lens"], ("perturbed-lens", 0.01, 7)),
+])
+def test_report_records_the_preset_that_ran(source, expect, tmp_path):
+    # without --preset or --input the run starts from the lens preset
+    out = tmp_path / "out"
+    code = cli_main(["run", *source, "--nodes-per-unit", "20",
+                     "--amplitude", "0.01", "--seed", "7",
+                     "--tau", "1e-2", "--T", "0.02", "--out", str(out)])
+    assert code == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert (config["preset"], config["amplitude"], config["seed"]) == expect
+    assert config["input_path"] is None

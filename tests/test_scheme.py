@@ -26,6 +26,7 @@ from thetaflow import (
 )
 from scipy.linalg import solveh_banded
 
+from thetaflow import scheme
 from thetaflow.energy import PackedLayout
 from thetaflow.scheme import (
     _hessian_bands,
@@ -112,6 +113,7 @@ def test_minimize_step_decreases_energy_and_stays_admissible():
     assert rep.constraint_defect <= cfg.tol_constraint
     assert rep.penalty_value == pytest.approx(0.5 * rep.tau * rep.velocity_l2sq)
     assert rep.inner_converged
+    assert rep.termination == "gradient_tol"
     assert rep.multipliers.total_norm <= rep.mult_bound * (1 + 1e-9)
     assert rep.weak_residual_value < 1e-6
 
@@ -134,14 +136,39 @@ def test_step_report_matches_public_path():
 
 def test_minimize_step_flags_stalled_inner_iteration():
     # For p < 2 on a state with a flat curve the flux gradient cannot reach
-    # tight tolerances in double precision; the solver stalls at working
-    # precision and reports converged=False rather than failing.
+    # tight tolerances in double precision; the solver stops as soon as the
+    # Newton model predicts a decrease below rounding, and reports
+    # converged=False rather than failing.
     lens = preset_symmetric_lens(nodes_per_unit=60, p=1.5)
     cfg = FlowConfig(p_exponent=1.5, tau=1e-3)
     state, rep = minimize_step(lens, cfg)
     assert rep.energy_after + rep.penalty_value <= rep.energy_before + 1e-12
     assert rep.constraint_defect <= cfg.tol_constraint
     assert not rep.inner_converged
+    assert rep.termination == "precision_floor"
+    # fewer iterates than the 16-iterate stall window needs to fill
+    assert rep.inner_iters < 16
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
+    # Near convergence the full gradient is orders larger than its
+    # tangential part; an Armijo slope taken from it loses its sign to
+    # rounding and sends the line search into steepest-descent backtracks.
+    # With the slope from the tangential gradient every full Newton step
+    # passes: one projected trial per direction.
+    calls = {"_project": 0, "_newton_direction": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(scheme, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(scheme, name, counted)
+    lens = preset_symmetric_lens(nodes_per_unit=40, p=p)
+    traj = run_flow(lens, FlowConfig(p_exponent=p, tau=1e-3, T=0.02))
+    assert len(traj.reports) == 20
+    assert all(r.termination == "gradient_tol" for r in traj.reports)
+    assert calls["_project"] == calls["_newton_direction"]
+    assert calls["_newton_direction"] == sum(r.inner_iters for r in traj.reports)
 
 
 def test_minimize_step_raises_on_iteration_cap():
