@@ -20,9 +20,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..energy import constraint_vector, oscillation_stats, p_energy
+from ..energy import (constraint_defect, constraint_vector, oscillation_stats,
+                      p_energy)
 from ..errors import ThetaflowError
-from ..scheme import FlowConfig, run_flow
+from ..scheme import FlowConfig, project_to_H, run_flow
 from ..stationary import check_scan, detect_stationarity
 from .emit import RunSpec, emit_frames, load_state, save_state
 from .presets import preset_perturbed, preset_symmetric_lens, preset_triod
@@ -241,7 +242,7 @@ def _cmd_refine(args):
 
 def _cmd_check(args):
     state = load_state(args.input)
-    defect = constraint_vector(state).defect
+    defect = constraint_defect(constraint_vector(state))
     print(f"curves: lengths {', '.join(f'{l:g}' for l in state.lengths)}")
     print(f"p: {state.p_exponent:g}")
     print(f"type: {'theta' if state.is_theta else 'triod'}")
@@ -255,8 +256,6 @@ def _cmd_check(args):
     print(f"admissible at tol {args.tol_constraint:g}: "
           f"{'yes' if admissible else 'no'}")
     if args.save_projected:
-        from ..scheme import project_to_H
-
         projected = project_to_H(state,
                                  FlowConfig(p_exponent=state.p_exponent,
                                             tol_constraint=args.tol_constraint))

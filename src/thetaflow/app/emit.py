@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..energy import p_energy
 from ..errors import InvalidLengths
 from ..grids import AngleField, Grid, NetworkState, cumulative_tangent_integral
 from ..scheme import FlowConfig, StepReport, Trajectory
@@ -67,9 +68,18 @@ def save_state(state: NetworkState, path: str) -> None:
         fh.write("\n")
 
 
+def _number(value) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_state(path: str) -> NetworkState:
     """Read a state file; any document that is not a valid state raises
-    ValueError (OSError if the file cannot be read)."""
+    ValueError (OSError if the file cannot be read).  ``p``, the lengths,
+    the offsets and the values must be JSON numbers, not strings or
+    booleans."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -78,13 +88,13 @@ def load_state(path: str) -> NetworkState:
                              "deeply") from err
     try:
         curves = doc["curves"]
-        fields = tuple(
-            AngleField(Grid(float(c["length"]), len(c["values"])),
-                       np.asarray(c["values"], dtype=float))
-            for c in curves
-        )
-        return NetworkState(fields, np.asarray(doc["offsets"], dtype=float),
-                            float(doc["p"]))
+        fields = []
+        for c in curves:
+            values = [_number(v) for v in c["values"]]
+            fields.append(AngleField(Grid(_number(c["length"]), len(values)),
+                                     np.array(values)))
+        offsets = [[_number(x) for x in row] for row in doc["offsets"]]
+        return NetworkState(fields, np.array(offsets), _number(doc["p"]))
     except (KeyError, TypeError, OverflowError, InvalidLengths) as err:
         # OverflowError: an integer beyond float range, such as 10**400
         raise ValueError(f"malformed state file {path}: {err}") from err
@@ -102,14 +112,15 @@ def _selected_indices(n_states: int, stride: int):
     return idx
 
 
+def _multipliers_dict(mult) -> dict:
+    return {"lambda": mult.lam.tolist(), "mu": mult.mu.tolist()}
+
+
 def _report_dict(rep: StepReport) -> dict:
     d = asdict(rep)
     d["dets"] = rep.dets.tolist()
     d["oscs"] = rep.oscs.tolist()
-    d["multipliers"] = {
-        "lambda": rep.multipliers.lam.tolist(),
-        "mu": rep.multipliers.mu.tolist(),
-    }
+    d["multipliers"] = _multipliers_dict(rep.multipliers)
     return d
 
 
@@ -120,10 +131,7 @@ def _stationary_dict(rep) -> dict:
         "bc_defect": rep.bc_defect,
         "conserved_drift": rep.conserved_drift.tolist(),
         "junction_balance_defect": rep.junction_balance_defect,
-        "multipliers": {
-            "lambda": rep.multipliers.lam.tolist(),
-            "mu": rep.multipliers.mu.tolist(),
-        },
+        "multipliers": _multipliers_dict(rep.multipliers),
     }
 
 
@@ -222,8 +230,6 @@ def emit_frames(traj: Trajectory, spec: RunSpec, stationary=None,
         frame_dir = os.path.join(spec.out_dir, "frames")
         os.makedirs(frame_dir, exist_ok=True)
         lo, hi = _frame_bbox(traj.states[0])
-        from ..energy import p_energy
-
         for i in indices:
             caption = f"t={traj.times[i]:.6g} E={p_energy(traj.states[i]):.6g}"
             path = os.path.join(frame_dir, f"frame_{i:06d}.svg")

@@ -35,8 +35,8 @@ __all__ = [
     "cell_flux",
     "p_energy",
     "implicit_step_energy",
-    "ConstraintVector",
     "constraint_vector",
+    "constraint_defect",
     "constraint_gradients",
     "MultiplierMatrices",
     "assemble_multiplier_data",
@@ -227,19 +227,8 @@ def implicit_step_energy(candidate: NetworkState, prev: NetworkState,
     return layout.step_energy(theta, layout.pack(prev), tau)
 
 
-@dataclass(frozen=True)
-class ConstraintVector(object):
-    """The four junction constraints evaluated at a state."""
-
-    values: np.ndarray  # shape (4,)
-
-    @property
-    def defect(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def constraint_vector(state: NetworkState) -> ConstraintVector:
-    """Evaluate the four tangent-integral constraints.
+def constraint_vector(state: NetworkState) -> np.ndarray:
+    """Evaluate the four tangent-integral constraints, shape (4,).
 
     With I_j = int over curve j and (dx, dy) the stored offsets:
 
@@ -250,7 +239,12 @@ def constraint_vector(state: NetworkState) -> ConstraintVector:
     junction end at mutually consistent points.
     """
     layout, theta = PackedLayout.of(state)
-    return ConstraintVector(layout.constraint_values(layout.tangents(theta)))
+    return layout.constraint_values(layout.tangents(theta))
+
+
+def constraint_defect(values: np.ndarray) -> float:
+    """Largest absolute constraint value."""
+    return float(np.max(np.abs(values)))
 
 
 def constraint_gradients(state: NetworkState):
@@ -345,24 +339,20 @@ class OscillationStats(object):
     det_lower_bound: float
 
 
-def oscillation_stats(f: AngleField, modulus_inverse=None) -> OscillationStats:
+def oscillation_stats(f: AngleField) -> OscillationStats:
     """Oscillation, clipped oscillation and the determinant lower bound
 
         det A >= (L/2) * sin^2(delta0/4) * min(r, L/2),
 
     delta0 = min(osc, pi) and r the largest window over which theta varies
-    by at most delta0/4.  ``modulus_inverse(f, y)`` may replace the default
-    sharp node-based search, e.g. with an analytic modulus of continuity; it
-    must never overestimate the true window.
+    by at most delta0/4 (:func:`_sharp_modulus_inverse`).
     """
-    if modulus_inverse is None:
-        modulus_inverse = _sharp_modulus_inverse
     osc = f.oscillation()
     delta0 = min(osc, np.pi)
     half_l = 0.5 * f.grid.length
     if delta0 <= 0.0:
         return OscillationStats(osc, delta0, half_l, 0.0)
-    r = float(modulus_inverse(f, 0.25 * delta0))
+    r = _sharp_modulus_inverse(f, 0.25 * delta0)
     bound = half_l * np.sin(0.25 * delta0) ** 2 * min(r, half_l)
     return OscillationStats(osc, delta0, r, float(bound))
 

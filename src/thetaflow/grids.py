@@ -51,11 +51,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.node_count)
 
-    @property
-    def cell_midpoints(self) -> np.ndarray:
-        s = self.nodes
-        return 0.5 * (s[:-1] + s[1:])
-
 
 def _readonly(values) -> np.ndarray:
     out = np.array(values, dtype=float, copy=True)

@@ -43,6 +43,11 @@ __all__ = [
     "multiplier_bound",
 ]
 
+# Limits of the multiplier stage; the Newton projection of ``scheme`` shares
+# the condition cap.
+COND_CAP = 1e12    # largest condition number of a 4x4 system that is solved
+DET_FLOOR = 1e-12  # det A1 or det A2 at or below this is degenerate geometry
+
 
 @dataclass(frozen=True)
 class Multipliers(object):
@@ -118,22 +123,22 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
                              tau)
 
 
-def solve_multipliers(data: MultiplierMatrices, rem: np.ndarray,
-                      cond_cap: float = 1e12) -> Multipliers:
+def solve_multipliers(data: MultiplierMatrices,
+                      rem: np.ndarray) -> Multipliers:
     """Solve x . J = rhs for the multipliers.
 
     Raises SingularSystem when the condition number of J exceeds
-    ``cond_cap`` (at least two essentially flat or aligned curves) or the
+    ``COND_CAP`` (at least two essentially flat or aligned curves) or the
     solved residual fails ``|x.J - rhs| <= 1e-9 (1 + |rhs|)``.
     """
     kkt = assemble_kkt(data)
     if not np.all(np.isfinite(kkt)):
         raise SingularSystem("multiplier system contains non-finite entries")
     cond = float(np.linalg.cond(kkt))
-    if cond > cond_cap:
+    if cond > COND_CAP:
         raise SingularSystem(
             f"multiplier system condition number {cond:.3e} exceeds "
-            f"cap {cond_cap:.3e}"
+            f"cap {COND_CAP:.3e}"
         )
     g1, g2, g3 = data.G
     rhs = np.concatenate([g3 - g2, g2 - g1]) + rem
@@ -146,8 +151,7 @@ def solve_multipliers(data: MultiplierMatrices, rem: np.ndarray,
     return Multipliers(lam=x[:2], mu=x[2:])
 
 
-def bound_constant(data: MultiplierMatrices, state: NetworkState,
-                   det_floor: float = 1e-12) -> float:
+def bound_constant(data: MultiplierMatrices, state: NetworkState) -> float:
     """Geometry factor C of the multiplier bound, explicit in the lengths
     and the first two Gram determinants.
 
@@ -159,13 +163,13 @@ def bound_constant(data: MultiplierMatrices, state: NetworkState,
 
     Monotone increasing in 1/det A_1 and 1/det A_2.  Raises
     DegenerateGeometry when either determinant sits at or below
-    ``det_floor``.
+    ``DET_FLOOR``.
     """
     det1, det2 = float(data.dets[0]), float(data.dets[1])
-    if det1 <= det_floor or det2 <= det_floor:
+    if det1 <= DET_FLOOR or det2 <= DET_FLOOR:
         raise DegenerateGeometry(
             "Gram determinants of curves 1 and 2 must exceed the floor "
-            f"{det_floor:g} (got {det1:g}, {det2:g})"
+            f"{DET_FLOOR:g} (got {det1:g}, {det2:g})"
         )
     l1, l2, l3 = state.lengths
     k1 = l1 / det1

@@ -44,14 +44,15 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .energy import (
-    ConstraintVector,
     PackedLayout,
+    constraint_defect,
     constraint_vector,
     p_energy,
     step_gradient,
 )
 from .errors import (
     DegenerateGeometry,
+    EstimateViolation,
     FlatnessBlowup,
     InnerSolveFailed,
     ProjectionFailed,
@@ -60,6 +61,7 @@ from .errors import (
 )
 from .grids import NetworkState, trapezoid_integral
 from .multipliers import (
+    COND_CAP,
     Multipliers,
     bound_constant,
     multiplier_bound,
@@ -76,14 +78,28 @@ __all__ = [
     "weak_residual",
 ]
 
+ARMIJO_C1 = 1e-4       # sufficient-decrease constant of the line search
+BACKTRACK = 0.5        # step-length factor per rejected trial
+NEWTON_MAX_ITERS = 30  # Newton iterations of one constraint projection
+MAX_HALVINGS = 3       # tau halvings before a step is given up
+
 
 @dataclass(frozen=True)
 class FlowConfig(object):
     """Solver parameters.
 
-    ``newton_tol`` defaults to ``tol_constraint`` when left at None.  The
-    flatness guard demands either a theta network with a strictly shortest
-    third curve or at least two curves of oscillation >= ``osc_floor``.
+      * ``p_exponent``: exponent p > 1 of the elastic energy;
+      * ``tau``: time step, at most ``T``;
+      * ``T``: time horizon of :func:`run_flow`;
+      * ``tol_inner``: tangential gradient norm that ends an inner solve;
+      * ``tol_constraint``: constraint defect of accepted and projected states;
+      * ``max_inner_iters``: inner iterations before a step retries at tau/2;
+      * ``osc_floor``: oscillation floor of the flatness guard.
+
+    The flatness guard demands either a theta network with a strictly
+    shortest third curve or at least two curves of oscillation >=
+    ``osc_floor``.  The line-search, projection and halving limits are the
+    module constants above.
     """
 
     p_exponent: float = 2.0
@@ -92,18 +108,11 @@ class FlowConfig(object):
     tol_inner: float = 1e-8
     tol_constraint: float = 1e-9
     max_inner_iters: int = 5000
-    armijo_c1: float = 1e-4
-    armijo_backtrack: float = 0.5
-    newton_max_iters: int = 30
-    newton_tol: float = None
-    cond_cap: float = 1e12
     osc_floor: float = 1e-3
-    det_floor: float = 1e-12
-    max_halvings: int = 3
 
     def __post_init__(self):
         for name in ("p_exponent", "tau", "T", "tol_inner", "tol_constraint",
-                     "projection_tol", "cond_cap", "osc_floor", "det_floor"):
+                     "osc_floor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -111,19 +120,9 @@ class FlowConfig(object):
             raise ValueError("p must exceed 1")
         if self.tau > self.T:
             raise ValueError("tau must not exceed the horizon T")
-        for name, least in (("max_inner_iters", 1), ("newton_max_iters", 1),
-                            ("max_halvings", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}")
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not (0.0 < self.armijo_backtrack < 1.0):
-            raise ValueError("armijo_backtrack must lie in (0, 1)")
-
-    @property
-    def projection_tol(self) -> float:
-        return self.tol_constraint if self.newton_tol is None else self.newton_tol
+        if not (isinstance(self.max_inner_iters, numbers.Integral)
+                and self.max_inner_iters >= 1):
+            raise ValueError("max_inner_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -245,10 +244,10 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
     constraint gradients with them, and a step t moves by
     fields(t (D E), T0).
     """
-    tol = cfg.projection_tol
+    tol = cfg.tol_constraint
     frozen = layout.tangents(theta)
     c = layout.constraint_values(frozen)
-    defect = ConstraintVector(c).defect
+    defect = constraint_defect(c)
     if defect <= tol:
         return theta, frozen
     if defect > 1.0:
@@ -258,10 +257,10 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
     de = layout.D @ layout.E
     t = np.zeros(4)
     tangents = frozen
-    for _ in range(cfg.newton_max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         jac = layout.gradient_products(tangents, frozen, de)
         cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > cfg.cond_cap:
+        if not np.isfinite(cond) or cond > COND_CAP:
             raise SingularSystem(
                 "projection Jacobian is numerically singular "
                 f"(cond {cond:.3e})"
@@ -270,7 +269,7 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
         current = theta + layout.fields(t @ de, frozen)
         tangents = layout.tangents(current)
         c = layout.constraint_values(tangents)
-        if ConstraintVector(c).defect <= tol:
+        if constraint_defect(c) <= tol:
             return current, tangents
     raise ProjectionFailed(
         f"Newton projection stagnated at defect {np.max(np.abs(c)):.3e}"
@@ -292,9 +291,10 @@ def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
 def _hessian_bands(layout: PackedLayout, theta: np.ndarray,
                    tau: float) -> np.ndarray:
     """Symmetric banded (upper form) Hessian of the step functional:
-    movement mass / tau plus the lagged-diffusivity elastic part.
+    movement mass / tau plus the Newton elastic part, the cell weights
+    (p - 1) |D|^(p-2) / h of the slopes D.
 
-    For p < 2 the cell diffusivities |D|^(p-2) are clamped away from the
+    For p < 2 the slopes are clamped at |D| >= 1e-8, away from the
     singularity at flat cells; the matrix only preconditions, so the clamp
     costs accuracy of the direction, never correctness.
     """
@@ -402,10 +402,10 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                 pass
             else:
                 trial_energy = layout.step_energy(trial, theta_prev, tau)
-                if trial_energy <= energy - cfg.armijo_c1 * alpha * slope:
+                if trial_energy <= energy - ARMIJO_C1 * alpha * slope:
                     accepted = (trial, trial_tangents, trial_energy)
                     break
-                if cfg.armijo_c1 * alpha * slope <= noise and trial_energy <= energy + noise:
+                if ARMIJO_C1 * alpha * slope <= noise and trial_energy <= energy + noise:
                     gp_t = _tangent_project(
                         layout, trial_tangents,
                         layout.step_gradient(trial, theta_prev, tau))
@@ -414,7 +414,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                         break
             if slope <= noise:
                 return theta, tangents, it, "precision_floor"
-            alpha *= cfg.armijo_backtrack
+            alpha *= BACKTRACK
         if accepted is None:
             return theta, tangents, it, "line_search_floor"
         theta, tangents, energy = accepted
@@ -423,8 +423,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
 
 
 def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
-                   gradient: np.ndarray, mult: Multipliers,
-                   test_resolution=None) -> float:
+                   gradient: np.ndarray, mult: Multipliers) -> float:
     """:func:`_weak_residual_pair` from the packed step gradient and the
     tangents of the candidate."""
     x = np.concatenate([mult.lam, mult.mu])
@@ -433,20 +432,11 @@ def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
     # each cell in its support
     padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
     hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
-    scaled = np.abs(layout.weights * density) / np.sqrt(hat_sq)
-    worst = 0.0
-    for part in layout.unpack(scaled):
-        m = part.shape[0]
-        if test_resolution is not None and test_resolution < m:
-            idx = np.unique(np.linspace(0, m - 1, test_resolution).round().astype(int))
-            part = part[idx]
-        worst = max(worst, float(np.max(part)))
-    return worst
+    return float(np.max(np.abs(layout.weights * density) / np.sqrt(hat_sq)))
 
 
 def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
-                        tau: float, mult: Multipliers,
-                        test_resolution=None) -> float:
+                        tau: float, mult: Multipliers) -> float:
     """Max over hat test functions of |weak form| / ||hat||_H1.
 
     The weak form of the time-discrete equation pairs the velocity and the
@@ -459,16 +449,15 @@ def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
     layout, theta = PackedLayout.of(candidate)
     return _weak_residual(layout, layout.tangents(theta),
                           np.concatenate(step_gradient(candidate, prev, tau)),
-                          mult, test_resolution)
+                          mult)
 
 
-def weak_residual(traj: Trajectory, step_index: int,
-                  test_resolution=None) -> float:
+def weak_residual(traj: Trajectory, step_index: int) -> float:
     """Weak residual of the stored step against hat test functions."""
     rep = traj.reports[step_index]
     return _weak_residual_pair(
         traj.states[step_index + 1], traj.states[step_index],
-        rep.tau, rep.multipliers, test_resolution,
+        rep.tau, rep.multipliers,
     )
 
 
@@ -504,10 +493,9 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     move_sq = float(layout.inner(move, move))
     velocity_l1 = float(layout.inner(np.abs(move), 1.0))
     data = layout.multiplier_data(theta, tangents)
-    mult = solve_multipliers(data, layout.remainders(tangents, move, tau),
-                             cfg.cond_cap)
+    mult = solve_multipliers(data, layout.remainders(tangents, move, tau))
     energy_after = layout.elastic_energy(theta)
-    bound_const = bound_constant(data, state, cfg.det_floor)
+    bound_const = bound_constant(data, state)
     report = StepReport(
         step_index=-1,
         tau=tau,
@@ -520,8 +508,8 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
         mult_bound=multiplier_bound(bound_const, state.p_exponent,
                                     energy_after, velocity_l1, tau),
         bound_const=bound_const,
-        constraint_defect=ConstraintVector(
-            layout.constraint_values(tangents)).defect,
+        constraint_defect=constraint_defect(
+            layout.constraint_values(tangents)),
         dets=data.dets,
         oscs=np.array([f.oscillation() for f in state.fields]),
         weak_residual_value=_weak_residual(
@@ -538,14 +526,14 @@ def _attempt_step(prev: NetworkState, cfg: FlowConfig):
     """minimize_step with time-step rejection: halve tau on inner failure."""
     tau = cfg.tau
     last = None
-    for _ in range(cfg.max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         try:
             return minimize_step(prev, cfg, tau)
         except InnerSolveFailed as err:
             last = err
             tau *= 0.5
     raise InnerSolveFailed(
-        f"step rejected {cfg.max_halvings} times (final tau {2 * tau:g}): {last}"
+        f"step rejected {MAX_HALVINGS} times (final tau {2 * tau:g}): {last}"
     )
 
 
@@ -606,8 +594,6 @@ class _EstimateLedger(object):
                        cfg.tol_constraint)
 
     def _fail(self, what, got, allowed):
-        from .errors import EstimateViolation
-
         raise EstimateViolation(
             f"{what} violated at step {self.steps - 1}: "
             f"{got:.12e} > {allowed:.12e}"
@@ -629,7 +615,7 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
             f"state has p={initial.p_exponent:g} but config says "
             f"p={cfg.p_exponent:g}"
         )
-    defect = constraint_vector(initial).defect
+    defect = constraint_defect(constraint_vector(initial))
     if defect > cfg.tol_constraint:
         if defect > 1e3 * cfg.tol_constraint:
             raise ProjectionFailed(

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from thetaflow import (
     FlowConfig,
     InvalidLengths,
-    cumulative_tangent_integral,
+    constraint_defect,
     constraint_vector,
-    midpoint_gradient,
     p_energy,
     run_flow,
 )
+from thetaflow.grids import cumulative_tangent_integral, midpoint_gradient
 from thetaflow.app.emit import RunSpec, emit_frames, load_state, save_state
 from thetaflow.app.presets import (
     preset_perturbed,
@@ -38,7 +38,7 @@ def test_lens_curvature_reference_is_frozen_correctly():
 
 def test_lens_preset_geometry():
     lens = preset_symmetric_lens(nodes_per_unit=200)
-    assert constraint_vector(lens).defect < 1e-11
+    assert constraint_defect(constraint_vector(lens)) < 1e-11
     slopes1 = midpoint_gradient(lens.fields[0])
     slopes2 = midpoint_gradient(lens.fields[1])
     # Both arcs have constant curvature of equal magnitude, opposite sign.
@@ -75,7 +75,7 @@ def test_triod_preset_hits_targets():
     lengths = (1.35, 1.3, 0.95)
     triod = preset_triod(targets, lengths, nodes_per_unit=100)
     assert not triod.is_theta
-    assert constraint_vector(triod).defect <= 1e-9
+    assert constraint_defect(constraint_vector(triod)) <= 1e-9
     for f, target in zip(triod.fields, targets):
         end = cumulative_tangent_integral(f)[-1]
         assert np.linalg.norm(end - np.asarray(target)) < 1e-7
@@ -110,7 +110,7 @@ def test_perturbed_preset_seed_behavior():
         assert np.array_equal(va, vb)
     assert any(not np.array_equal(va, vc)
                for va, vc in zip(a.values(), c.values()))
-    assert constraint_vector(a).defect <= 1e-9
+    assert constraint_defect(constraint_vector(a)) <= 1e-9
     assert preset_perturbed(base, amplitude=0.0, seed=3) is base
 
 
@@ -171,6 +171,8 @@ _state_docs = st.fixed_dictionaries({
               "curves": [{"length": 1.0, "values": [0, 0, 0]},
                          {"length": 1.0, "values": [0, 0, 0]},
                          {"length": 2.0, "values": [0, 0, 0]}]})
+@example(doc={"p": "2", "offsets": [[0, 0], [0, 0]],
+              "curves": [{"length": "1.0", "values": ["0", True, 0.5]}] * 3})
 def test_load_state_yields_a_state_or_value_error(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "load_state_doc.json"
     path.write_text(json.dumps(doc))
@@ -179,6 +181,12 @@ def test_load_state_yields_a_state_or_value_error(tmp_path_factory, doc):
     except ValueError:
         return
     assert len(loaded.fields) == 3
+    # only JSON numbers load: no strings, no booleans
+    slots = [doc["p"], *(x for row in doc["offsets"] for x in row)]
+    for c in doc["curves"]:
+        slots += [c["length"], *c["values"]]
+    assert all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in slots)
 
 
 def test_run_spec_validation():

@@ -9,16 +9,19 @@ from thetaflow import (
     GridMismatch,
     NetworkState,
     assemble_multiplier_data,
-    constraint_gradients,
+    constraint_defect,
     constraint_vector,
     det_identity_check,
-    implicit_step_energy,
     oscillation_stats,
     p_energy,
     step_gradient,
-    trapezoid_weights,
 )
-from thetaflow.energy import _sharp_modulus_inverse
+from thetaflow.energy import (
+    _sharp_modulus_inverse,
+    constraint_gradients,
+    implicit_step_energy,
+)
+from thetaflow.grids import trapezoid_weights
 
 from helpers import make_pair, make_state, steep_pair
 from oracles import (
@@ -82,9 +85,9 @@ def test_constraint_vector_matches_naive(rng):
     for m in (15, (7, 11, 5)):
         s = make_state(rng, offsets=offsets, m=m)
         expect = naive_constraints(s.values(), s.lengths, offsets)
-        got = constraint_vector(s).values
+        got = constraint_vector(s)
         assert np.allclose(got, expect, atol=1e-13)
-        assert constraint_vector(s).defect == pytest.approx(
+        assert constraint_defect(got) == pytest.approx(
             np.max(np.abs(expect)), abs=1e-13)
 
 
@@ -99,7 +102,7 @@ def test_constraint_gradients_match_finite_differences(rng):
                          for v in s.values()]
             up = s.with_values(tuple(v + eps * d for v, d in zip(s.values(), direction)))
             dn = s.with_values(tuple(v - eps * d for v, d in zip(s.values(), direction)))
-            fd = (constraint_vector(up).values[l] - constraint_vector(dn).values[l]) / (2 * eps)
+            fd = (constraint_vector(up)[l] - constraint_vector(dn)[l]) / (2 * eps)
             pairing = sum(w @ (g * d) for w, g, d in zip(weights, grads[l], direction))
             assert fd == pytest.approx(pairing, abs=5e-7)
 
@@ -201,22 +204,15 @@ def test_oscillation_bound_never_exceeds_determinant(m, seed, scale):
     assert stats.det_lower_bound <= det + 1e-10
 
 
-def test_oscillation_bound_accepts_custom_modulus(rng):
-    # A custom inverse-modulus hook (e.g. an analytic one) replaces the
-    # node-pair scan; the bound formula is applied to its return value.
+def test_oscillation_bound_applies_formula_to_sharp_modulus(rng):
+    # The bound is (L/2) sin^2(delta0/4) min(r, L/2) with r the sharp
+    # node-based window at level delta0/4.
     f = AngleField(Grid(1.0, 25), random_angle_field_values(rng, 25))
-    base = oscillation_stats(f)
-    seen = {}
-
-    def pinned_modulus(field, y):
-        seen["args"] = (field, y)
-        return 0.01
-
-    pinned = oscillation_stats(f, modulus_inverse=pinned_modulus)
-    assert seen["args"][0] is f
-    assert seen["args"][1] == pytest.approx(base.delta0 / 4.0)
-    expect = 0.5 * 1.0 * np.sin(base.delta0 / 4.0) ** 2 * 0.01
-    assert pinned.det_lower_bound == pytest.approx(expect, rel=1e-12)
+    stats = oscillation_stats(f)
+    r = _sharp_modulus_inverse(f, stats.delta0 / 4.0)
+    assert stats.modulus_inverse_at == r
+    expect = 0.5 * 1.0 * np.sin(stats.delta0 / 4.0) ** 2 * min(r, 0.5)
+    assert stats.det_lower_bound == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -3,12 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaflow import (
-    AngleField,
-    Grid,
-    GridMismatch,
-    InvalidLengths,
-    NetworkState,
+from thetaflow import AngleField, Grid, GridMismatch, InvalidLengths, NetworkState
+from thetaflow.grids import (
     cumulative_tangent_integral,
     midpoint_gradient,
     require_compatible,
@@ -23,7 +19,6 @@ def test_grid_basic_geometry():
     g = Grid(length=2.0, node_count=5)
     assert g.spacing == pytest.approx(0.5)
     assert np.allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert np.allclose(g.cell_midpoints, [0.25, 0.75, 1.25, 1.75])
 
 
 def test_grid_rejects_degenerate_input():

@@ -8,31 +8,33 @@ from thetaflow import (
     FlowConfig,
     Grid,
     InnerSolveFailed,
-    Multipliers,
     NetworkState,
     ProjectionFailed,
     Trajectory,
     assemble_multiplier_data,
-    compute_remainders,
-    constraint_gradients,
+    constraint_defect,
     constraint_vector,
-    minimize_step,
     p_energy,
-    project_to_H,
     run_flow,
-    solve_multipliers,
     step_gradient,
-    weak_residual,
 )
 from scipy.linalg import solveh_banded
 
 from thetaflow import scheme
-from thetaflow.energy import PackedLayout
+from thetaflow.energy import PackedLayout, constraint_gradients
+from thetaflow.multipliers import (
+    Multipliers,
+    compute_remainders,
+    solve_multipliers,
+)
 from thetaflow.scheme import (
     _hessian_bands,
     _newton_direction,
     _tangent_project,
     _weak_residual_pair,
+    minimize_step,
+    project_to_H,
+    weak_residual,
 )
 
 from helpers import make_state
@@ -61,12 +63,9 @@ def test_flow_config_validation():
         FlowConfig(T=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(tol_inner=0.0)
-    with pytest.raises(ValueError):
-        FlowConfig(armijo_backtrack=1.0)
     # non-finite and out-of-range values; T=inf would never end run_flow
     bad = [dict(tau=np.nan), dict(p_exponent=np.nan), dict(tol_inner=np.nan),
-           dict(T=np.inf), dict(max_halvings=-1), dict(max_inner_iters=0),
-           dict(newton_max_iters=0)]
+           dict(T=np.inf), dict(max_inner_iters=0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             FlowConfig(**kwargs)
@@ -85,9 +84,9 @@ def test_project_restores_perturbed_state(rng):
         v + 0.02 * random_angle_field_values(rng, len(v))
         for v in lens.values()
     ))
-    assert constraint_vector(noisy).defect > cfg.projection_tol
+    assert constraint_defect(constraint_vector(noisy)) > cfg.tol_constraint
     fixed = project_to_H(noisy, cfg)
-    assert constraint_vector(fixed).defect <= cfg.projection_tol
+    assert constraint_defect(constraint_vector(fixed)) <= cfg.tol_constraint
     # Projection is a small correction, not a jump to a faraway state.
     for a, b in zip(fixed.values(), noisy.values()):
         assert np.max(np.abs(a - b)) < 0.05
@@ -98,7 +97,7 @@ def test_project_refuses_large_defect():
     m = 9
     fields = tuple(AngleField(Grid(L, m), np.zeros(m)) for L in (2.0, 2.0, 0.2))
     s = NetworkState(fields)
-    assert constraint_vector(s).defect > 1.0
+    assert constraint_defect(constraint_vector(s)) > 1.0
     with pytest.raises(ProjectionFailed):
         project_to_H(s, FlowConfig())
 
@@ -125,8 +124,7 @@ def test_step_report_matches_public_path():
     cfg = FlowConfig(tau=1e-3)
     state, rep = minimize_step(lens, cfg)
     data = assemble_multiplier_data(state)
-    mult = solve_multipliers(data, compute_remainders(state, lens, rep.tau),
-                             cfg.cond_cap)
+    mult = solve_multipliers(data, compute_remainders(state, lens, rep.tau))
     _assert_rel_close(rep.dets, data.dets)
     _assert_rel_close(np.concatenate([rep.multipliers.lam, rep.multipliers.mu]),
                       np.concatenate([mult.lam, mult.mu]))
@@ -182,7 +180,7 @@ def test_minimize_step_guards_flat_geometry():
     m = 9
     fields = tuple(AngleField(Grid(1.0, m), np.zeros(m)) for _ in range(3))
     s = NetworkState(fields)
-    assert constraint_vector(s).defect < 1e-15
+    assert constraint_defect(constraint_vector(s)) < 1e-15
     with pytest.raises(FlatnessBlowup):
         minimize_step(s, FlowConfig())
 
@@ -215,19 +213,19 @@ def test_run_flow_projects_slightly_inadmissible_input(rng):
         v + 1e-7 * random_angle_field_values(rng, len(v))
         for v in lens.values()
     ))
-    defect = constraint_vector(noisy).defect
+    defect = constraint_defect(constraint_vector(noisy))
     cfg = FlowConfig(tau=1e-3, T=2e-3)
     assert defect > cfg.tol_constraint
     assert defect <= 1e3 * cfg.tol_constraint
     traj = run_flow(noisy, cfg)
-    assert constraint_vector(traj.states[0]).defect <= cfg.projection_tol
+    assert constraint_defect(constraint_vector(traj.states[0])) <= cfg.tol_constraint
 
 
 def test_run_flow_refuses_far_from_constraint_set(rng):
     lens = preset_symmetric_lens(nodes_per_unit=40)
     noisy = lens.with_values(tuple(v + 0.1 * rng.normal(size=len(v))
                                    for v in lens.values()))
-    if constraint_vector(noisy).defect <= 1e3 * FlowConfig().tol_constraint:
+    if constraint_defect(constraint_vector(noisy)) <= 1e3 * FlowConfig().tol_constraint:
         pytest.skip("random perturbation too tame")
     with pytest.raises(ProjectionFailed):
         run_flow(noisy, FlowConfig(tau=1e-3, T=2e-3))
@@ -325,9 +323,6 @@ def test_weak_residual_of_solved_steps_is_small():
         r = weak_residual(traj, i)
         assert r == pytest.approx(traj.reports[i].weak_residual_value, rel=1e-9)
         assert r < 1e-6
-    # Coarser test-space subsampling never increases the max residual much;
-    # it is a max over a subset of the same functionals.
-    assert weak_residual(traj, 0, test_resolution=10) <= traj.reports[0].weak_residual_value * (1 + 1e-9)
 
 
 def test_reports_satisfy_global_estimates():

@@ -9,16 +9,19 @@ from thetaflow import (
     AngleField,
     FlowConfig,
     Grid,
-    Multipliers,
     NetworkState,
     conserved_coefficients,
     conserved_quantity,
     detect_stationarity,
-    junction_balance,
     run_flow,
+)
+from thetaflow.multipliers import Multipliers
+from thetaflow.stationary import (
+    _endpoint_fluxdiv,
+    _endpoint_value,
+    junction_balance,
     stationary_residual,
 )
-from thetaflow.stationary import _endpoint_fluxdiv, _endpoint_value
 
 from helpers import make_state
 from thetaflow.app.presets import preset_symmetric_lens

@@ -1,0 +1,37 @@
+"""The public surface: what ``thetaflow`` exports, and what the demos and the
+README's library example import from it."""
+
+import importlib.util
+import pathlib
+import re
+
+import pytest
+
+import thetaflow
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(thetaflow.__all__)) == len(thetaflow.__all__)
+    for name in thetaflow.__all__:
+        assert hasattr(thetaflow, name), name
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_demo_imports_without_running(path):
+    # a name other than "__main__" keeps the demo's main() from running
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
+def test_readme_library_example_imports_only_exported_names():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    line = re.search(r"^from thetaflow import (.+)$", example, re.M).group(1)
+    names = [name.strip() for name in line.split(",")]
+    assert names
+    assert set(names) <= set(thetaflow.__all__)
