@@ -44,8 +44,8 @@ def main():
     print(f"curve-1 end slope: initial {end_slope(lens):.4f}, "
           f"terminal {end_slope(traj.final_state):.6f}")
 
-    spec = RunSpec(flow=cfg, preset="lens", out_dir="demos_out/lens",
-                   stride=50, emit=("json", "svg"))
+    spec = RunSpec(flow=cfg, preset="lens", nodes_per_unit=100,
+                   out_dir="demos_out/lens", stride=50, emit=("json", "svg"))
     for path in emit_frames(traj, spec):
         print(f"wrote {path}")
 

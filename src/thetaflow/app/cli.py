@@ -9,14 +9,14 @@ Subcommands:
 
 Exit codes: 0 on success, 1 for usage/configuration errors (bad flags,
 malformed files, infeasible or degenerate initial data), 2 when the flow
-halts mid-run (flatness blow-up, singular multiplier system, failed step);
-in that case the partial trajectory is still emitted and the JSON report
-carries the halt reason.
+halts mid-run (flatness blow-up, singular multiplier system, failed step),
+in any subcommand that runs it.  ``run`` and ``stationary`` still emit the
+partial trajectory, and the JSON report carries the halt reason; ``refine``
+prints only its table and writes no artefacts.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -57,6 +57,9 @@ def _add_common(sub):
     sub.add_argument("--osc-floor", type=float, default=1e-3)
     sub.add_argument("--tol-inner", type=float, default=1e-8)
     sub.add_argument("--tol-constraint", type=float, default=1e-9)
+
+
+def _add_output(sub):
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--stride", type=int, default=10,
                      help="emit every n-th step")
@@ -71,10 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="advance the flow")
     _add_common(run)
+    _add_output(run)
 
     stat = subs.add_parser("stationary",
                            help="advance the flow and detect criticality")
     _add_common(stat)
+    _add_output(stat)
     stat.add_argument("--window", type=int, default=25,
                       help="trailing steps scanned for a velocity minimum")
     stat.add_argument("--vel-tol", type=float, default=1e-6,
@@ -105,60 +110,53 @@ def _build_config(args, p: float) -> FlowConfig:
 
 
 def _build_state(args):
+    """The initial state and the settings ``report.json`` records for it:
+    the path of a state file (which fixes the grid), or the preset, which
+    defaults to ``lens``, with its grid and, if it perturbs, amplitude and
+    seed.  Settings left out are recorded as None."""
     if args.input and args.preset:
         raise ValueError("give either --preset or --input, not both")
     if args.input:
-        return load_state(args.input)
+        return load_state(args.input), {"input_path": args.input}
     preset = args.preset or "lens"
     npu = args.nodes_per_unit
-    if preset == "lens":
-        return preset_symmetric_lens(nodes_per_unit=npu, p=args.p)
+    recorded = {"preset": preset, "nodes_per_unit": npu}
+    if preset == "triod":
+        state = preset_triod(_TRIOD_TARGETS, _TRIOD_LENGTHS,
+                             nodes_per_unit=npu, p=args.p)
+    else:
+        state = preset_symmetric_lens(nodes_per_unit=npu, p=args.p)
     if preset == "perturbed-lens":
-        base = preset_symmetric_lens(nodes_per_unit=npu, p=args.p)
-        return preset_perturbed(base, args.amplitude, args.seed)
-    return preset_triod(_TRIOD_TARGETS, _TRIOD_LENGTHS,
-                        nodes_per_unit=npu, p=args.p)
+        state = preset_perturbed(state, args.amplitude, args.seed)
+        recorded.update(amplitude=args.amplitude, seed=args.seed)
+    return state, recorded
 
 
-def _run_spec(args) -> RunSpec:
-    """The run's settings as :func:`_build_state` uses them: with
-    ``--input`` the state file fixes the grid, so preset and grid settings
-    are None; otherwise the preset defaults to ``lens``, and amplitude and
-    seed are None unless the preset perturbs."""
-    emit = tuple(k for k in args.emit.split(",") if k)
-    preset = None if args.input else args.preset or "lens"
-    perturbed = preset == "perturbed-lens"
-    return RunSpec(
-        flow=_build_config(args, args.p),
-        preset=preset,
-        input_path=args.input,
-        nodes_per_unit=None if args.input else args.nodes_per_unit,
-        amplitude=args.amplitude if perturbed else None,
-        seed=args.seed if perturbed else None,
-        out_dir=args.out,
-        stride=args.stride,
-        emit=emit,
-    )
+def _drive(state, cfg):
+    """The flow driver of every subcommand; returns (trajectory, halt).
+
+    A mid-run halt prints its reason and returns the partial trajectory
+    with it; an error before the first step propagates to ``cli_main``.
+    """
+    try:
+        return run_flow(state, cfg), None
+    except ThetaflowError as err:
+        if err.trajectory is None:
+            raise
+        halt = f"{type(err).__name__}: {err}"
+        print(f"flow halted: {halt}", file=sys.stderr)
+        return err.trajectory, halt
 
 
 def _execute_flow(args):
-    """Shared run/emit driver; returns (exit code, trajectory or None)."""
-    state = _build_state(args)
+    """Set up and run ``run``/``stationary``: (spec, trajectory, halt)."""
+    state, recorded = _build_state(args)
     cfg = _build_config(args, state.p_exponent)
-    spec = replace(_run_spec(args), flow=cfg)
-    try:
-        traj = run_flow(state, cfg)
-        halt = None
-        code = 0
-    except ThetaflowError as err:
-        if err.trajectory is None:
-            print(f"error: {err}", file=sys.stderr)
-            return 1, None, None, None
-        traj = err.trajectory
-        halt = f"{type(err).__name__}: {err}"
-        code = 2
-        print(f"flow halted: {halt}", file=sys.stderr)
-    return code, traj, halt, spec
+    spec = RunSpec(flow=cfg, out_dir=args.out, stride=args.stride,
+                   emit=tuple(k for k in args.emit.split(",") if k),
+                   **recorded)
+    traj, halt = _drive(state, cfg)
+    return spec, traj, halt
 
 
 def _print_summary(traj, written):
@@ -175,19 +173,15 @@ def _print_summary(traj, written):
 
 
 def _cmd_run(args):
-    code, traj, halt, spec = _execute_flow(args)
-    if traj is None:
-        return code
+    spec, traj, halt = _execute_flow(args)
     written = emit_frames(traj, spec, halt_reason=halt)
     _print_summary(traj, written)
-    return code
+    return 0 if halt is None else 2
 
 
 def _cmd_stationary(args):
     check_scan(args.window, args.vel_tol)
-    code, traj, halt, spec = _execute_flow(args)
-    if traj is None:
-        return code
+    spec, traj, halt = _execute_flow(args)
     stat = detect_stationarity(traj, args.window, args.vel_tol)
     written = emit_frames(traj, spec, stationary=stat, halt_reason=halt)
     if stat is None:
@@ -199,7 +193,7 @@ def _cmd_stationary(args):
         print(f"conserved drift: {stat.conserved_drift}")
         print(f"junction balance defect: {stat.junction_balance_defect:.6g}")
     _print_summary(traj, written)
-    return code
+    return 0 if halt is None else 2
 
 
 def _cmd_refine(args):
@@ -209,34 +203,33 @@ def _cmd_refine(args):
     if args.levels < 1:
         raise ValueError(f"--levels must be at least 1 (got {args.levels})")
     rows = []
-    finals = []
     for level in range(args.levels):
         scale = 2**level
         level_args = argparse.Namespace(**vars(args))
         level_args.tau = args.tau / scale
         level_args.nodes_per_unit = args.nodes_per_unit * scale
-        state = _build_state(level_args)
+        state, _ = _build_state(level_args)
         cfg = _build_config(level_args, state.p_exponent)
-        traj = run_flow(state, cfg)
-        finals.append(traj.final_state)
-        rows.append((level, cfg.tau,
-                     traj.final_state.fields[0].grid.spacing))
+        traj, halt = _drive(state, cfg)
+        if halt is not None:
+            return 2
+        rows.append((cfg.tau, traj.final_state))
     print("level      tau            h        distance     order")
     dists = []
-    for i in range(len(finals) - 1):
-        coarse, fine = finals[i], finals[i + 1]
+    for (_, coarse), (_, fine) in zip(rows, rows[1:]):
         d = 0.0
         for fc, ff in zip(coarse.fields, fine.fields):
             step = (ff.grid.node_count - 1) // (fc.grid.node_count - 1)
             d = max(d, float(np.max(np.abs(fc.values - ff.values[::step]))))
         dists.append(d)
-    for i, (level, tau, h) in enumerate(rows):
+    for i, (tau, final) in enumerate(rows):
+        h = final.fields[0].grid.spacing
         dist = f"{dists[i]:.6e}" if i < len(dists) else "    --     "
         if 1 <= i < len(dists):
             order = f"{np.log2(dists[i - 1] / dists[i]):8.3f}"
         else:
             order = "    --  "
-        print(f"{level:5d}  {tau:.6e}  {h:.6e}  {dist}  {order}")
+        print(f"{i:5d}  {tau:.6e}  {h:.6e}  {dist}  {order}")
     return 0
 
 
@@ -266,7 +259,11 @@ def _cmd_check(args):
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        # argparse exits on usage errors (1) and --help (0); return that code
+        return err.code
     handler = {
         "run": _cmd_run,
         "stationary": _cmd_stationary,
@@ -275,10 +272,7 @@ def cli_main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ThetaflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (ThetaflowError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

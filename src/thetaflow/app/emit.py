@@ -34,14 +34,15 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 @dataclass(frozen=True)
 class RunSpec(object):
-    """What to run and what to write."""
+    """What to run and what to write.  The five settings after ``flow``
+    are recorded as given: None unless the caller passes them."""
 
     flow: FlowConfig
     preset: str = None
     input_path: str = None
-    nodes_per_unit: int = 200
-    amplitude: float = 0.05
-    seed: int = 0
+    nodes_per_unit: int = None
+    amplitude: float = None
+    seed: int = None
     out_dir: str = "out"
     stride: int = 10
     emit: tuple = ("json",)
@@ -194,12 +195,11 @@ def _svg_frame(state: NetworkState, caption: str, lo, hi) -> str:
 
 
 def emit_frames(traj: Trajectory, spec: RunSpec, stationary=None,
-                halt_reason=None, extra: dict = None):
+                halt_reason=None):
     """Write the requested artifacts for a trajectory.
 
     Returns the list of file paths written.  ``stationary`` (a
-    StationaryReport or None) and ``halt_reason`` land in the JSON report;
-    ``extra`` merges additional JSON-serializable keys into it.
+    StationaryReport or None) and ``halt_reason`` land in the JSON report.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     indices = _selected_indices(len(traj.states), spec.stride)
@@ -213,8 +213,6 @@ def emit_frames(traj: Trajectory, spec: RunSpec, stationary=None,
             "stationary": None if stationary is None else _stationary_dict(stationary),
             "halt_reason": halt_reason,
         }
-        if extra:
-            doc.update(extra)
         path = os.path.join(spec.out_dir, "report.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -194,6 +195,17 @@ def test_run_spec_validation():
         RunSpec(flow=FlowConfig(), stride=0)
     with pytest.raises(ValueError):
         RunSpec(flow=FlowConfig(), emit=("png",))
+
+
+def test_run_spec_records_only_the_settings_it_is_given():
+    # report.json must not claim a preset, grid or perturbation that no
+    # caller passed
+    keys = ("preset", "input_path", "nodes_per_unit", "amplitude", "seed")
+    config = asdict(RunSpec(flow=FlowConfig()))
+    assert {k: config[k] for k in keys} == dict.fromkeys(keys)
+    config = asdict(RunSpec(flow=FlowConfig(), preset="lens",
+                            nodes_per_unit=100))
+    assert [config[k] for k in keys] == ["lens", None, 100, None, None]
 
 
 @pytest.fixture(scope="module")

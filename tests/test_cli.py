@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thetaflow import AngleField, Grid, NetworkState
 from thetaflow.app.cli import cli_main
@@ -71,8 +76,7 @@ def test_stationary_command_detects_relaxed_lens(tmp_path):
 
 def test_refine_command_prints_convergence_table(tmp_path):
     res = run_cli("refine", "--preset", "lens", "--nodes-per-unit", "20",
-                  "--tau", "2e-2", "--T", "0.1", "--levels", "2",
-                  "--out", str(tmp_path / "o"))
+                  "--tau", "2e-2", "--T", "0.1", "--levels", "2")
     assert res.returncode == 0, res.stderr
     assert "level" in res.stdout and "distance" in res.stdout
     # Two levels produce exactly one inter-level distance line.
@@ -160,9 +164,10 @@ def test_run_command_rejects_infinite_horizon(tmp_path, capsys):
 def test_bad_flag_values_exit_one_before_running(command, flags, tmp_path,
                                                  capsys):
     out = tmp_path / "out"
+    # refine writes no artefacts and takes no --out
+    out_args = [] if command == "refine" else ["--out", str(out)]
     code = cli_main([command, "--preset", "lens", "--nodes-per-unit", "20",
-                     "--tau", "1e-2", "--T", "0.05", "--out", str(out),
-                     *flags])
+                     "--tau", "1e-2", "--T", "0.05", *out_args, *flags])
     captured = capsys.readouterr()
     assert code == 1
     assert "error: " in captured.err
@@ -231,3 +236,158 @@ def test_report_records_the_preset_that_ran(source, expect, tmp_path):
     config = json.loads((out / "report.json").read_text())["config"]
     assert (config["preset"], config["amplitude"], config["seed"]) == expect
     assert config["input_path"] is None
+
+
+_HALTING_TRIOD = ["--preset", "triod", "--nodes-per-unit", "20",
+                  "--tau", "1e-2", "--T", "2", "--osc-floor", "1.95"]
+
+
+def test_refine_exits_two_on_a_mid_run_halt(tmp_path, capsys):
+    # the floor sits above the triod's oscillations after its first step,
+    # so the flow halts mid-run on every subcommand that runs it
+    code = cli_main(["refine", *_HALTING_TRIOD, "--levels", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "flow halted: FlatnessBlowup" in captured.err
+    assert "level" not in captured.out
+    assert cli_main(["run", *_HALTING_TRIOD,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "flow halted: FlatnessBlowup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--out", "out"), ("--stride", "1"), ("--emit", "json,csv,svg"),
+])
+def test_refine_rejects_output_flags(flag, value, tmp_path, capsys,
+                                     monkeypatch):
+    # refine writes no artefacts, so it takes no output flags
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(["refine", "--preset", "lens", "--nodes-per-unit", "20",
+                     "--tau", "1e-2", "--T", "0.02", "--levels", "2",
+                     flag, value])
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,expect", [
+    ([], 1),
+    (["frobnicate"], 1),
+    (["run", "--no-such-flag"], 1),
+    (["run", "--tau", "abc"], 1),
+    (["refine", "--levels", "1.5"], 1),
+    (["--help"], 0),
+    (["check", "--help"], 0),
+])
+def test_cli_main_returns_usage_codes(argv, expect, capsys):
+    # the parser's exit becomes the return code, as for the console script
+    assert cli_main(argv) == expect
+    captured = capsys.readouterr()
+    assert ("usage: thetaflow" in captured.err) == (expect == 1)
+    assert ("usage: thetaflow" in captured.out) == (expect == 0)
+
+
+# Property test over whole argument lists.  Every value comes from a small
+# fixed pool of valid values and one of bad values.  The valid values keep
+# runs tiny: at most 20 nodes per unit and tau 1e-2 up to T 0.03, so at most
+# 6 steps per level and 2 levels.  The bad values are nan, inf, zero,
+# negative, non-numeric or empty strings, and bad paths.  Flags that decide
+# a run's size are always given.
+_BAD = ["nan", "inf", "-inf", "0", "-1", "abc", ""]
+_PATHS = (["lens20.json"], ["flat.json", "missing.json", "malformed.json",
+                            "adir", ""])
+_FLOW_REQUIRED = {
+    "--tau": (["1e-2"], _BAD),
+    "--T": (["0.02", "0.03"], _BAD),
+    "--nodes-per-unit": (["20", "10"], ["1.5", *_BAD]),
+}
+_FLOW_OPTIONAL = {
+    "--preset": (["lens", "perturbed-lens", "triod"], ["square", ""]),
+    "--input": _PATHS,
+    "--p": (["2", "1.5", "3"], ["1", *_BAD]),
+    "--seed": (["7"], ["-3", "abc"]),
+    "--amplitude": (["0.01"], _BAD),
+    "--osc-floor": (["1e-3", "1.95"], _BAD),
+    "--tol-inner": (["1e-8"], _BAD),
+    "--tol-constraint": (["1e-9"], _BAD),
+}
+_OUTPUT = {
+    "--out": (["o"], ["afile", "afile/sub"]),
+    "--stride": (["1", "5"], _BAD),
+    "--emit": (["json", "json,csv,svg"], ["svg,png", ""]),
+}
+_COMMANDS = {
+    "run": (_FLOW_REQUIRED, {**_FLOW_OPTIONAL, **_OUTPUT}),
+    "stationary": (_FLOW_REQUIRED, {
+        **_FLOW_OPTIONAL, **_OUTPUT,
+        "--window": (["3", "25"], _BAD),
+        "--vel-tol": (["1e-6", "1e9"], _BAD)}),
+    "refine": ({**_FLOW_REQUIRED, "--levels": (["1", "2"], _BAD)},
+               _FLOW_OPTIONAL),
+    "check": ({"--input": _PATHS}, {
+        "--tol-constraint": (["1e-9"], _BAD),
+        "--save-projected": (["proj.json"], ["afile/x.json", "adir"])}),
+}
+_ALL_FLAGS = sorted({f for req, opt in _COMMANDS.values()
+                     for f in [*req, *opt]} | {"--no-such-flag"})
+
+
+@st.composite
+def _argument_lists(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    flags = [*required, *draw(st.sets(st.sampled_from(sorted(optional))))]
+    pools = {**required, **optional}
+    pairs = []
+    for flag in flags:
+        valid, bad = pools[flag]
+        # three in four values are valid, so that many lists run a flow
+        pool = valid if draw(st.integers(0, 3)) < 3 else bad
+        pairs.append((flag, draw(st.sampled_from(pool))))
+    unknown = [f for f in _ALL_FLAGS if f not in pools]
+    pairs += [(f, "1") for f in draw(st.lists(st.sampled_from(unknown),
+                                              max_size=1))]
+    argv = [command]
+    for flag, value in draw(st.permutations(pairs)):
+        argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A directory holding every path the argument pools name."""
+    root = tmp_path_factory.mktemp("cli_args")
+    save_state(preset_symmetric_lens(nodes_per_unit=20),
+               str(root / "lens20.json"))
+    m = 21
+    flat = tuple(AngleField(Grid(1.0, m), np.zeros(m)) for _ in range(3))
+    save_state(NetworkState(flat), str(root / "flat.json"))
+    (root / "malformed.json").write_text("{")
+    (root / "afile").write_text("not a directory")
+    (root / "adir").mkdir()
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argument_lists())
+@example(argv=["refine", "--preset", "triod", "--nodes-per-unit", "20",
+               "--tau", "1e-2", "--T", "0.03", "--osc-floor", "1.95",
+               "--levels", "2"])
+@example(argv=["stationary", "--preset", "triod", "--nodes-per-unit", "20",
+               "--tau", "1e-2", "--T", "0.03", "--osc-floor", "1.95",
+               "--out", "afile"])
+def test_cli_argument_lists_exit_0_1_or_2(cli_dir, argv):
+    old = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    try:
+        os.chdir(cli_dir)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    except SystemExit as exc:
+        raise AssertionError(f"cli_main raised SystemExit({exc.code})")
+    finally:
+        os.chdir(old)
+    assert time.perf_counter() - start < 20.0
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
