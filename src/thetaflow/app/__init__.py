@@ -1,14 +1,2 @@
-"""Presets, file emission and the command-line front end."""
-
-from .presets import preset_perturbed, preset_symmetric_lens, preset_triod
-from .emit import RunSpec, emit_frames, load_state, save_state
-
-__all__ = [
-    "preset_symmetric_lens",
-    "preset_triod",
-    "preset_perturbed",
-    "RunSpec",
-    "emit_frames",
-    "load_state",
-    "save_state",
-]
+"""Presets, file emission and the command-line front end; import names
+from the submodules ``presets``, ``emit`` and ``cli``."""

@@ -114,9 +114,9 @@ def _build_state(args):
     the path of a state file (which fixes the grid), or the preset, which
     defaults to ``lens``, with its grid and, if it perturbs, amplitude and
     seed.  Settings left out are recorded as None."""
-    if args.input and args.preset:
+    if args.input is not None and args.preset:
         raise ValueError("give either --preset or --input, not both")
-    if args.input:
+    if args.input is not None:
         return load_state(args.input), {"input_path": args.input}
     preset = args.preset or "lens"
     npu = args.nodes_per_unit
@@ -197,7 +197,7 @@ def _cmd_stationary(args):
 
 
 def _cmd_refine(args):
-    if args.input:
+    if args.input is not None:
         raise ValueError("refine needs a --preset (state files have a "
                          "fixed grid)")
     if args.levels < 1:

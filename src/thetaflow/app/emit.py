@@ -35,7 +35,8 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 @dataclass(frozen=True)
 class RunSpec(object):
     """What to run and what to write.  The five settings after ``flow``
-    are recorded as given: None unless the caller passes them."""
+    are recorded as given: None unless the caller passes them.  ``out_dir``
+    must be a directory or a path that :func:`emit_frames` can create."""
 
     flow: FlowConfig
     preset: str = None
@@ -53,6 +54,11 @@ class RunSpec(object):
         unknown = set(self.emit) - {"csv", "json", "svg"}
         if unknown:
             raise ValueError(f"unknown emit kinds: {sorted(unknown)}")
+        head = self.out_dir
+        while head and not os.path.lexists(head):
+            head = os.path.dirname(head)
+        if not (self.out_dir and os.path.isdir(head or ".")):
+            raise ValueError(f"{head!r} is not a directory")
 
 
 def save_state(state: NetworkState, path: str) -> None:

@@ -2,8 +2,8 @@
 
 Each time step minimizes the implicit step functional (elastic energy plus
 movement penalty) over the four junction constraints, on one packed nodal
-vector (:class:`thetaflow.energy.PackedLayout`, built once per step); only
-the step's result becomes a validated NetworkState.  The constraint
+vector (:class:`thetaflow.energy.PackedLayout`, one per attempted tau);
+only the step's result becomes a validated NetworkState.  The constraint
 gradients are +-sin theta or +-cos theta on single curves, so the iteration
 carries only the (2, M) array T = (sin, cos) theta of its iterate and takes
 every 4x4 matrix from per-curve moments of T.  Each inner iteration takes
@@ -14,7 +14,10 @@ gradients), eliminated by one banded solve with three right-hand sides
 backtracking follows, each trial projected onto the constraint set by
 Newton iteration along variation directions frozen at the trial; the
 accepted trial's T serves the next iteration, and the step's report is
-assembled from the final T.  The Armijo slope pairs the direction with the
+assembled from the final T, but for the weak residual's gradient: the
+public :func:`thetaflow.energy.step_gradient` repacks both states, so
+the report shares it with :func:`weak_residual` and the benchmark times
+it.  The Armijo slope pairs the direction with the
 tangential gradient, whose rounding stays small near convergence.  Once the
 predicted decrease is below the rounding noise of the functional, a trial
 within that noise also passes if it halves the tangential gradient norm.
@@ -37,7 +40,6 @@ These are asserted after every accepted step and raise EstimateViolation
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,7 +61,7 @@ from .errors import (
     SingularSystem,
     ThetaflowError,
 )
-from .grids import NetworkState, trapezoid_integral
+from .grids import NetworkState
 from .multipliers import (
     COND_CAP,
     Multipliers,
@@ -82,6 +84,7 @@ ARMIJO_C1 = 1e-4       # sufficient-decrease constant of the line search
 BACKTRACK = 0.5        # step-length factor per rejected trial
 NEWTON_MAX_ITERS = 30  # Newton iterations of one constraint projection
 MAX_HALVINGS = 3       # tau halvings before a step is given up
+MAX_INNER_ITERS = 5000 # inner iterations before a step retries at tau/2
 
 
 @dataclass(frozen=True)
@@ -93,13 +96,12 @@ class FlowConfig(object):
       * ``T``: time horizon of :func:`run_flow`;
       * ``tol_inner``: tangential gradient norm that ends an inner solve;
       * ``tol_constraint``: constraint defect of accepted and projected states;
-      * ``max_inner_iters``: inner iterations before a step retries at tau/2;
       * ``osc_floor``: oscillation floor of the flatness guard.
 
     The flatness guard demands either a theta network with a strictly
     shortest third curve or at least two curves of oscillation >=
-    ``osc_floor``.  The line-search, projection and halving limits are the
-    module constants above.
+    ``osc_floor``.  The line-search, projection, inner-iteration and
+    halving limits are the module constants above.
     """
 
     p_exponent: float = 2.0
@@ -107,7 +109,6 @@ class FlowConfig(object):
     T: float = 1.0
     tol_inner: float = 1e-8
     tol_constraint: float = 1e-9
-    max_inner_iters: int = 5000
     osc_floor: float = 1e-3
 
     def __post_init__(self):
@@ -120,9 +121,6 @@ class FlowConfig(object):
             raise ValueError("p must exceed 1")
         if self.tau > self.T:
             raise ValueError("tau must not exceed the horizon T")
-        if not (isinstance(self.max_inner_iters, numbers.Integral)
-                and self.max_inner_iters >= 1):
-            raise ValueError("max_inner_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -372,8 +370,8 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
         lowered the functional by no more than rounding (iterate kept);
       * ``"line_search_floor"``: no acceptable trial down to step length
         1e-14 (iterate kept);
-      * ``"iter_cap"``: ``max_inner_iters`` reached; the caller rejects
-        the step.
+      * ``"iter_cap"``: ``MAX_INNER_ITERS`` iterations ran out; the caller
+        rejects the step.
     """
     theta = theta_prev
     tangents = layout.tangents(theta)
@@ -381,7 +379,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
-    for it in range(cfg.max_inner_iters):
+    for it in range(MAX_INNER_ITERS):
         grad = layout.step_gradient(theta, theta_prev, tau)
         gp = _tangent_project(layout, tangents, grad)
         gp_sq = float(layout.inner(gp, gp))
@@ -419,24 +417,11 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
             return theta, tangents, it, "line_search_floor"
         theta, tangents, energy = accepted
         history.append(energy)
-    return theta, tangents, cfg.max_inner_iters, "iter_cap"
+    return theta, tangents, MAX_INNER_ITERS, "iter_cap"
 
 
 def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
                    gradient: np.ndarray, mult: Multipliers) -> float:
-    """:func:`_weak_residual_pair` from the packed step gradient and the
-    tangents of the candidate."""
-    x = np.concatenate([mult.lam, mult.mu])
-    density = gradient + layout.fields(x @ layout.E, tangents)
-    # squared H1 norm of the hat at node k: mass 2 w_k / 3 plus the 1/h of
-    # each cell in its support
-    padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
-    hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
-    return float(np.max(np.abs(layout.weights * density) / np.sqrt(hat_sq)))
-
-
-def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
-                        tau: float, mult: Multipliers) -> float:
     """Max over hat test functions of |weak form| / ||hat||_H1.
 
     The weak form of the time-discrete equation pairs the velocity and the
@@ -446,19 +431,22 @@ def _weak_residual_pair(candidate: NetworkState, prev: NetworkState,
     exactly the optimality system the inner solver drives to zero
     tangentially.
     """
+    x = np.concatenate([mult.lam, mult.mu])
+    density = gradient + layout.fields(x @ layout.E, tangents)
+    # squared H1 norm of the hat at node k: mass 2 w_k / 3 plus the 1/h of
+    # each cell in its support
+    padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
+    hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
+    return float(np.max(np.abs(layout.weights * density) / np.sqrt(hat_sq)))
+
+
+def weak_residual(candidate: NetworkState, prev: NetworkState,
+                  tau: float, mult: Multipliers) -> float:
+    """:func:`_weak_residual` of the step from ``prev`` to ``candidate``."""
     layout, theta = PackedLayout.of(candidate)
     return _weak_residual(layout, layout.tangents(theta),
                           np.concatenate(step_gradient(candidate, prev, tau)),
                           mult)
-
-
-def weak_residual(traj: Trajectory, step_index: int) -> float:
-    """Weak residual of the stored step against hat test functions."""
-    rep = traj.reports[step_index]
-    return _weak_residual_pair(
-        traj.states[step_index + 1], traj.states[step_index],
-        rep.tau, rep.multipliers,
-    )
 
 
 def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
@@ -483,7 +471,7 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
                                                          cfg, tau)
     if termination == "iter_cap":
         raise InnerSolveFailed(
-            f"inner solver hit the {cfg.max_inner_iters}-iteration cap "
+            f"inner solver hit the {MAX_INNER_ITERS}-iteration cap "
             f"at tau={tau:g}"
         )
 
@@ -522,9 +510,8 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     return state, report
 
 
-def _attempt_step(prev: NetworkState, cfg: FlowConfig):
+def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float):
     """minimize_step with time-step rejection: halve tau on inner failure."""
-    tau = cfg.tau
     last = None
     for _ in range(MAX_HALVINGS + 1):
         try:
@@ -537,11 +524,6 @@ def _attempt_step(prev: NetworkState, cfg: FlowConfig):
     )
 
 
-def _l2_norms(state: NetworkState):
-    return [math.sqrt(trapezoid_integral(v * v, f.grid))
-            for v, f in zip(state.values(), state.fields)]
-
-
 class _EstimateLedger(object):
     """Running a-priori estimates checked after every accepted step."""
 
@@ -549,7 +531,9 @@ class _EstimateLedger(object):
         self.cfg = cfg
         self.d0 = p_energy(initial)
         self.lam_total = float(sum(initial.lengths))
-        self.l2_initial = _l2_norms(initial)
+        # the grids are fixed for the whole run
+        self.layout, theta = PackedLayout.of(initial)
+        self.l2_initial = np.sqrt(self.layout.curve_sums(theta * theta))
         self.dissipation = 0.0
         self.mult_sq = 0.0
         self.c_star = 0.0
@@ -585,7 +569,9 @@ class _EstimateLedger(object):
         if self.mult_sq > budget * (1.0 + 1e-6) + 1e-12:
             self._fail("multiplier square budget", self.mult_sq, budget)
         growth = math.sqrt(2.0 * horizon * self.d0)
-        for j, norm in enumerate(_l2_norms(state)):
+        theta = self.layout.pack(state)
+        norms = np.sqrt(self.layout.curve_sums(theta * theta))
+        for j, norm in enumerate(norms):
             cap = self.l2_initial[j] + growth
             if norm > cap * (1.0 + 1e-9) + 1e-9:
                 self._fail(f"L2 growth of curve {j + 1}", norm, cap)
@@ -638,7 +624,10 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     t_end = cfg.T * (1.0 - 1e-12)
     try:
         while t < t_end:
-            state, report = _attempt_step(states[-1], cfg)
+            # after a halved step, the last step shortens to end at T
+            over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
+            tau = cfg.T - t if over else cfg.tau
+            state, report = _attempt_step(states[-1], cfg, tau)
             report = replace(report, step_index=len(reports))
             ledger.check(state, report)
             t += report.tau

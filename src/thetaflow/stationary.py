@@ -135,22 +135,14 @@ def junction_balance(state: NetworkState, mult: Multipliers) -> float:
     return worst
 
 
-def stationary_residual(state: NetworkState, mult: Multipliers,
-                        extra_rhs=None) -> StationaryReport:
-    """Sup-norm residuals of the stationary system at a state.
-
-    ``extra_rhs`` (a triple of nodal arrays, added to the trigonometric
-    right-hand sides) supports manufactured right-hand sides: choosing it so
-    the interior equations hold exactly drives the residuals to rounding,
-    and perturbing it by delta moves them by exactly delta.
-    """
+def stationary_residual(state: NetworkState,
+                        mult: Multipliers) -> StationaryReport:
+    """Sup-norm residuals of the stationary system at a state."""
     p = state.p_exponent
     layout, theta = PackedLayout.of(state)
     # rhs_1..rhs_3 are the constraint gradients weighted by (lambda, mu)
     x = np.concatenate([mult.lam, mult.mu])
     rhs = layout.unpack(layout.fields(x @ layout.E, layout.tangents(theta)))
-    if extra_rhs is not None:
-        rhs = [r + np.asarray(e, dtype=float) for r, e in zip(rhs, extra_rhs)]
     divergence = layout.unpack(-layout.elastic_gradient(theta))
     residuals = np.array([float(np.max(np.abs(div[1:-1] - r[1:-1])))
                           for div, r in zip(divergence, rhs)])

@@ -174,6 +174,43 @@ def test_bad_flag_values_exit_one_before_running(command, flags, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "stationary"])
+@pytest.mark.parametrize("out,head", [
+    ("afile", "afile"), (os.path.join("afile", "sub"), "afile"), ("", ""),
+])
+def test_out_at_a_file_exits_one_before_the_flow(command, out, head, tmp_path,
+                                                 capsys, monkeypatch):
+    # emit_frames cannot make a directory at or under a file, nor at an
+    # empty path; finding that out after the flow would throw the run away
+    # and turn 2 into 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.setattr("thetaflow.app.cli.run_flow", None)
+    code = cli_main([command, *_HALTING_TRIOD, "--T", "0.03", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"error: {head!r} is not a directory" in captured.err
+    assert "flow halted" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--input", "", "--preset", "triod"], "not both"),
+    (["run", "--input", ""], "No such file or directory"),
+    (["refine", "--input", ""], "needs a --preset"),
+])
+def test_empty_input_path_is_not_a_preset(argv, message, tmp_path, capsys,
+                                          monkeypatch):
+    # an empty --input names a file that cannot exist, not "no input"
+    monkeypatch.chdir(tmp_path)
+    code = cli_main([*argv, "--nodes-per-unit", "20", "--tau", "1e-2",
+                     "--T", "0.02"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_deeply_nested_state_file_exits_one(command, tmp_path, capsys):
     # json.load raises RecursionError on deep nesting; it is a malformed file

@@ -31,7 +31,6 @@ from thetaflow.scheme import (
     _hessian_bands,
     _newton_direction,
     _tangent_project,
-    _weak_residual_pair,
     minimize_step,
     project_to_H,
     weak_residual,
@@ -65,7 +64,7 @@ def test_flow_config_validation():
         FlowConfig(tol_inner=0.0)
     # non-finite and out-of-range values; T=inf would never end run_flow
     bad = [dict(tau=np.nan), dict(p_exponent=np.nan), dict(tol_inner=np.nan),
-           dict(T=np.inf), dict(max_inner_iters=0)]
+           dict(T=np.inf)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             FlowConfig(**kwargs)
@@ -129,7 +128,7 @@ def test_step_report_matches_public_path():
     _assert_rel_close(np.concatenate([rep.multipliers.lam, rep.multipliers.mu]),
                       np.concatenate([mult.lam, mult.mu]))
     _assert_rel_close(rep.weak_residual_value,
-                      _weak_residual_pair(state, lens, rep.tau, mult))
+                      weak_residual(state, lens, rep.tau, mult))
 
 
 def test_minimize_step_flags_stalled_inner_iteration():
@@ -169,9 +168,10 @@ def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
     assert calls["_newton_direction"] == sum(r.inner_iters for r in traj.reports)
 
 
-def test_minimize_step_raises_on_iteration_cap():
+def test_minimize_step_raises_on_iteration_cap(monkeypatch):
+    monkeypatch.setattr(scheme, "MAX_INNER_ITERS", 1)
     lens = preset_symmetric_lens(nodes_per_unit=40)
-    cfg = FlowConfig(tau=1e-3, tol_inner=1e-300, max_inner_iters=1)
+    cfg = FlowConfig(tau=1e-3, tol_inner=1e-300)
     with pytest.raises(InnerSolveFailed):
         minimize_step(lens, cfg)
 
@@ -238,15 +238,39 @@ def test_run_flow_guards_degenerate_initial_state():
         run_flow(NetworkState(fields), FlowConfig(T=1e-3))
 
 
-def test_failed_run_carries_partial_trajectory():
+def test_failed_run_carries_partial_trajectory(monkeypatch):
+    monkeypatch.setattr(scheme, "MAX_INNER_ITERS", 1)
     lens = preset_symmetric_lens(nodes_per_unit=40)
-    cfg = FlowConfig(tau=1e-3, T=1e-2, tol_inner=1e-300, max_inner_iters=1)
+    cfg = FlowConfig(tau=1e-3, T=1e-2, tol_inner=1e-300)
     with pytest.raises(InnerSolveFailed) as err:
         run_flow(lens, cfg)
     traj = err.value.trajectory
     assert isinstance(traj, Trajectory)
     assert len(traj.states) == 1
     assert traj.states[0] is lens
+
+
+def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
+    # the first step is retried at tau/2, so the steps from then on end
+    # half a step off the grid; the last one shortens to end at T
+    inner = scheme.minimize_step
+    calls = []
+
+    def first_call_fails(prev, cfg, tau=None):
+        calls.append(tau)
+        if len(calls) == 1:
+            raise InnerSolveFailed("forced rejection")
+        return inner(prev, cfg, tau)
+
+    monkeypatch.setattr(scheme, "minimize_step", first_call_fails)
+    lens = preset_symmetric_lens(nodes_per_unit=40)
+    traj = run_flow(lens, FlowConfig(tau=1e-2, T=3e-2))
+    assert calls[:2] == [1e-2, 5e-3]
+    assert [r.tau for r in traj.reports] == pytest.approx(
+        [5e-3, 1e-2, 1e-2, 5e-3], rel=1e-12)
+    assert traj.times == pytest.approx([0.0, 5e-3, 1.5e-2, 2.5e-2, 3e-2],
+                                       rel=1e-12)
+    assert traj.times[-1] <= 3e-2 * (1.0 + 1e-12)
 
 
 def test_trajectory_interpolants():
@@ -296,7 +320,7 @@ def test_weak_residual_vanishes_for_manufactured_step(rng):
         total = elastic[j] + sum(x[l] * grads[l][j] for l in range(4))
         prev_vals.append(cand.values()[j] + tau * total)
     prev = cand.with_values(tuple(prev_vals))
-    assert _weak_residual_pair(cand, prev, tau, mult) < 1e-10
+    assert weak_residual(cand, prev, tau, mult) < 1e-10
 
 
 def test_weak_residual_detects_injected_defect(rng):
@@ -313,15 +337,16 @@ def test_weak_residual_detects_injected_defect(rng):
     # Inject a unit residual at one interior node of curve 1.
     prev_vals[0][7] += tau * 1.0
     prev = cand.with_values(tuple(prev_vals))
-    assert _weak_residual_pair(cand, prev, tau, mult) > 1e-3
+    assert weak_residual(cand, prev, tau, mult) > 1e-3
 
 
 def test_weak_residual_of_solved_steps_is_small():
     lens = preset_symmetric_lens(nodes_per_unit=50)
     traj = run_flow(lens, FlowConfig(tau=1e-3, T=3e-3))
-    for i in range(len(traj.reports)):
-        r = weak_residual(traj, i)
-        assert r == pytest.approx(traj.reports[i].weak_residual_value, rel=1e-9)
+    for i, rep in enumerate(traj.reports):
+        r = weak_residual(traj.states[i + 1], traj.states[i], rep.tau,
+                          rep.multipliers)
+        assert r == pytest.approx(rep.weak_residual_value, rel=1e-9)
         assert r < 1e-6
 
 
