@@ -55,7 +55,6 @@ def _add_common(sub):
     sub.add_argument("--amplitude", type=float, default=0.05,
                      help="perturbation size for perturbed presets")
     sub.add_argument("--osc-floor", type=float, default=1e-3)
-    sub.add_argument("--tol-inner", type=float, default=1e-8)
     sub.add_argument("--tol-constraint", type=float, default=1e-9)
 
 
@@ -103,7 +102,6 @@ def _build_config(args, p: float) -> FlowConfig:
         p_exponent=p,
         tau=args.tau,
         T=args.T,
-        tol_inner=args.tol_inner,
         tol_constraint=args.tol_constraint,
         osc_floor=args.osc_floor,
     )
@@ -196,20 +194,35 @@ def _cmd_stationary(args):
     return 0 if halt is None else 2
 
 
+def _check_nested(coarse, fine, level):
+    """Raise ValueError unless each curve of ``fine`` halves every cell of
+    ``coarse``, so that the coarse nodes are fine nodes."""
+    for j, (gc, gf) in enumerate(zip(coarse.grids, fine.grids)):
+        if gf.node_count != 2 * gc.node_count - 1:
+            raise ValueError(
+                f"refine needs nested grids, but curve {j + 1} has "
+                f"{gc.node_count} nodes at level {level - 1} and "
+                f"{gf.node_count} at level {level}")
+
+
 def _cmd_refine(args):
     if args.input is not None:
         raise ValueError("refine needs a --preset (state files have a "
                          "fixed grid)")
     if args.levels < 1:
         raise ValueError(f"--levels must be at least 1 (got {args.levels})")
-    rows = []
+    runs = []
     for level in range(args.levels):
         scale = 2**level
         level_args = argparse.Namespace(**vars(args))
         level_args.tau = args.tau / scale
         level_args.nodes_per_unit = args.nodes_per_unit * scale
         state, _ = _build_state(level_args)
-        cfg = _build_config(level_args, state.p_exponent)
+        if runs:
+            _check_nested(runs[-1][1], state, level)
+        runs.append((_build_config(level_args, state.p_exponent), state))
+    rows = []
+    for cfg, state in runs:
         traj, halt = _drive(state, cfg)
         if halt is not None:
             return 2
@@ -219,8 +232,7 @@ def _cmd_refine(args):
     for (_, coarse), (_, fine) in zip(rows, rows[1:]):
         d = 0.0
         for fc, ff in zip(coarse.fields, fine.fields):
-            step = (ff.grid.node_count - 1) // (fc.grid.node_count - 1)
-            d = max(d, float(np.max(np.abs(fc.values - ff.values[::step]))))
+            d = max(d, float(np.max(np.abs(fc.values - ff.values[::2]))))
         dists.append(d)
     for i, (tau, final) in enumerate(rows):
         h = final.fields[0].grid.spacing
@@ -235,6 +247,8 @@ def _cmd_refine(args):
 
 def _cmd_check(args):
     state = load_state(args.input)
+    cfg = FlowConfig(p_exponent=state.p_exponent,
+                     tol_constraint=args.tol_constraint)
     defect = constraint_defect(constraint_vector(state))
     print(f"curves: lengths {', '.join(f'{l:g}' for l in state.lengths)}")
     print(f"p: {state.p_exponent:g}")
@@ -245,14 +259,11 @@ def _cmd_check(args):
         stats = oscillation_stats(f)
         print(f"curve {j + 1}: oscillation {stats.osc:.6g}, "
               f"det lower bound {stats.det_lower_bound:.6g}")
-    admissible = defect <= args.tol_constraint
-    print(f"admissible at tol {args.tol_constraint:g}: "
+    admissible = defect <= cfg.tol_constraint
+    print(f"admissible at tol {cfg.tol_constraint:g}: "
           f"{'yes' if admissible else 'no'}")
     if args.save_projected:
-        projected = project_to_H(state,
-                                 FlowConfig(p_exponent=state.p_exponent,
-                                            tol_constraint=args.tol_constraint))
-        save_state(projected, args.save_projected)
+        save_state(project_to_H(state, cfg), args.save_projected)
         print(f"wrote {args.save_projected}")
     return 0
 

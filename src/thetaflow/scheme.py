@@ -21,7 +21,7 @@ it.  The Armijo slope pairs the direction with the
 tangential gradient, whose rounding stays small near convergence.  Once the
 predicted decrease is below the rounding noise of the functional, a trial
 within that noise also passes if it halves the tangential gradient norm.
-The iteration stops at ``tol_inner``, or at the working-precision floor: a
+The iteration stops at ``TOL_INNER``, or at the working-precision floor: a
 slope below that noise whose full step passes neither test, since no
 shorter step could show a measurable decrease.  Each step reports which
 rule ended it (``StepReport.termination``).  Acceptance is monotone in the
@@ -85,6 +85,7 @@ BACKTRACK = 0.5        # step-length factor per rejected trial
 NEWTON_MAX_ITERS = 30  # Newton iterations of one constraint projection
 MAX_HALVINGS = 3       # tau halvings before a step is given up
 MAX_INNER_ITERS = 5000 # inner iterations before a step retries at tau/2
+TOL_INNER = 1e-8       # tangential gradient norm that ends an inner solve
 
 
 @dataclass(frozen=True)
@@ -92,28 +93,27 @@ class FlowConfig(object):
     """Solver parameters.
 
       * ``p_exponent``: exponent p > 1 of the elastic energy;
-      * ``tau``: time step, at most ``T``;
+      * ``tau``: time step, at most ``T``, and large enough that the square
+        of its smallest halving, ``(tau / 2**MAX_HALVINGS)**2``, is not 0;
       * ``T``: time horizon of :func:`run_flow`;
-      * ``tol_inner``: tangential gradient norm that ends an inner solve;
       * ``tol_constraint``: constraint defect of accepted and projected states;
       * ``osc_floor``: oscillation floor of the flatness guard.
 
     The flatness guard demands either a theta network with a strictly
     shortest third curve or at least two curves of oscillation >=
     ``osc_floor``.  The line-search, projection, inner-iteration and
-    halving limits are the module constants above.
+    halving limits and the inner tolerance ``TOL_INNER`` are the module
+    constants above.
     """
 
     p_exponent: float = 2.0
     tau: float = 1e-3
     T: float = 1.0
-    tol_inner: float = 1e-8
     tol_constraint: float = 1e-9
     osc_floor: float = 1e-3
 
     def __post_init__(self):
-        for name in ("p_exponent", "tau", "T", "tol_inner", "tol_constraint",
-                     "osc_floor"):
+        for name in ("p_exponent", "tau", "T", "tol_constraint", "osc_floor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -121,6 +121,10 @@ class FlowConfig(object):
             raise ValueError("p must exceed 1")
         if self.tau > self.T:
             raise ValueError("tau must not exceed the horizon T")
+        if (self.tau / 2**MAX_HALVINGS) ** 2 == 0.0:
+            # the step's velocity divides by tau**2
+            raise ValueError(f"tau={self.tau:g} is too small: the square of "
+                             f"tau / 2**{MAX_HALVINGS} underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,8 @@ class StepReport(object):
     """Per-step diagnostics; all runtime estimates are checked against these.
 
     ``termination`` names the rule that ended the inner solve:
-    ``"gradient_tol"``, ``"precision_floor"``, ``"stall_window"`` or
+    ``"gradient_tol"`` (the tangential gradient norm reached ``TOL_INNER``),
+    ``"precision_floor"``, ``"stall_window"`` or
     ``"line_search_floor"`` (see ``_inner_descent``); ``inner_converged``
     is ``termination == "gradient_tol"``.
     """
@@ -175,31 +180,6 @@ class Trajectory(object):
     @property
     def duration(self) -> float:
         return float(self.times[-1])
-
-    def linear_interpolant(self, t: float) -> NetworkState:
-        """Nodal linear interpolation in time; exact at stored times."""
-        times = self.times
-        t = float(np.clip(t, times[0], times[-1]))
-        i = int(np.searchsorted(times, t))
-        if times[i] == t:
-            return self.states[i]
-        w = (t - times[i - 1]) / (times[i] - times[i - 1])
-        vals = [
-            (1.0 - w) * a + w * b
-            for a, b in zip(self.states[i - 1].values(), self.states[i].values())
-        ]
-        return self.states[i].with_values(vals)
-
-    def piecewise_constant_interpolant(self, t: float,
-                                       side: str = "upper") -> NetworkState:
-        """Right-continuous ('lower') or left-continuous ('upper') sampling."""
-        times = self.times
-        t = float(np.clip(t, times[0], times[-1]))
-        if side == "upper":
-            return self.states[int(np.searchsorted(times, t, side="left"))]
-        if side == "lower":
-            return self.states[int(np.searchsorted(times, t, side="right")) - 1]
-        raise ValueError("side must be 'upper' or 'lower'")
 
 
 def _flatness_guard(state: NetworkState, osc_floor: float):
@@ -364,7 +344,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     one of
 
       * ``"gradient_tol"``: the projected gradient norm reached
-        ``tol_inner``;
+        ``TOL_INNER``;
       * ``"precision_floor"``: the rule above (iterate kept);
       * ``"stall_window"``: a backstop, 16 accepted iterates that together
         lowered the functional by no more than rounding (iterate kept);
@@ -383,7 +363,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
         grad = layout.step_gradient(theta, theta_prev, tau)
         gp = _tangent_project(layout, tangents, grad)
         gp_sq = float(layout.inner(gp, gp))
-        if math.sqrt(gp_sq) <= cfg.tol_inner:
+        if math.sqrt(gp_sq) <= TOL_INNER:
             return theta, tangents, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
             return theta, tangents, it, "stall_window"

@@ -75,14 +75,11 @@ def _endpoint_fluxdiv(flux: np.ndarray, h: float, start: bool) -> float:
     return float((f[1] - f[0]) / h)
 
 
-def conserved_coefficients(mult: Multipliers):
-    """Per-curve (cos, sin) coefficients of the conserved scalars."""
-    lam, mu = mult.lam, mult.mu
-    return (
-        np.array([lam[0] - mu[0], lam[1] - mu[1]]),
-        np.array([-lam[0], -lam[1]]),
-        np.array([mu[0], mu[1]]),
-    )
+def conserved_coefficients(mult: Multipliers) -> np.ndarray:
+    """(3, 2) array whose row j holds the (cos, sin) coefficients of curve
+    j's conserved scalar: (lambda - mu, -lambda, mu), the junction signs of
+    :attr:`thetaflow.energy.PackedLayout.SIGNS`."""
+    return PackedLayout.SIGNS.T @ np.stack([mult.lam, mult.mu])
 
 
 def conserved_quantity(f: AngleField, coeff, p: float) -> np.ndarray:
@@ -116,6 +113,8 @@ def junction_balance(state: NetworkState, mult: Multipliers) -> float:
     p = state.p_exponent
     coeffs = conserved_coefficients(mult)
     worst = 0.0
+    slopes = [midpoint_gradient(f) for f in state.fields]
+    fluxes = [cell_flux(d, p) for d in slopes]
     for start in (True, False):
         lhs = np.zeros(2)
         rhs_vec = np.zeros(2)
@@ -124,9 +123,8 @@ def junction_balance(state: NetworkState, mult: Multipliers) -> float:
             theta = f.values[k]
             tangent = np.array([np.cos(theta), np.sin(theta)])
             normal = np.array([-tangent[1], tangent[0]])
-            flux = cell_flux(midpoint_gradient(f), p)
-            lhs += _endpoint_fluxdiv(flux, f.grid.spacing, start) * normal
-            slope_end = _endpoint_value(midpoint_gradient(f), start)
+            lhs += _endpoint_fluxdiv(fluxes[j], f.grid.spacing, start) * normal
+            slope_end = _endpoint_value(slopes[j], start)
             conserved = ((p - 1.0) / p) * abs(slope_end) ** p - float(
                 coeffs[j] @ tangent
             )

@@ -83,6 +83,17 @@ def test_refine_command_prints_convergence_table(tmp_path):
     assert res.stdout.count("e-") >= 1
 
 
+@pytest.mark.parametrize("npu,code", [("5", 1), ("10", 1), ("20", 0)])
+def test_refine_needs_nested_grids(npu, code, capsys):
+    # the triod's curves have L * npu cells rounded, so doubling npu
+    # doubles every curve's cells only at some npu (20: 27/26/19 -> 54/52/38)
+    assert cli_main(["refine", "--preset", "triod", "--nodes-per-unit", npu,
+                     "--tau", "1e-2", "--T", "0.02", "--levels", "2"]) == code
+    captured = capsys.readouterr()
+    assert ("level" in captured.out) == (code == 0)
+    assert ("error: refine needs nested grids" in captured.err) == (code == 1)
+
+
 def test_refine_command_refuses_state_files(tmp_path):
     state_path = str(tmp_path / "lens.json")
     save_state(preset_symmetric_lens(nodes_per_unit=20), state_path)
@@ -113,6 +124,17 @@ def test_check_command_can_project_and_save(tmp_path):
     assert res.returncode == 0, res.stderr
     res2 = run_cli("check", "--input", fixed_path)
     assert "admissible at tol 1e-09: yes" in res2.stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_check_rejects_bad_constraint_tolerance(tol, tmp_path, capsys):
+    state_path = str(tmp_path / "lens20.json")
+    save_state(preset_symmetric_lens(nodes_per_unit=20), state_path)
+    code = cli_main(["check", "--input", state_path, "--tol-constraint", tol])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: " in captured.err
+    assert captured.out == ""
 
 
 def test_cli_usage_errors_exit_one(tmp_path):
@@ -160,6 +182,8 @@ def test_run_command_rejects_infinite_horizon(tmp_path, capsys):
     ("run", ["--nodes-per-unit", "-3"]),
     ("refine", ["--levels", "0"]),
     ("refine", ["--levels", "-1"]),
+    # tau**2 underflows to 0 and the step's velocity divides by it
+    ("run", ["--tau", "1e-200", "--T", "1e-200"]),
 ])
 def test_bad_flag_values_exit_one_before_running(command, flags, tmp_path,
                                                  capsys):
@@ -334,7 +358,7 @@ _BAD = ["nan", "inf", "-inf", "0", "-1", "abc", ""]
 _PATHS = (["lens20.json"], ["flat.json", "missing.json", "malformed.json",
                             "adir", ""])
 _FLOW_REQUIRED = {
-    "--tau": (["1e-2"], _BAD),
+    "--tau": (["1e-2"], [*_BAD, "1e-200"]),
     "--T": (["0.02", "0.03"], _BAD),
     "--nodes-per-unit": (["20", "10"], ["1.5", *_BAD]),
 }
@@ -345,7 +369,6 @@ _FLOW_OPTIONAL = {
     "--seed": (["7"], ["-3", "abc"]),
     "--amplitude": (["0.01"], _BAD),
     "--osc-floor": (["1e-3", "1.95"], _BAD),
-    "--tol-inner": (["1e-8"], _BAD),
     "--tol-constraint": (["1e-9"], _BAD),
 }
 _OUTPUT = {
@@ -413,6 +436,8 @@ def cli_dir(tmp_path_factory):
 @example(argv=["stationary", "--preset", "triod", "--nodes-per-unit", "20",
                "--tau", "1e-2", "--T", "0.03", "--osc-floor", "1.95",
                "--out", "afile"])
+@example(argv=["run", "--preset", "lens", "--nodes-per-unit", "20",
+               "--tau", "1e-200", "--T", "0.02"])
 def test_cli_argument_lists_exit_0_1_or_2(cli_dir, argv):
     old = os.getcwd()
     out, err = io.StringIO(), io.StringIO()

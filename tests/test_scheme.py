@@ -60,14 +60,14 @@ def test_flow_config_validation():
         FlowConfig(tau=0.0)
     with pytest.raises(ValueError):
         FlowConfig(T=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(tol_inner=0.0)
-    # non-finite and out-of-range values; T=inf would never end run_flow
-    bad = [dict(tau=np.nan), dict(p_exponent=np.nan), dict(tol_inner=np.nan),
-           dict(T=np.inf)]
+    # non-finite and out-of-range values; T=inf would never end run_flow,
+    # and the square of tau / 2**MAX_HALVINGS must not underflow to 0
+    bad = [dict(tau=np.nan), dict(p_exponent=np.nan), dict(T=np.inf),
+           dict(tau=1e-200, T=1e-200)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             FlowConfig(**kwargs)
+    assert FlowConfig(tau=1e-160, T=1e-160).tau == 1e-160
 
 
 def test_project_returns_admissible_input_unchanged():
@@ -171,7 +171,7 @@ def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
 def test_minimize_step_raises_on_iteration_cap(monkeypatch):
     monkeypatch.setattr(scheme, "MAX_INNER_ITERS", 1)
     lens = preset_symmetric_lens(nodes_per_unit=40)
-    cfg = FlowConfig(tau=1e-3, tol_inner=1e-300)
+    cfg = FlowConfig(tau=1e-3)
     with pytest.raises(InnerSolveFailed):
         minimize_step(lens, cfg)
 
@@ -241,7 +241,7 @@ def test_run_flow_guards_degenerate_initial_state():
 def test_failed_run_carries_partial_trajectory(monkeypatch):
     monkeypatch.setattr(scheme, "MAX_INNER_ITERS", 1)
     lens = preset_symmetric_lens(nodes_per_unit=40)
-    cfg = FlowConfig(tau=1e-3, T=1e-2, tol_inner=1e-300)
+    cfg = FlowConfig(tau=1e-3, T=1e-2)
     with pytest.raises(InnerSolveFailed) as err:
         run_flow(lens, cfg)
     traj = err.value.trajectory
@@ -271,30 +271,6 @@ def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
     assert traj.times == pytest.approx([0.0, 5e-3, 1.5e-2, 2.5e-2, 3e-2],
                                        rel=1e-12)
     assert traj.times[-1] <= 3e-2 * (1.0 + 1e-12)
-
-
-def test_trajectory_interpolants():
-    g = Grid(1.0, 5)
-    base = tuple(AngleField(Grid(L, 5), np.zeros(5)) for L in (1.0, 1.0, 0.5))
-    s0 = NetworkState(base)
-    s1 = s0.with_values(tuple(v + 1.0 for v in s0.values()))
-    s2 = s0.with_values(tuple(v + 3.0 for v in s0.values()))
-    rep = object()
-    # Nonuniform times, as left by a step-halving run.
-    traj = Trajectory(states=(s0, s1, s2), reports=(rep, rep),
-                      times=np.array([0.0, 1.0, 1.5]))
-    assert traj.linear_interpolant(0.0) is s0
-    assert traj.linear_interpolant(1.5) is s2
-    mid = traj.linear_interpolant(1.25)
-    assert np.allclose(mid.values()[0], 2.0)
-    before = traj.linear_interpolant(-5.0)
-    assert before is s0  # clamped
-    assert traj.piecewise_constant_interpolant(0.5, side="upper") is s1
-    assert traj.piecewise_constant_interpolant(0.5, side="lower") is s0
-    assert traj.piecewise_constant_interpolant(1.0, side="upper") is s1
-    assert traj.piecewise_constant_interpolant(1.0, side="lower") is s1
-    with pytest.raises(ValueError):
-        traj.piecewise_constant_interpolant(0.5, side="middle")
 
 
 def test_trajectory_shape_validation():
