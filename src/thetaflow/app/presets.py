@@ -15,6 +15,9 @@ from ..scheme import FlowConfig, project_to_H
 
 __all__ = ["preset_symmetric_lens", "preset_triod", "preset_perturbed"]
 
+LENS_ARC_LENGTH = 2.0  # length of the lens preset's two arcs
+LENS_BAR_LENGTH = 1.0  # length of its straight third curve
+
 
 def _grid(length: float, nodes_per_unit: int) -> Grid:
     if not nodes_per_unit >= 1:
@@ -46,24 +49,19 @@ def _solve_arc_curvature(grid: Grid, chord: float) -> float:
     return brentq(f, 0.0, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
 
 
-def preset_symmetric_lens(length: float = 2.0, length3: float = 1.0,
-                          nodes_per_unit: int = 200,
+def preset_symmetric_lens(nodes_per_unit: int = 200,
                           p: float = 2.0) -> NetworkState:
     """Theta network: straight third curve, two mirror-image arcs.
 
-    Curves 1 and 2 have equal length ``length`` and bow symmetrically up
-    and down over the straight segment of length ``length3``; all three run
-    between the same pair of junctions, so the offsets vanish.  Requires
-    ``length3 < length`` strictly.
+    Curves 1 and 2 have equal length ``LENS_ARC_LENGTH`` and bow
+    symmetrically up and down over the straight segment of length
+    ``LENS_BAR_LENGTH``; all three run between the same pair of junctions,
+    so the offsets vanish.
     """
-    if not (0.0 < length3 < length):
-        raise InvalidLengths(
-            f"need 0 < length3 < length (got {length3:g}, {length:g})"
-        )
-    arc_grid = _grid(length, nodes_per_unit)
-    bar_grid = _grid(length3, nodes_per_unit)
-    kappa = _solve_arc_curvature(arc_grid, length3)
-    s_arc = arc_grid.nodes - 0.5 * length
+    arc_grid = _grid(LENS_ARC_LENGTH, nodes_per_unit)
+    bar_grid = _grid(LENS_BAR_LENGTH, nodes_per_unit)
+    kappa = _solve_arc_curvature(arc_grid, LENS_BAR_LENGTH)
+    s_arc = arc_grid.nodes - 0.5 * LENS_ARC_LENGTH
     fields = (
         AngleField(arc_grid, -kappa * s_arc),
         AngleField(arc_grid, kappa * s_arc),

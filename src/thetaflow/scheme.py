@@ -310,8 +310,14 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
     """
     rhs = np.vstack([grad, tangents])
     rhs *= layout.weights
-    sol = solveh_banded(_hessian_bands(layout, theta, tau), rhs.T,
-                        overwrite_ab=True, overwrite_b=True)
+    try:
+        sol = solveh_banded(_hessian_bands(layout, theta, tau), rhs.T,
+                            overwrite_ab=True, overwrite_b=True)
+    except np.linalg.LinAlgError as err:
+        # rounding can cost Cholesky the definiteness when the elastic
+        # weights dwarf the mass term; the caller retries at tau/2
+        raise InnerSolveFailed(f"step Hessian cannot be factored at "
+                               f"tau={tau:g}: {err}") from err
     d0, u = sol[:, 0], sol[:, 1:].T
     e = layout.E
     schur = layout.gradient_products(tangents, u, e)
@@ -434,8 +440,9 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
 
     Returns (new state, StepReport).  Raises FlatnessBlowup when the
     flatness guard fails at ``prev``, InnerSolveFailed when the inner
-    iteration cap is hit before reaching the gradient tolerance, and
-    SingularSystem / DegenerateGeometry from the multiplier stage.
+    iteration cap is hit before reaching the gradient tolerance or the step
+    Hessian cannot be factored, and SingularSystem / DegenerateGeometry
+    from the multiplier stage.
     """
     if tau is None:
         tau = cfg.tau
@@ -572,9 +579,10 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     The initial state is projected onto the constraint set when its defect
     is at most 1000x the constraint tolerance (larger defects are refused).
     A degenerate initial geometry (flatness guard violated) raises
-    DegenerateGeometry before any stepping; mid-run guard failures surface
-    as FlatnessBlowup.  Any error raised mid-run carries the partial
-    trajectory in its ``trajectory`` attribute.
+    DegenerateGeometry, and a non-finite initial elastic energy ValueError,
+    before any stepping; mid-run guard failures surface as FlatnessBlowup.
+    Any error raised mid-run carries the partial trajectory in its
+    ``trajectory`` attribute.
     """
     if initial.p_exponent != cfg.p_exponent:
         raise ValueError(
@@ -596,10 +604,13 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
             f"{np.array2string(oscs, precision=3)}, floor {cfg.osc_floor:g})"
         )
 
+    ledger = _EstimateLedger(initial, cfg)
+    if not math.isfinite(ledger.d0):
+        raise ValueError(f"initial elastic energy {ledger.d0:g} is not "
+                         f"finite at p={cfg.p_exponent:g}")
     states = [initial]
     reports = []
     times = [0.0]
-    ledger = _EstimateLedger(initial, cfg)
     t = 0.0
     t_end = cfg.T * (1.0 - 1e-12)
     try:

@@ -16,10 +16,13 @@ Multiplying row j by theta_s and integrating shows that a specific scalar,
 (p-1)/p |theta_s|^p minus a fixed linear combination of (cos, sin) theta,
 is constant along each curve of a critical point (see
 :func:`conserved_quantity`); and combining the three rows at a junction with
-the boundary condition yields a force balance between the flux divergences
-and those conserved scalars (see :func:`junction_balance`).  All three
-diagnostics are computed here with one-sided second-order differences at the
-endpoints so that their decay under refinement is not masked by the stencil.
+the boundary condition yields a force balance: the sum over curves of (flux
+divergence) * (unit normal) equals xi T1 + lam T2 + mu T3, with xi, lam, mu
+the conserved scalars of the three curves at that end and T_j the unit
+tangents there (the identity only uses the three stationary equations and
+theta_s = 0 at the ends).  :func:`stationary_residual` reports all of these
+defects, computed with one-sided second-order differences at the endpoints
+so that their decay under refinement is not masked by the stencil.
 """
 
 import math
@@ -37,7 +40,6 @@ __all__ = [
     "stationary_residual",
     "conserved_coefficients",
     "conserved_quantity",
-    "junction_balance",
     "check_scan",
     "detect_stationarity",
 ]
@@ -82,6 +84,18 @@ def conserved_coefficients(mult: Multipliers) -> np.ndarray:
     return PackedLayout.SIGNS.T @ np.stack([mult.lam, mult.mu])
 
 
+def _conserved(slopes: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+               coeff, p: float) -> np.ndarray:
+    """:func:`conserved_quantity` from a curve's cell slopes and nodal
+    cos, sin theta."""
+    nodal = np.empty(cos.shape[0])
+    nodal[1:-1] = 0.5 * (slopes[:-1] + slopes[1:])
+    nodal[0] = slopes[0]
+    nodal[-1] = slopes[-1]
+    return ((p - 1.0) / p) * np.abs(nodal) ** p - (coeff[0] * cos
+                                                    + coeff[1] * sin)
+
+
 def conserved_quantity(f: AngleField, coeff, p: float) -> np.ndarray:
     """Nodal samples of (p-1)/p |theta_s|^p - coeff . (cos, sin) theta.
 
@@ -89,77 +103,46 @@ def conserved_quantity(f: AngleField, coeff, p: float) -> np.ndarray:
     taken from the single adjacent cell at the endpoints.  Along a curve of
     an exact critical point this array is constant.
     """
-    slopes = midpoint_gradient(f)
-    nodal = np.empty(f.grid.node_count)
-    nodal[1:-1] = 0.5 * (slopes[:-1] + slopes[1:])
-    nodal[0] = slopes[0]
-    nodal[-1] = slopes[-1]
-    coeff = np.asarray(coeff, dtype=float)
-    return ((p - 1.0) / p) * np.abs(nodal) ** p - (
-        coeff[0] * np.cos(f.values) + coeff[1] * np.sin(f.values)
-    )
-
-
-def junction_balance(state: NetworkState, mult: Multipliers) -> float:
-    """Force-balance defect at the two curve ends.
-
-    At each end the sum over curves of (flux divergence) * (unit normal) is
-    compared with xi T1 + lam T2 + mu T3, where xi, lam, mu are the
-    conserved scalars of the three curves extrapolated to that end and T_j
-    the unit tangents there.  For an exact critical point both sides agree
-    at either end (the identity only uses the three stationary equations
-    and theta_s = 0 at the ends).  Returns the larger Euclidean defect.
-    """
-    p = state.p_exponent
-    coeffs = conserved_coefficients(mult)
-    worst = 0.0
-    slopes = [midpoint_gradient(f) for f in state.fields]
-    fluxes = [cell_flux(d, p) for d in slopes]
-    for start in (True, False):
-        lhs = np.zeros(2)
-        rhs_vec = np.zeros(2)
-        for j, f in enumerate(state.fields):
-            k = 0 if start else -1
-            theta = f.values[k]
-            tangent = np.array([np.cos(theta), np.sin(theta)])
-            normal = np.array([-tangent[1], tangent[0]])
-            lhs += _endpoint_fluxdiv(fluxes[j], f.grid.spacing, start) * normal
-            slope_end = _endpoint_value(slopes[j], start)
-            conserved = ((p - 1.0) / p) * abs(slope_end) ** p - float(
-                coeffs[j] @ tangent
-            )
-            rhs_vec += conserved * tangent
-        worst = max(worst, float(np.linalg.norm(lhs - rhs_vec)))
-    return worst
+    return _conserved(midpoint_gradient(f), np.cos(f.values),
+                      np.sin(f.values), np.asarray(coeff, dtype=float), p)
 
 
 def stationary_residual(state: NetworkState,
                         mult: Multipliers) -> StationaryReport:
-    """Sup-norm residuals of the stationary system at a state."""
+    """Sup-norm residuals of the stationary system at a state.
+
+    Each curve is differentiated once; its slopes, fluxes and right-hand
+    side c_2 cos theta - c_1 sin theta (c its row of
+    :func:`conserved_coefficients`) give the interior residual, the
+    boundary slopes, the conserved drift and its terms of the junction
+    balance, whose larger Euclidean defect over the two ends is reported.
+    """
     p = state.p_exponent
-    layout, theta = PackedLayout.of(state)
-    # rhs_1..rhs_3 are the constraint gradients weighted by (lambda, mu)
-    x = np.concatenate([mult.lam, mult.mu])
-    rhs = layout.unpack(layout.fields(x @ layout.E, layout.tangents(theta)))
-    divergence = layout.unpack(-layout.elastic_gradient(theta))
-    residuals = np.array([float(np.max(np.abs(div[1:-1] - r[1:-1])))
-                          for div, r in zip(divergence, rhs)])
+    residuals, drift = np.empty(3), np.empty(3)
     bc = 0.0
-    for f in state.fields:
+    # per end: the two sides of the junction force balance
+    flux_side, conserved_side = np.zeros((2, 2)), np.zeros((2, 2))
+    for j, (f, c) in enumerate(zip(state.fields,
+                                   conserved_coefficients(mult))):
+        h = f.grid.spacing
         slopes = midpoint_gradient(f)
+        flux = cell_flux(slopes, p)
+        cos, sin = np.cos(f.values), np.sin(f.values)
+        rhs = c[1] * cos - c[0] * sin
+        residuals[j] = np.max(np.abs(np.diff(flux) / h - rhs[1:-1]))
         bc = max(bc, abs(float(slopes[0])), abs(float(slopes[-1])))
-    coeffs = conserved_coefficients(mult)
-    drift = np.array([
-        float(np.ptp(conserved_quantity(f, c, p)))
-        for f, c in zip(state.fields, coeffs)
-    ])
-    return StationaryReport(
-        residuals=residuals,
-        bc_defect=bc,
-        conserved_drift=drift,
-        junction_balance_defect=junction_balance(state, mult),
-        multipliers=mult,
-    )
+        drift[j] = np.ptp(_conserved(slopes, cos, sin, c, p))
+        for end, k in enumerate((0, -1)):
+            start = k == 0
+            tangent = np.array([cos[k], sin[k]])
+            normal = np.array([-tangent[1], tangent[0]])
+            conserved = ((p - 1.0) / p) * abs(
+                _endpoint_value(slopes, start)) ** p - float(c @ tangent)
+            flux_side[end] += _endpoint_fluxdiv(flux, h, start) * normal
+            conserved_side[end] += conserved * tangent
+    junction = np.linalg.norm(flux_side - conserved_side, axis=1)
+    return StationaryReport(residuals, bc, drift, float(np.max(junction)),
+                            mult)
 
 
 def check_scan(window: int, tol: float) -> None:

@@ -4,6 +4,8 @@ Everything here is written as plain loops against the definitions, without
 reusing package internals, so agreement with the package is meaningful.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
@@ -222,6 +224,46 @@ def rows_newton_direction(weights, grads, grad, bands):
     rhs4 = np.sum(grads * (weights * d0), axis=-1)
     y, *_ = np.linalg.lstsq(schur, rhs4, rcond=None)
     return d0 - z @ y, schur
+
+
+def naive_junction_balance(values_list, lengths, p, lam, mu):
+    """Larger Euclidean force-balance defect over the two curve ends.
+
+    At each end, sum over curves of (one-sided flux divergence) * (unit
+    normal) minus (conserved scalar extrapolated to the end) * (unit
+    tangent), the conserved scalar of curve j being (p-1)/p |theta_s|^p -
+    c_j . (cos, sin) theta with c = (lam - mu, -lam, mu).  Cell data are
+    walked from the end inwards (fluxes negated at the far end, where the
+    outward direction is reversed); the divergence and the end slope use
+    second-order one-sided stencils, first-order ones on two-cell curves.
+    """
+    coeffs = [(lam[0] - mu[0], lam[1] - mu[1]), (-lam[0], -lam[1]),
+              (mu[0], mu[1])]
+    worst = 0.0
+    for start in (True, False):
+        defect = [0.0, 0.0]
+        for values, length, (a, b) in zip(values_list, lengths, coeffs):
+            n = len(values)
+            h = length / (n - 1)
+            cells = range(n - 1) if start else range(n - 2, -1, -1)
+            sign = 1.0 if start else -1.0
+            slopes = [(values[k + 1] - values[k]) / h for k in cells]
+            flux = [sign * math.copysign(abs(d) ** (p - 1.0), d)
+                    for d in slopes]
+            if len(slopes) >= 3:
+                slope_end = (1.875 * slopes[0] - 1.25 * slopes[1]
+                             + 0.375 * slopes[2])
+                div = (-2.0 * flux[0] + 3.0 * flux[1] - flux[2]) / h
+            else:
+                slope_end = 1.5 * slopes[0] - 0.5 * slopes[1]
+                div = (flux[1] - flux[0]) / h
+            theta = values[0] if start else values[-1]
+            c, s = math.cos(theta), math.sin(theta)
+            conserved = ((p - 1.0) / p) * abs(slope_end) ** p - (a * c + b * s)
+            defect[0] += div * -s - conserved * c
+            defect[1] += div * c - conserved * s
+        worst = max(worst, math.hypot(*defect))
+    return worst
 
 
 LENS_CURVATURE_CONTINUUM = 1.8954942670339809

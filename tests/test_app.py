@@ -64,13 +64,6 @@ def test_lens_preset_endpoints_close_up():
     assert np.linalg.norm(p3) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lens_preset_rejects_bad_chord():
-    with pytest.raises(InvalidLengths):
-        preset_symmetric_lens(length=2.0, length3=2.5)
-    with pytest.raises(InvalidLengths):
-        preset_symmetric_lens(length=2.0, length3=0.0)
-
-
 def test_triod_preset_hits_targets():
     targets = ((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8))
     lengths = (1.35, 1.3, 0.95)

@@ -316,6 +316,37 @@ def test_refine_exits_two_on_a_mid_run_halt(tmp_path, capsys):
     assert "flow halted: FlatnessBlowup" in capsys.readouterr().err
 
 
+def test_unfactorable_step_hessian_halts_the_flow(tmp_path):
+    # at p = 60 the Newton weights (p-1)|D|^(p-2)/h of the lens dwarf the
+    # mass term and Cholesky loses definiteness to rounding at every tau
+    # halving: a failed step, so exit 2 with the halt in report.json
+    out = tmp_path / "o"
+    res = run_cli("run", "--preset", "lens", "--nodes-per-unit", "20",
+                  "--tau", "1e-2", "--T", "0.02", "--p", "60",
+                  "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "flow halted: InnerSolveFailed: " in res.stderr
+    with open(out / "report.json") as fh:
+        doc = json.load(fh)
+    assert doc["halt_reason"].startswith("InnerSolveFailed: ")
+    assert "cannot be factored" in doc["halt_reason"]
+
+
+@pytest.mark.parametrize("command", ["run", "stationary"])
+def test_non_finite_initial_energy_exits_one_before_output(command, tmp_path,
+                                                          capsys):
+    # |theta_s|^p overflows for the lens at p = 1e308
+    out = tmp_path / "out"
+    code = cli_main([command, "--preset", "lens", "--nodes-per-unit", "20",
+                     "--tau", "1e-2", "--T", "0.02", "--p", "1e308",
+                     "--out", str(out)])
+    assert code == 1
+    assert ("error: initial elastic energy inf is not finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--out", "out"), ("--stride", "1"), ("--emit", "json,csv,svg"),
 ])

@@ -16,14 +16,15 @@ from thetaflow import (
     run_flow,
 )
 from thetaflow.multipliers import Multipliers
+from thetaflow import stationary
 from thetaflow.stationary import (
     _endpoint_fluxdiv,
     _endpoint_value,
-    junction_balance,
     stationary_residual,
 )
 
 from helpers import make_state
+from oracles import naive_junction_balance
 from thetaflow.app.presets import preset_symmetric_lens
 
 
@@ -78,7 +79,35 @@ def test_junction_balance_vanishes_for_straight_curves_zero_multipliers():
                    for L, b in zip((1.0, 0.9, 0.7), (0.1, 2.0, -1.2)))
     s = NetworkState(fields)
     mult = Multipliers(lam=np.zeros(2), mu=np.zeros(2))
-    assert junction_balance(s, mult) == 0.0
+    assert stationary_residual(s, mult).junction_balance_defect == 0.0
+
+
+@pytest.mark.parametrize("m", [17, (7, 11, 5), (7, 11, 3)])
+def test_junction_balance_matches_the_loop_oracle(rng, m):
+    # (7, 11, 3) gives curve 3 two cells, the first-order end stencils
+    for _ in range(5):
+        s = make_state(rng, m=m, p=2.5)
+        mult = Multipliers(lam=rng.normal(size=2), mu=rng.normal(size=2))
+        expect = naive_junction_balance(s.values(), s.lengths, 2.5,
+                                        mult.lam, mult.mu)
+        got = stationary_residual(s, mult).junction_balance_defect
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_stationary_residual_differentiates_each_curve_once(rng,
+                                                            monkeypatch):
+    calls = []
+    real = stationary.midpoint_gradient
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(stationary, "midpoint_gradient", counting)
+    s = make_state(rng, m=17, p=2.5)
+    mult = Multipliers(lam=np.array([0.4, -0.7]), mu=np.array([0.2, 0.9]))
+    stationary_residual(s, mult)
+    assert len(calls) == 3
 
 
 def test_endpoint_value_exact_for_quadratic_cell_data(rng):
