@@ -15,6 +15,7 @@ import numpy as np
 from thetaflow import FlowConfig, p_energy, run_flow
 from thetaflow.app.emit import RunSpec, emit_frames
 from thetaflow.app.presets import preset_symmetric_lens
+from thetaflow.multipliers import multiplier_norm
 
 
 def main():
@@ -32,7 +33,7 @@ def main():
     for rep in traj.reports[::stride]:
         t = (rep.step_index + 1) * rep.tau
         print(f"  {t:5.3f}  {rep.energy_after:10.6f}  {np.sqrt(rep.velocity_l2sq):11.3e}"
-              f"  {rep.multipliers.total_norm:13.6f}  {rep.constraint_defect:.1e}")
+              f"  {multiplier_norm(rep.multipliers):13.6f}  {rep.constraint_defect:.1e}")
 
     # End slopes of curve 1: the arc starts at kappa ~ 1.9, the relaxed
     # profile is flat at the junctions.

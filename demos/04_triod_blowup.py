@@ -14,6 +14,7 @@ import numpy as np
 
 from thetaflow import FlatnessBlowup, FlowConfig, run_flow
 from thetaflow.app.presets import preset_triod
+from thetaflow.multipliers import multiplier_norm
 
 
 def main():
@@ -38,7 +39,7 @@ def main():
             t = (rep.step_index + 1) * rep.tau
             o = rep.oscs
             print(f"  {t:5.3f}   {o[0]:10.4f}  {o[1]:11.4f}  {o[2]:11.4f}"
-                  f"   {rep.multipliers.total_norm:8.3f}")
+                  f"   {multiplier_norm(rep.multipliers):8.3f}")
         last = traj.final_state
         print("\nfinal oscillations:",
               [f"{f.oscillation():.2e}" for f in last.fields])

@@ -23,6 +23,7 @@ import numpy as np
 from ..energy import (constraint_defect, constraint_vector, oscillation_stats,
                       p_energy)
 from ..errors import ThetaflowError
+from ..multipliers import multiplier_norm
 from ..scheme import FlowConfig, project_to_H, run_flow
 from ..stationary import check_scan, detect_stationarity
 from .emit import RunSpec, emit_frames, load_state, save_state
@@ -47,7 +48,7 @@ def _add_common(sub):
     sub.add_argument("--preset", choices=["lens", "perturbed-lens", "triod"],
                      help="built-in initial state")
     sub.add_argument("--input", help="state file (JSON) to start from")
-    sub.add_argument("--p", type=float, default=2.0, help="energy exponent")
+    sub.add_argument("--p", type=float, help="energy exponent (preset: 2)")
     sub.add_argument("--tau", type=float, default=1e-3, help="time step")
     sub.add_argument("--T", type=float, default=1.0, help="time horizon")
     sub.add_argument("--nodes-per-unit", type=int, default=200)
@@ -111,19 +112,25 @@ def _build_state(args):
     """The initial state and the settings ``report.json`` records for it:
     the path of a state file (which fixes the grid), or the preset, which
     defaults to ``lens``, with its grid and, if it perturbs, amplitude and
-    seed.  Settings left out are recorded as None."""
+    seed.  Settings left out are recorded as None.  A --p must match a
+    state file's p."""
     if args.input is not None and args.preset:
         raise ValueError("give either --preset or --input, not both")
     if args.input is not None:
-        return load_state(args.input), {"input_path": args.input}
+        state = load_state(args.input)
+        if args.p is not None and args.p != state.p_exponent:
+            raise ValueError(f"--p {args.p:g} contradicts p = "
+                             f"{state.p_exponent:g} of {args.input}")
+        return state, {"input_path": args.input}
     preset = args.preset or "lens"
     npu = args.nodes_per_unit
+    p = 2.0 if args.p is None else args.p
     recorded = {"preset": preset, "nodes_per_unit": npu}
     if preset == "triod":
         state = preset_triod(_TRIOD_TARGETS, _TRIOD_LENGTHS,
-                             nodes_per_unit=npu, p=args.p)
+                             nodes_per_unit=npu, p=p)
     else:
-        state = preset_symmetric_lens(nodes_per_unit=npu, p=args.p)
+        state = preset_symmetric_lens(nodes_per_unit=npu, p=p)
     if preset == "perturbed-lens":
         state = preset_perturbed(state, args.amplitude, args.seed)
         recorded.update(amplitude=args.amplitude, seed=args.seed)
@@ -165,7 +172,7 @@ def _print_summary(traj, written):
         print(f"final time: {traj.times[-1]:.6g}")
         print(f"energy: {last.energy_after:.12g}")
         print(f"velocity_l2: {np.sqrt(last.velocity_l2sq):.6g}")
-        print(f"|multipliers|: {last.multipliers.total_norm:.6g}")
+        print(f"|multipliers|: {multiplier_norm(last.multipliers):.6g}")
     for path in written:
         print(f"wrote {path}")
 
@@ -283,7 +290,7 @@ def cli_main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ThetaflowError, ValueError, OSError) as err:
+    except (ThetaflowError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

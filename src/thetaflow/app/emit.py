@@ -120,7 +120,7 @@ def _selected_indices(n_states: int, stride: int):
 
 
 def _multipliers_dict(mult) -> dict:
-    return {"lambda": mult.lam.tolist(), "mu": mult.mu.tolist()}
+    return {"lambda": mult[:2].tolist(), "mu": mult[2:].tolist()}
 
 
 def _report_dict(rep: StepReport) -> dict:

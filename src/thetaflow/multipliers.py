@@ -13,7 +13,8 @@ mu_1, mu_2):
 with the 2x2 Gram blocks A_i and elastic forcings G_i from
 :func:`thetaflow.energy.assemble_multiplier_data` and movement remainders
 R23, R21 from :func:`compute_remainders`.  Entry (l, r) of J is the
-derivative of constraint l along direction phi_r.
+derivative of constraint l along direction phi_r.  The multipliers are
+carried as the (4,) array x; :func:`multiplier_norm` gives |lambda| + |mu|.
 
 The same blocks yield a fully explicit a-priori bound on |lambda| + |mu|
 in terms of the two determinants det A1, det A2, the lengths, the elastic
@@ -24,8 +25,6 @@ overestimates the exact elimination, so the bound provably dominates the
 solved multipliers whenever both determinants are positive.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .energy import MultiplierMatrices, PackedLayout
@@ -33,7 +32,7 @@ from .errors import DegenerateGeometry, SingularSystem
 from .grids import NetworkState, require_compatible
 
 __all__ = [
-    "Multipliers",
+    "multiplier_norm",
     "variation_directions",
     "assemble_kkt",
     "directional_constraint_jacobian",
@@ -49,17 +48,9 @@ COND_CAP = 1e12    # largest condition number of a 4x4 system that is solved
 DET_FLOOR = 1e-12  # det A1 or det A2 at or below this is degenerate geometry
 
 
-@dataclass(frozen=True)
-class Multipliers(object):
-    """Multiplier pairs lam = (lambda_1, lambda_2), mu = (mu_1, mu_2)."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-
-    @property
-    def total_norm(self) -> float:
-        """|lambda| + |mu| (Euclidean norms of the two pairs)."""
-        return float(np.linalg.norm(self.lam) + np.linalg.norm(self.mu))
+def multiplier_norm(x: np.ndarray) -> float:
+    """|lambda| + |mu|: the Euclidean norms of the pairs x[:2], x[2:]."""
+    return float(np.linalg.norm(x[:2]) + np.linalg.norm(x[2:]))
 
 
 def variation_directions(state: NetworkState):
@@ -124,8 +115,8 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
 
 
 def solve_multipliers(data: MultiplierMatrices,
-                      rem: np.ndarray) -> Multipliers:
-    """Solve x . J = rhs for the multipliers.
+                      rem: np.ndarray) -> np.ndarray:
+    """Solve x . J = rhs for the multiplier vector x.
 
     Raises SingularSystem when the condition number of J exceeds
     ``COND_CAP`` (at least two essentially flat or aligned curves) or the
@@ -148,7 +139,7 @@ def solve_multipliers(data: MultiplierMatrices,
         raise SingularSystem(
             f"multiplier solve residual {resid:.3e} out of tolerance"
         )
-    return Multipliers(lam=x[:2], mu=x[2:])
+    return x
 
 
 def bound_constant(data: MultiplierMatrices, state: NetworkState) -> float:

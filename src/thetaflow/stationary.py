@@ -6,7 +6,7 @@ curve, the strong system
     (|theta_s|^(p-2) theta_s)_s = rhs_j(theta^j; lambda, mu)
 
 with natural boundary conditions theta_s = 0 at both ends and trigonometric
-right-hand sides
+right-hand sides in the multiplier vector x = (lambda_1, lambda_2, mu_1, mu_2)
 
     rhs_1 = -(lambda_1 - mu_1) sin theta1 + (lambda_2 - mu_2) cos theta1
     rhs_2 =  lambda_1 sin theta2 - lambda_2 cos theta2
@@ -33,7 +33,6 @@ import numpy as np
 
 from .energy import PackedLayout, cell_flux
 from .grids import AngleField, NetworkState, midpoint_gradient
-from .multipliers import Multipliers
 
 __all__ = [
     "StationaryReport",
@@ -53,7 +52,7 @@ class StationaryReport(object):
     bc_defect: float               # max |theta_s| over boundary cells
     conserved_drift: np.ndarray    # (3,) sup - inf of the conserved scalars
     junction_balance_defect: float
-    multipliers: Multipliers
+    multipliers: np.ndarray        # x = (lambda_1, lambda_2, mu_1, mu_2)
     step_index: int = -1
 
     @property
@@ -77,11 +76,11 @@ def _endpoint_fluxdiv(flux: np.ndarray, h: float, start: bool) -> float:
     return float((f[1] - f[0]) / h)
 
 
-def conserved_coefficients(mult: Multipliers) -> np.ndarray:
+def conserved_coefficients(mult: np.ndarray) -> np.ndarray:
     """(3, 2) array whose row j holds the (cos, sin) coefficients of curve
     j's conserved scalar: (lambda - mu, -lambda, mu), the junction signs of
     :attr:`thetaflow.energy.PackedLayout.SIGNS`."""
-    return PackedLayout.SIGNS.T @ np.stack([mult.lam, mult.mu])
+    return PackedLayout.SIGNS.T @ np.reshape(mult, (2, 2))
 
 
 def _conserved(slopes: np.ndarray, cos: np.ndarray, sin: np.ndarray,
@@ -108,7 +107,7 @@ def conserved_quantity(f: AngleField, coeff, p: float) -> np.ndarray:
 
 
 def stationary_residual(state: NetworkState,
-                        mult: Multipliers) -> StationaryReport:
+                        mult: np.ndarray) -> StationaryReport:
     """Sup-norm residuals of the stationary system at a state.
 
     Each curve is differentiated once; its slopes, fluxes and right-hand

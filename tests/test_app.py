@@ -229,7 +229,9 @@ def test_emit_writes_requested_artifacts(one_step_lens, tmp_path):
     assert len(doc["steps"]) == 1
     step = doc["steps"][0]
     assert step["step_index"] == 0
-    assert set(step["multipliers"]) == {"lambda", "mu"}
+    x = traj.reports[0].multipliers
+    assert step["multipliers"] == {"lambda": x[:2].tolist(),
+                                   "mu": x[2:].tolist()}
     assert step["energy_after"] <= step["energy_before"]
 
     with open(os.path.join(spec.out_dir, "trajectory.csv")) as fh:

@@ -61,6 +61,35 @@ def test_run_command_rejects_preset_and_input_together(tmp_path):
     assert "not both" in res.stderr
 
 
+def test_run_command_rejects_p_contradicting_the_state_file(tmp_path,
+                                                            capsys):
+    # a state file fixes p: a matching --p runs, a different one exits 1
+    state_path = str(tmp_path / "lens3.json")
+    save_state(preset_symmetric_lens(nodes_per_unit=20, p=3.0), state_path)
+    argv = ["run", "--input", state_path, "--tau", "1e-2", "--T", "0.02"]
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--p", "2", "--out", str(out)]) == 1
+    assert (f"error: --p 2 contradicts p = 3 of {state_path}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert cli_main([*argv, "--p", "3", "--out", str(out)]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["flow"]["p_exponent"] == 3.0
+
+
+def test_refused_allocation_exits_one_before_output(tmp_path):
+    # 1e13 nodes per unit ask 146 TiB for a lens arc, more than the 128 TiB
+    # user address space, so the allocation is refused at once
+    out = tmp_path / "o"
+    res = run_cli("run", "--preset", "lens", "--nodes-per-unit",
+                  "10000000000000", "--tau", "1e-2", "--T", "0.02",
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 def test_stationary_command_detects_relaxed_lens(tmp_path):
     out = str(tmp_path / "out")
     res = run_cli("stationary", "--preset", "lens", "--nodes-per-unit", "50",
@@ -333,6 +362,7 @@ def test_unfactorable_step_hessian_halts_the_flow(tmp_path):
     assert "cannot be factored" in doc["halt_reason"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "stationary"])
 def test_non_finite_initial_energy_exits_one_before_output(command, tmp_path,
                                                           capsys):
@@ -384,14 +414,16 @@ def test_cli_main_returns_usage_codes(argv, expect, capsys):
 # runs tiny: at most 20 nodes per unit and tau 1e-2 up to T 0.03, so at most
 # 6 steps per level and 2 levels.  The bad values are nan, inf, zero,
 # negative, non-numeric or empty strings, and bad paths.  Flags that decide
-# a run's size are always given.
+# a run's size are always given.  1e14 nodes per unit ask more than the
+# 128 TiB user address space for every preset curve, so the allocation is
+# refused at once.
 _BAD = ["nan", "inf", "-inf", "0", "-1", "abc", ""]
 _PATHS = (["lens20.json"], ["flat.json", "missing.json", "malformed.json",
                             "adir", ""])
 _FLOW_REQUIRED = {
     "--tau": (["1e-2"], [*_BAD, "1e-200"]),
     "--T": (["0.02", "0.03"], _BAD),
-    "--nodes-per-unit": (["20", "10"], ["1.5", *_BAD]),
+    "--nodes-per-unit": (["20", "10"], ["1.5", *_BAD, "100000000000000"]),
 }
 _FLOW_OPTIONAL = {
     "--preset": (["lens", "perturbed-lens", "triod"], ["square", ""]),
@@ -469,6 +501,8 @@ def cli_dir(tmp_path_factory):
                "--out", "afile"])
 @example(argv=["run", "--preset", "lens", "--nodes-per-unit", "20",
                "--tau", "1e-200", "--T", "0.02"])
+@example(argv=["refine", "--preset", "triod", "--nodes-per-unit",
+               "100000000000000", "--tau", "1e-2", "--T", "0.02"])
 def test_cli_argument_lists_exit_0_1_or_2(cli_dir, argv):
     old = os.getcwd()
     out, err = io.StringIO(), io.StringIO()

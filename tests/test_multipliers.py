@@ -15,11 +15,11 @@ from thetaflow import (
 )
 from thetaflow.grids import trapezoid_weights
 from thetaflow.multipliers import (
-    Multipliers,
     bound_constant,
     compute_remainders,
     directional_constraint_jacobian,
     multiplier_bound,
+    multiplier_norm,
     solve_multipliers,
 )
 
@@ -92,21 +92,21 @@ def test_solve_multipliers_matches_brute_force(rng):
         cand, prev, tau = make_pair(rng, m=11, p=2.0)
         data = assemble_multiplier_data(cand)
         rem = compute_remainders(cand, prev, tau)
-        mult = solve_multipliers(data, rem)
+        x = solve_multipliers(data, rem)
         lam, mu = brute_force_multipliers(
             [v for v in cand.values()], [v for v in prev.values()],
             cand.lengths, 2.0, tau)
-        assert np.allclose(mult.lam, lam, atol=1e-9, rtol=1e-9)
-        assert np.allclose(mult.mu, mu, atol=1e-9, rtol=1e-9)
+        assert x.shape == (4,)
+        assert np.allclose(x[:2], lam, atol=1e-9, rtol=1e-9)
+        assert np.allclose(x[2:], mu, atol=1e-9, rtol=1e-9)
 
 
 def test_solve_multipliers_satisfies_row_equation(rng):
     cand, prev, tau = make_pair(rng, m=16, p=2.5)
     data = assemble_multiplier_data(cand)
     rem = compute_remainders(cand, prev, tau)
-    mult = solve_multipliers(data, rem)
+    x = solve_multipliers(data, rem)
     j = assemble_kkt(data)
-    x = np.concatenate([mult.lam, mult.mu])
     rhs = np.concatenate([
         data.G[2] - data.G[1] + rem[:2],
         data.G[1] - data.G[0] + rem[2:],
@@ -126,9 +126,9 @@ def test_solve_multipliers_rejects_singular_geometry():
         solve_multipliers(data, rem)
 
 
-def test_multiplier_total_norm_is_euclidean_pair_sum():
-    m = Multipliers(lam=np.array([3.0, 4.0]), mu=np.array([0.0, 2.0]))
-    assert m.total_norm == pytest.approx(5.0 + 2.0)
+def test_multiplier_norm_is_euclidean_pair_sum():
+    x = np.array([3.0, 4.0, 0.0, 2.0])
+    assert multiplier_norm(x) == pytest.approx(5.0 + 2.0)
 
 
 def test_bound_dominates_solved_multipliers(rng):
@@ -137,7 +137,7 @@ def test_bound_dominates_solved_multipliers(rng):
         cand, prev, tau = make_pair(rng, m=12, p=2.0, step_scale=0.05)
         data = assemble_multiplier_data(cand)
         try:
-            mult = solve_multipliers(data, compute_remainders(cand, prev, tau))
+            x = solve_multipliers(data, compute_remainders(cand, prev, tau))
             bound = multiplier_bound(
                 bound_constant(data, cand), cand.p_exponent, p_energy(cand),
                 velocity_l1=sum(
@@ -147,7 +147,7 @@ def test_bound_dominates_solved_multipliers(rng):
         except (SingularSystem, DegenerateGeometry):
             continue
         hits += 1
-        assert mult.total_norm <= bound * (1 + 1e-9)
+        assert multiplier_norm(x) <= bound * (1 + 1e-9)
     assert hits >= 15
 
 
@@ -176,11 +176,11 @@ def test_solved_multipliers_rotate_with_the_frame(rng):
     rot = np.array([[np.cos(alpha), -np.sin(alpha)],
                     [np.sin(alpha), np.cos(alpha)]])
     cand, prev, tau = make_pair(rng, m=12)
-    mult = solve_multipliers(assemble_multiplier_data(cand),
-                             compute_remainders(cand, prev, tau))
+    x = solve_multipliers(assemble_multiplier_data(cand),
+                          compute_remainders(cand, prev, tau))
     cand_r = cand.with_values(tuple(v + alpha for v in cand.values()))
     prev_r = prev.with_values(tuple(v + alpha for v in prev.values()))
-    mult_r = solve_multipliers(assemble_multiplier_data(cand_r),
-                               compute_remainders(cand_r, prev_r, tau))
-    assert np.allclose(mult_r.lam, rot @ mult.lam, atol=1e-9)
-    assert np.allclose(mult_r.mu, rot @ mult.mu, atol=1e-9)
+    x_r = solve_multipliers(assemble_multiplier_data(cand_r),
+                            compute_remainders(cand_r, prev_r, tau))
+    assert np.allclose(x_r[:2], rot @ x[:2], atol=1e-9)
+    assert np.allclose(x_r[2:], rot @ x[2:], atol=1e-9)

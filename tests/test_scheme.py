@@ -23,8 +23,8 @@ from scipy.linalg import solveh_banded
 from thetaflow import scheme
 from thetaflow.energy import PackedLayout, constraint_gradients
 from thetaflow.multipliers import (
-    Multipliers,
     compute_remainders,
+    multiplier_norm,
     solve_multipliers,
 )
 from thetaflow.scheme import (
@@ -112,7 +112,7 @@ def test_minimize_step_decreases_energy_and_stays_admissible():
     assert rep.penalty_value == pytest.approx(0.5 * rep.tau * rep.velocity_l2sq)
     assert rep.inner_converged
     assert rep.termination == "gradient_tol"
-    assert rep.multipliers.total_norm <= rep.mult_bound * (1 + 1e-9)
+    assert multiplier_norm(rep.multipliers) <= rep.mult_bound * (1 + 1e-9)
     assert rep.weak_residual_value < 1e-6
 
 
@@ -123,12 +123,11 @@ def test_step_report_matches_public_path():
     cfg = FlowConfig(tau=1e-3)
     state, rep = minimize_step(lens, cfg)
     data = assemble_multiplier_data(state)
-    mult = solve_multipliers(data, compute_remainders(state, lens, rep.tau))
+    x = solve_multipliers(data, compute_remainders(state, lens, rep.tau))
     _assert_rel_close(rep.dets, data.dets)
-    _assert_rel_close(np.concatenate([rep.multipliers.lam, rep.multipliers.mu]),
-                      np.concatenate([mult.lam, mult.mu]))
+    _assert_rel_close(rep.multipliers, x)
     _assert_rel_close(rep.weak_residual_value,
-                      weak_residual(state, lens, rep.tau, mult))
+                      weak_residual(state, lens, rep.tau, x))
 
 
 def test_minimize_step_flags_stalled_inner_iteration():
@@ -287,25 +286,23 @@ def test_weak_residual_vanishes_for_manufactured_step(rng):
     # rounding for every hat test function.
     cand = make_state(rng, m=20)
     tau = 1e-2
-    mult = Multipliers(lam=np.array([0.3, -0.2]), mu=np.array([0.1, 0.5]))
+    x = np.array([0.3, -0.2, 0.1, 0.5])
     elastic = step_gradient(cand, cand, tau)  # zero velocity: elastic part
     grads = constraint_gradients(cand)
-    x = np.concatenate([mult.lam, mult.mu])
     prev_vals = []
     for j in range(3):
         total = elastic[j] + sum(x[l] * grads[l][j] for l in range(4))
         prev_vals.append(cand.values()[j] + tau * total)
     prev = cand.with_values(tuple(prev_vals))
-    assert weak_residual(cand, prev, tau, mult) < 1e-10
+    assert weak_residual(cand, prev, tau, x) < 1e-10
 
 
 def test_weak_residual_detects_injected_defect(rng):
     cand = make_state(rng, m=20)
     tau = 1e-2
-    mult = Multipliers(lam=np.array([0.3, -0.2]), mu=np.array([0.1, 0.5]))
+    x = np.array([0.3, -0.2, 0.1, 0.5])
     elastic = step_gradient(cand, cand, tau)
     grads = constraint_gradients(cand)
-    x = np.concatenate([mult.lam, mult.mu])
     prev_vals = []
     for j in range(3):
         total = elastic[j] + sum(x[l] * grads[l][j] for l in range(4))
@@ -313,7 +310,7 @@ def test_weak_residual_detects_injected_defect(rng):
     # Inject a unit residual at one interior node of curve 1.
     prev_vals[0][7] += tau * 1.0
     prev = cand.with_values(tuple(prev_vals))
-    assert weak_residual(cand, prev, tau, mult) > 1e-3
+    assert weak_residual(cand, prev, tau, x) > 1e-3
 
 
 def test_weak_residual_of_solved_steps_is_small():
@@ -333,8 +330,7 @@ def test_reports_satisfy_global_estimates():
     d0 = p_energy(traj.states[0])
     diss = sum(r.tau * r.velocity_l2sq for r in traj.reports)
     assert 0.5 * diss <= d0 * (1 + 1e-9)
-    budget = sum(r.tau * (np.dot(r.multipliers.lam, r.multipliers.lam)
-                          + np.dot(r.multipliers.mu, r.multipliers.mu))
+    budget = sum(r.tau * np.dot(r.multipliers, r.multipliers)
                  for r in traj.reports)
     cstar = max(r.bound_const for r in traj.reports)
     lam_total = sum(lens.lengths)
@@ -342,7 +338,7 @@ def test_reports_satisfy_global_estimates():
         * ((cfg.T + cfg.tau) * d0 + 1.0) * d0
     assert budget <= cap * (1 + 1e-6)
     for rep in traj.reports:
-        assert rep.multipliers.total_norm <= rep.mult_bound * (1 + 1e-9)
+        assert multiplier_norm(rep.multipliers) <= rep.mult_bound * (1 + 1e-9)
         assert rep.constraint_defect <= cfg.tol_constraint * (1 + 1e-9)
 
 

@@ -15,7 +15,6 @@ from thetaflow import (
     detect_stationarity,
     run_flow,
 )
-from thetaflow.multipliers import Multipliers
 from thetaflow import stationary
 from thetaflow.stationary import (
     _endpoint_fluxdiv,
@@ -35,8 +34,8 @@ def _interior_divergence(values, length, p):
     return np.diff(flux) / h
 
 
-def _trig_rows(state, mult):
-    lam, mu = mult.lam, mult.mu
+def _trig_rows(state, x):
+    lam, mu = x[:2], x[2:]
     t1, t2, t3 = state.values()
     return (
         -(lam[0] - mu[0]) * np.sin(t1) + (lam[1] - mu[1]) * np.cos(t1),
@@ -49,11 +48,11 @@ def test_interior_residuals_match_the_strong_form(rng):
     # each curve's residual is the sup over interior nodes of the strong
     # form, flux divergence minus trigonometric right-hand side
     s = make_state(rng, m=17, p=2.5)
-    mult = Multipliers(lam=np.array([0.4, -0.7]), mu=np.array([0.2, 0.9]))
-    report = stationary_residual(s, mult)
+    x = np.array([0.4, -0.7, 0.2, 0.9])
+    report = stationary_residual(s, x)
     for j in range(3):
         div = _interior_divergence(s.values()[j], s.lengths[j], 2.5)
-        trig = _trig_rows(s, mult)[j]
+        trig = _trig_rows(s, x)[j]
         strong = float(np.max(np.abs(div - trig[1:-1])))
         assert report.residuals[j] == pytest.approx(strong, rel=1e-9)
 
@@ -67,8 +66,7 @@ def test_conserved_quantity_constant_on_straight_curves():
 
 
 def test_conserved_coefficients_structure():
-    mult = Multipliers(lam=np.array([1.0, 2.0]), mu=np.array([10.0, 20.0]))
-    c1, c2, c3 = conserved_coefficients(mult)
+    c1, c2, c3 = conserved_coefficients(np.array([1.0, 2.0, 10.0, 20.0]))
     assert np.allclose(c1, [-9.0, -18.0])
     assert np.allclose(c2, [-1.0, -2.0])
     assert np.allclose(c3, [10.0, 20.0])
@@ -78,8 +76,7 @@ def test_junction_balance_vanishes_for_straight_curves_zero_multipliers():
     fields = tuple(AngleField(Grid(L, 9), np.full(9, b))
                    for L, b in zip((1.0, 0.9, 0.7), (0.1, 2.0, -1.2)))
     s = NetworkState(fields)
-    mult = Multipliers(lam=np.zeros(2), mu=np.zeros(2))
-    assert stationary_residual(s, mult).junction_balance_defect == 0.0
+    assert stationary_residual(s, np.zeros(4)).junction_balance_defect == 0.0
 
 
 @pytest.mark.parametrize("m", [17, (7, 11, 5), (7, 11, 3)])
@@ -87,10 +84,10 @@ def test_junction_balance_matches_the_loop_oracle(rng, m):
     # (7, 11, 3) gives curve 3 two cells, the first-order end stencils
     for _ in range(5):
         s = make_state(rng, m=m, p=2.5)
-        mult = Multipliers(lam=rng.normal(size=2), mu=rng.normal(size=2))
+        x = rng.normal(size=4)
         expect = naive_junction_balance(s.values(), s.lengths, 2.5,
-                                        mult.lam, mult.mu)
-        got = stationary_residual(s, mult).junction_balance_defect
+                                        x[:2], x[2:])
+        got = stationary_residual(s, x).junction_balance_defect
         assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -105,8 +102,7 @@ def test_stationary_residual_differentiates_each_curve_once(rng,
 
     monkeypatch.setattr(stationary, "midpoint_gradient", counting)
     s = make_state(rng, m=17, p=2.5)
-    mult = Multipliers(lam=np.array([0.4, -0.7]), mu=np.array([0.2, 0.9]))
-    stationary_residual(s, mult)
+    stationary_residual(s, np.array([0.4, -0.7, 0.2, 0.9]))
     assert len(calls) == 3
 
 
@@ -187,6 +183,5 @@ def test_detection_rejects_bad_arguments_or_meets_tol(short_lens_run,
 
 def test_max_residual_property(rng):
     s = make_state(rng, m=9)
-    mult = Multipliers(lam=np.array([0.1, 0.2]), mu=np.array([0.3, 0.4]))
-    report = stationary_residual(s, mult)
+    report = stationary_residual(s, np.array([0.1, 0.2, 0.3, 0.4]))
     assert report.max_residual == pytest.approx(float(np.max(report.residuals)))
