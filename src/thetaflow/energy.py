@@ -302,6 +302,21 @@ def det_identity_check(f: AngleField):
     return det, double
 
 
+def _running(op, v: np.ndarray, size: int) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) over every window of ``size``
+    consecutive entries of ``v``: out[i] = op.reduce(v[i:i + size]).
+
+    Doubling: after each pass out[i] covers v[i:i + span] with span twice
+    as long; one last ``op`` of two overlapping spans covers ``size``.
+    O(m log size) time, O(m) memory, exact for max and min.
+    """
+    out, span = v, 1
+    while 2 * span <= size:
+        out = op(out[:-span], out[span:])
+        span *= 2
+    return op(out[:v.shape[0] - size + 1], out[size - span:])
+
+
 def _sharp_modulus_inverse(f: AngleField, y: float) -> float:
     """Largest r = k*h such that |theta(s) - theta(t)| <= y whenever
     |s - t| <= r, measured over grid nodes.
@@ -311,17 +326,16 @@ def _sharp_modulus_inverse(f: AngleField, y: float) -> float:
     oscillation over any window is attained with both ends at nodes once the
     window is widened to the enclosing grid multiple.
 
-    The window oscillation is nondecreasing in k, so k is found by bisection
-    over running max/min filters: O(m log m) time, O(m) memory.
+    The window oscillation is nondecreasing in k, so k is found by bisection;
+    each probe takes the largest max - min over the windows of k + 1
+    consecutive nodes (:func:`_running`): O(m log^2 m) time, O(m) memory.
     """
-    # scipy.ndimage is slow to import and only this diagnostic needs it
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
     vals = f.values
     lo, hi = 0, vals.shape[0]  # the answer k lies in [lo, hi)
     while hi - lo > 1:
         k = (lo + hi) // 2
-        osc = np.max(maximum_filter1d(vals, k + 1) - minimum_filter1d(vals, k + 1))
+        osc = np.max(_running(np.maximum, vals, k + 1)
+                     - _running(np.minimum, vals, k + 1))
         if osc <= y:
             lo = k
         else:

@@ -385,7 +385,10 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
             except (ProjectionFailed, SingularSystem):
                 pass
             else:
-                trial_energy = layout.step_energy(trial, theta_prev, tau)
+                # |slope|^p may overflow at large p; an infinite trial
+                # energy fails both acceptance tests below
+                with np.errstate(over="ignore"):
+                    trial_energy = layout.step_energy(trial, theta_prev, tau)
                 if trial_energy <= energy - ARMIJO_C1 * alpha * slope:
                     accepted = (trial, trial_tangents, trial_energy)
                     break

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from thetaflow import (
     FlowConfig,
@@ -16,6 +17,7 @@ from thetaflow import (
     run_flow,
 )
 from thetaflow.grids import cumulative_tangent_integral, midpoint_gradient
+from thetaflow.app import cli, presets
 from thetaflow.app.emit import RunSpec, emit_frames, load_state, save_state
 from thetaflow.app.presets import (
     preset_perturbed,
@@ -93,6 +95,52 @@ def test_triod_preset_rejects_unreachable_targets():
     with pytest.raises(InvalidLengths):
         preset_triod(((0.0, 0.0), (-0.5, 0.95), (0.1, -0.8)),
                      (1.35, 1.3, 0.95), nodes_per_unit=40)
+
+
+def _scipy_arc_curvature(grid, chord):
+    """scipy's brentq on the bracket [0, hi] that the presets search, with
+    the same chord function and tolerances."""
+    f = lambda k: presets._discrete_chord(k, grid) - chord
+    hi = 1.0 / grid.length
+    while f(hi) >= 0.0:
+        hi *= 2.0
+    return brentq(f, 0.0, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("npu", [1, 3, 20, 200, 3200])
+def test_arc_curvature_equals_scipy_brentq_on_preset_chords(npu):
+    # the lens arcs over their bar, and the triod arcs the CLI builds
+    cases = [(2.0, 1.0)] + [(length, float(np.hypot(*target)))
+                            for target, length in zip(cli._TRIOD_TARGETS,
+                                                      cli._TRIOD_LENGTHS)]
+    for length, chord in cases:
+        grid = presets._grid(length, npu)
+        kappa = presets._solve_arc_curvature(grid, chord)
+        assert kappa > 0.0
+        assert kappa == _scipy_arc_curvature(grid, chord)
+
+
+def test_arc_curvature_equals_scipy_brentq_on_random_chords():
+    rng = np.random.default_rng(20261018)
+    cases = [(40, 1.3, 1.3 - 5e-14)]  # a chord within 1e-13 of the length
+    for _ in range(60):
+        length = float(rng.uniform(0.2, 3.0))
+        cases.append((int(rng.choice([1, 2, 3, 7, 20, 50, 200, 800, 3200])),
+                      length, length * float(rng.uniform(0.01, 0.99999))))
+    for npu, length, chord in cases:
+        grid = presets._grid(length, npu)
+        kappa = presets._solve_arc_curvature(grid, chord)
+        assert kappa > 0.0
+        assert kappa == _scipy_arc_curvature(grid, chord), (npu, length, chord)
+
+
+def test_brent_root_failures_raise_invalid_lengths(monkeypatch):
+    eps4 = 4 * np.finfo(float).eps
+    monkeypatch.setattr(presets, "BRENT_MAXITER", 1)
+    with pytest.raises(InvalidLengths, match="did not converge"):
+        presets._brent_root(lambda x: x - 0.3, 0.0, 1.0, 1e-14, eps4)
+    with pytest.raises(InvalidLengths, match="does not change sign"):
+        presets._brent_root(lambda x: x + 1.0, 0.0, 1.0, 1e-14, eps4)
 
 
 def test_perturbed_preset_seed_behavior():

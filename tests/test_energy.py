@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from thetaflow import (
     step_gradient,
 )
 from thetaflow.energy import (
+    _running,
     _sharp_modulus_inverse,
     constraint_gradients,
     implicit_step_energy,
@@ -162,6 +164,16 @@ def test_oscillation_bound_is_sharp_scale_for_linear_field():
     assert stats.modulus_inverse_at == pytest.approx(k * g.spacing, abs=1e-12)
     expect = 0.5 * 2.0 * np.sin(delta0 / 4.0) ** 2 * min(k * g.spacing, 1.0)
     assert stats.det_lower_bound == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 17, 33, 64])
+def test_running_max_min_matches_window_reduction(m):
+    # rounded to one decimal so that windows hold ties
+    v = np.round(np.random.default_rng(m).normal(size=m), 1)
+    for size in range(1, m + 1):
+        windows = sliding_window_view(v, size)
+        assert np.array_equal(_running(np.maximum, v, size), windows.max(-1))
+        assert np.array_equal(_running(np.minimum, v, size), windows.min(-1))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,16 @@ def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
     assert all(r.termination == "gradient_tol" for r in traj.reports)
     assert calls["_project"] == calls["_newton_direction"]
     assert calls["_newton_direction"] == sum(r.inner_iters for r in traj.reports)
+
+
+def test_large_p_line_search_trials_overflow_silently():
+    # At p = 50 a backtracked trial's |slope|^p overflows to inf; that
+    # energy fails both acceptance tests and must not warn on the way.
+    lens = preset_symmetric_lens(nodes_per_unit=20, p=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run_flow(lens, FlowConfig(p_exponent=50, tau=1e-2, T=0.02))
+    assert len(traj.reports) == 2
 
 
 def test_minimize_step_raises_on_iteration_cap(monkeypatch):

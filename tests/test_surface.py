@@ -1,9 +1,13 @@
 """The public surface: what ``thetaflow`` exports, and what the demos and the
 README's library example import from it."""
 
+import ast
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +39,20 @@ def test_readme_library_example_imports_only_exported_names():
     names = [name.strip() for name in line.split(",")]
     assert names
     assert set(names) <= set(thetaflow.__all__)
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # in a fresh process: the test oracles import scipy.optimize into this one
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import thetaflow.app.cli, sys; print(sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True).stdout
+    loaded = ast.literal_eval(out)
+    assert "thetaflow.app.cli" in loaded
+    for heavy in ("scipy.optimize", "scipy.ndimage", "scipy.sparse",
+                  "scipy.special", "scipy.spatial"):
+        assert not [name for name in loaded
+                    if name == heavy or name.startswith(heavy + ".")], heavy
