@@ -20,6 +20,7 @@ tolerances on the continuous gradient.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +60,10 @@ class PackedLayout(object):
     ``weights`` are the trapezoid weights; ``cell_h`` the cell spacings and
     ``inv_h`` their inverses, both zero on the two cells that straddle a
     curve break, which thus carry no slope, energy or flux.  ``starts`` and
-    ``counts`` locate the curves.
+    ``counts`` locate the curves; ``hat_norms`` are the H1 norms of the
+    nodal hat functions, the scale of the weak residual.  A layout depends
+    on the grids, offsets and p only: :meth:`of` hands states that share
+    them one cached layout, whose arrays are read-only.
 
     The four junction constraints are tangent integrals, so every quantity
     the solver needs from them is built from the six per-curve functions
@@ -88,8 +92,7 @@ class PackedLayout(object):
     D = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
                   [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
 
-    def __init__(self, state: NetworkState):
-        grids = state.grids
+    def __init__(self, grids, offsets: np.ndarray, p: float):
         self.counts = np.array([g.node_count for g in grids])
         self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
         self.weights = np.concatenate([trapezoid_weights(g) for g in grids])
@@ -98,13 +101,23 @@ class PackedLayout(object):
         ])[:-1]
         self.inv_h = np.divide(1.0, self.cell_h, out=np.zeros_like(self.cell_h),
                                where=self.cell_h > 0.0)
-        self.junction_offsets = state.offsets.ravel()
-        self.p = state.p_exponent
+        # H1 norms of the hat functions: mass 2 w_k / 3 plus the 1/h of each
+        # cell in the support of node k
+        padded_inv_h = np.concatenate([[0.0], self.inv_h, [0.0]])
+        self.hat_norms = np.sqrt(2.0 * self.weights / 3.0 + padded_inv_h[:-1]
+                                 + padded_inv_h[1:])
+        self.junction_offsets = np.ravel(offsets)
+        self.p = p
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
     @classmethod
     def of(cls, state: NetworkState):
-        """(layout, packed nodal values) of a state."""
-        return cls(state), cls.pack(state)
+        """(layout, packed nodal values) of a state; the layout is cached."""
+        return (_layout(state.grids, state.offsets.tobytes(),
+                        float(state.p_exponent)),
+                cls.pack(state))
 
     @staticmethod
     def pack(state: NetworkState) -> np.ndarray:
@@ -209,6 +222,11 @@ class PackedLayout(object):
         G = np.add.reduceat(w * np.stack([np.cos(mid), np.sin(mid)]),
                             self.starts, axis=-1).T
         return MultiplierMatrices(A=A, G=G, dets=ss * cc - sc * sc)
+
+
+@lru_cache(maxsize=8)
+def _layout(grids, offsets: bytes, p: float) -> PackedLayout:
+    return PackedLayout(grids, np.frombuffer(offsets), p)
 
 
 def p_energy(state: NetworkState) -> float:

@@ -2,22 +2,26 @@
 
 Each time step minimizes the implicit step functional (elastic energy plus
 movement penalty) over the four junction constraints, on one packed nodal
-vector (:class:`thetaflow.energy.PackedLayout`, one per attempted tau);
-only the step's result becomes a validated NetworkState.  The constraint
-gradients are +-sin theta or +-cos theta on single curves, so the iteration
-carries only the (2, M) array T = (sin, cos) theta of its iterate and takes
-every 4x4 matrix from per-curve moments of T.  Each inner iteration takes
-the constrained Newton direction of the bordered system [[B, C^T], [C, 0]]
-(B the banded step Hessian, uncoupled across curve breaks; C the constraint
-gradients), eliminated by one banded solve with three right-hand sides
-(gradient, sin theta, cos theta) and a 4x4 Schur complement.  Armijo
-backtracking follows, each trial projected onto the constraint set by
-Newton iteration along variation directions frozen at the trial; the
-accepted trial's T serves the next iteration, and the step's report is
-assembled from the final T, but for the weak residual's gradient: the
-public :func:`thetaflow.energy.step_gradient` repacks both states, so
-the report shares it with :func:`weak_residual` and the benchmark times
-it.  The Armijo slope pairs the direction with the
+vector (:class:`thetaflow.energy.PackedLayout`, one per run: states sharing
+grids, offsets and p share it); only the step's result becomes a validated
+NetworkState.  The constraint gradients are +-sin theta or +-cos theta on
+single curves, so the iteration carries only the (2, M) array T = (sin,
+cos) theta of its iterate and takes every 4x4 matrix from per-curve moments
+of T.  Each inner iteration takes the constrained Newton direction of the
+bordered system [[B, C^T], [C, 0]] (C the constraint gradients), eliminated
+by one banded solve with three right-hand sides (gradient, sin theta, cos
+theta) and a 4x4 Schur complement.  B is banded and uncoupled across curve
+breaks: the step functional's Hessian, and at p >= 2 the Lagrangian's, the
+constraint curvature entering as a diagonal weighted by the multiplier
+estimate of the tangent projection and clipped to half the movement mass,
+which makes the iteration SQP Newton with quadratic convergence; the matrix
+only chooses the direction.  Armijo backtracking follows, each trial
+projected onto the constraint set by Newton iteration along variation
+directions frozen at the trial; the accepted trial's T serves the next
+iteration, and the step's report is assembled from the final T, but for the
+weak residual's gradient, which comes from the public
+:func:`thetaflow.energy.step_gradient` (shared with :func:`weak_residual`
+and timed by the benchmark).  The Armijo slope pairs the direction with the
 tangential gradient, whose rounding stays small near convergence.  Once the
 predicted decrease is below the rounding noise of the functional, a trial
 within that noise also passes if it halves the tangential gradient norm.
@@ -255,26 +259,39 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
 
 
 def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
-                     grad: np.ndarray) -> np.ndarray:
-    """Remove the components along the constraint gradients g = E e (built
-    from ``tangents``) from a nodal gradient, in the lumped L2 inner
-    product."""
+                     grad: np.ndarray):
+    """(gp, coef): a nodal gradient minus its components along the
+    constraint gradients g = E e (built from ``tangents``) in the lumped L2
+    inner product, and the (4,) coefficients coef of those components, the
+    least-squares multiplier estimate of grad = sum_k coef_k g_k."""
     e = layout.E
     gram = layout.gradient_products(tangents, tangents, e)
     coef, *_ = np.linalg.lstsq(gram, e @ layout.products(tangents, grad),
                                rcond=None)
-    return grad - layout.fields(coef @ e, tangents)
+    return grad - layout.fields(coef @ e, tangents), coef
 
 
-def _hessian_bands(layout: PackedLayout, theta: np.ndarray,
-                   tau: float) -> np.ndarray:
-    """Symmetric banded (upper form) Hessian of the step functional:
-    movement mass / tau plus the Newton elastic part, the cell weights
-    (p - 1) |D|^(p-2) / h of the slopes D.
+def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
+                   tangents=None, coef=None) -> np.ndarray:
+    """Symmetric banded (upper form) Newton matrix of one inner iteration:
+    the Hessian B of the step functional, movement mass W / tau plus the
+    elastic cell weights (p - 1) |D|^(p-2) / h of the slopes D, and at
+    p >= 2, given the multiplier estimate ``coef``, the constraint
+    curvature of the Lagrangian.
+
+    The constraints are lumped integrals of +-sin or +-cos, so their
+    Euclidean Hessians are diagonal, W g_k' with g_k' = d g_k / d theta,
+    and the Lagrangian Hessian is B - diag(W sum_k coef_k g_k'), the sum
+    being fields(coef E, (cos, -sin) theta).  That term is clipped to half
+    the movement mass, +-W / (2 tau), per node, so the matrix stays above
+    W / (2 tau) plus the elastic part: positive definite, and finite when
+    the estimate is huge.
 
     For p < 2 the slopes are clamped at |D| >= 1e-8, away from the
-    singularity at flat cells; the matrix only preconditions, so the clamp
-    costs accuracy of the direction, never correctness.
+    singularity at flat cells, and the curvature is left out: at p = 1.5
+    it sends steps to the stall window and doubles the weak residual.  The
+    matrix only chooses the direction, so neither the clamp nor the clip
+    costs correctness.
     """
     p = layout.p
     mag = np.abs(layout.slopes(theta))
@@ -286,22 +303,28 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray,
     ab[1, 1:] += om
     ab[0, 1:] = -om
     ab[1] += layout.weights / tau
+    if p >= 2.0 and coef is not None:
+        slope = np.stack([tangents[1], -tangents[0]])  # d T / d theta
+        curvature = layout.fields(coef @ layout.E, slope)
+        ab[1] -= layout.weights * np.clip(curvature, -0.5 / tau, 0.5 / tau)
     return ab
 
 
 def _newton_direction(layout: PackedLayout, theta: np.ndarray,
                       tangents: np.ndarray, grad: np.ndarray,
-                      tau: float) -> np.ndarray:
+                      tau: float, coef) -> np.ndarray:
     """Constrained Newton direction from the bordered system
 
         [ B   C^T ] [ d ]   [ e ]
         [ C    0  ] [ y ] = [ 0 ]
 
-    with B the banded step-functional Hessian, e the Euclidean gradient and
-    C the Euclidean constraint gradients (W g, W the trapezoid weights),
-    eliminated through B and a 4x4 Schur complement.  B does not couple
-    curves, so B^-1 W (sigma T_a) = sigma B^-1 W T_a for per-curve
-    factors sigma: one banded solve with the three right-hand sides
+    with B the banded matrix of :func:`_hessian_bands` (at p >= 2 the
+    Lagrangian Hessian at the multiplier estimate ``coef``, else the step
+    functional's), e the Euclidean gradient and C the Euclidean constraint
+    gradients (W g, W the trapezoid weights), eliminated through B and a
+    4x4 Schur complement.  B does not couple curves, so
+    B^-1 W (sigma T_a) = sigma B^-1 W T_a for per-curve factors sigma:
+    one banded solve with the three right-hand sides
     W (grad, sin theta, cos theta) gives d0 = B^-1 W grad and U =
     B^-1 W T, the Schur complement is E @ blockdiag(<T_a, U_a'>) @ E^T and
     B^-1 C^T y = fields(y E, U).  Its fixed point d = 0 is exactly the
@@ -311,8 +334,8 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
     rhs = np.vstack([grad, tangents])
     rhs *= layout.weights
     try:
-        sol = solveh_banded(_hessian_bands(layout, theta, tau), rhs.T,
-                            overwrite_ab=True, overwrite_b=True)
+        sol = solveh_banded(_hessian_bands(layout, theta, tau, tangents, coef),
+                            rhs.T, overwrite_ab=True, overwrite_b=True)
     except np.linalg.LinAlgError as err:
         # rounding can cost Cholesky the definiteness when the elastic
         # weights dwarf the mass term; the caller retries at tau/2
@@ -330,20 +353,22 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                    cfg: FlowConfig, tau: float):
     """Monotone descent for one implicit step, on packed vectors.
 
-    Directions come from the constrained Newton system (banded Hessian
-    bordered by the constraint gradients), are accepted by an Armijo test,
-    and every trial point is pulled back onto the constraint set before
-    evaluation.  The Armijo slope is <gp, d> with gp the tangent-projected
-    gradient: for a direction tangent to the constraints it equals
-    <grad, d>, but the normal part of grad, which near convergence is many
-    orders larger than gp, no longer swamps it with rounding.  Once the
-    predicted Armijo decrement falls below the floating-point resolution of
-    the energy, a trial also passes if it halves the projected gradient
-    norm without letting the energy rise beyond rounding; that is what lets
-    the iteration reach gradient tolerances far below sqrt(eps * energy).
-    If the slope itself is below that resolution and the full step passes
-    neither test, no backtracked trial could show a measurable decrease,
-    so the iteration stops at once.  The tangents T of the accepted trial,
+    Directions come from the constrained Newton system (banded Hessian, at
+    p >= 2 the Lagrangian's at the multiplier estimate of the tangent
+    projection, bordered by the constraint gradients), are accepted by an
+    Armijo test on the step functional itself, and every trial point is
+    pulled back onto the constraint set before evaluation.  The Armijo
+    slope is <gp, d> with gp the tangent-projected gradient: for a
+    direction tangent to the constraints it equals <grad, d>, but the
+    normal part of grad, which near convergence is many orders larger than
+    gp, no longer swamps it with rounding.  Once the predicted Armijo
+    decrement falls below the floating-point resolution of the energy, a
+    trial also passes if it halves the projected gradient norm without
+    letting the energy rise beyond rounding; that is what lets the
+    iteration reach gradient tolerances far below sqrt(eps * energy).  If
+    the slope itself is below that resolution and the full step passes
+    neither test, no backtracked trial could show a measurable decrease, so
+    the iteration stops at once.  The tangents T of the accepted trial,
     computed to test its constraints, serve the next iteration.
 
     Returns (theta, tangents, inner_iters, termination), termination being
@@ -367,13 +392,13 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     history = [energy]
     for it in range(MAX_INNER_ITERS):
         grad = layout.step_gradient(theta, theta_prev, tau)
-        gp = _tangent_project(layout, tangents, grad)
+        gp, coef = _tangent_project(layout, tangents, grad)
         gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= TOL_INNER:
             return theta, tangents, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
             return theta, tangents, it, "stall_window"
-        d = _newton_direction(layout, theta, tangents, grad, tau)
+        d = _newton_direction(layout, theta, tangents, grad, tau, coef)
         slope = float(layout.inner(gp, d))
         if not np.isfinite(slope) or slope <= 0.0:
             d, slope = gp, gp_sq
@@ -393,7 +418,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                     accepted = (trial, trial_tangents, trial_energy)
                     break
                 if ARMIJO_C1 * alpha * slope <= noise and trial_energy <= energy + noise:
-                    gp_t = _tangent_project(
+                    gp_t, _ = _tangent_project(
                         layout, trial_tangents,
                         layout.step_gradient(trial, theta_prev, tau))
                     if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
@@ -421,11 +446,7 @@ def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
     tangentially.
     """
     density = gradient + layout.fields(mult @ layout.E, tangents)
-    # squared H1 norm of the hat at node k: mass 2 w_k / 3 plus the 1/h of
-    # each cell in its support
-    padded_inv_h = np.concatenate([[0.0], layout.inv_h, [0.0]])
-    hat_sq = 2.0 * layout.weights / 3.0 + padded_inv_h[:-1] + padded_inv_h[1:]
-    return float(np.max(np.abs(layout.weights * density) / np.sqrt(hat_sq)))
+    return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
 
 
 def weak_residual(candidate: NetworkState, prev: NetworkState,

@@ -18,6 +18,7 @@ from thetaflow import (
     step_gradient,
 )
 from thetaflow.energy import (
+    PackedLayout,
     _running,
     _sharp_modulus_inverse,
     constraint_gradients,
@@ -37,6 +38,22 @@ from oracles import (
     node_pair_modulus_inverse,
     random_angle_field_values,
 )
+
+
+def test_states_on_the_same_grids_share_one_read_only_layout(rng):
+    # a run packs every state through PackedLayout.of: one layout per run
+    cand, prev, _ = make_pair(rng, m=(7, 11, 5))
+    layout, theta = PackedLayout.of(cand)
+    assert PackedLayout.of(prev)[0] is layout
+    assert np.array_equal(theta, np.concatenate(cand.values()))
+    for name in ("weights", "cell_h", "inv_h", "hat_norms", "starts"):
+        with pytest.raises(ValueError):
+            getattr(layout, name)[0] = 1.0
+    other_p = NetworkState(cand.fields, p_exponent=3.0)
+    moved = NetworkState(cand.fields, offsets=[[0.1, 0.0], [0.0, 0.0]])
+    for state in (other_p, moved):
+        assert PackedLayout.of(state)[0] is not layout
+    assert PackedLayout.of(moved)[0].junction_offsets[0] == 0.1
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

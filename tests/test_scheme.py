@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,23 +382,28 @@ def _assert_rel_close(got, expect, rel=1e-12):
     assert np.max(np.abs(got - expect)) <= rel * np.max(np.abs(expect))
 
 
+def _oracle_states(rng):
+    """A random network on uneven grids and the CLI's p = 3 triod."""
+    triod = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
+                         (1.35, 1.3, 0.95), nodes_per_unit=8, p=3.0)
+    assert not triod.is_theta
+    return make_state(rng, m=(7, 11, 5)), triod
+
+
 def test_moment_kernel_matches_row_oracles(rng):
     # The solver's tangent projection, projection Jacobian and Schur
     # complement come from per-curve sin/cos moments; the oracles build the
     # (4, M) constraint-gradient rows from their definition instead.
-    triod = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
-                         (1.35, 1.3, 0.95), nodes_per_unit=8, p=3.0)
-    assert not triod.is_theta
     tau = 0.05
-    for state in (make_state(rng, m=(7, 11, 5)), triod):
+    for state in _oracle_states(rng):
         layout, theta = PackedLayout.of(state)
         weights = packed_weights(state.values(), state.lengths)
         grads = packed_constraint_gradients(state.values())
         tangents = layout.tangents(theta)
         grad = rng.normal(size=theta.shape)
 
-        _assert_rel_close(_tangent_project(layout, tangents, grad),
-                          rows_tangent_project(weights, grads, grad))
+        gp, _ = _tangent_project(layout, tangents, grad)
+        _assert_rel_close(gp, rows_tangent_project(weights, grads, grad))
 
         moved = theta + 0.1 * rng.normal(size=theta.shape)
         _assert_rel_close(
@@ -407,10 +413,80 @@ def test_moment_kernel_matches_row_oracles(rng):
                 weights, packed_constraint_gradients(layout.unpack(moved)),
                 grads))
 
-        bands = _hessian_bands(layout, theta, tau)
-        direction, schur = rows_newton_direction(weights, grads, grad, bands)
-        u = solveh_banded(bands, (tangents * weights).T).T
-        _assert_rel_close(layout.gradient_products(tangents, u, layout.E),
-                          schur)
-        _assert_rel_close(
-            _newton_direction(layout, theta, tangents, grad, tau), direction)
+        # without a multiplier estimate, and with one (Lagrangian bands)
+        for coef in (None, rng.normal(size=4)):
+            bands = _hessian_bands(layout, theta, tau, tangents, coef)
+            direction, schur = rows_newton_direction(weights, grads, grad,
+                                                     bands)
+            u = solveh_banded(bands, (tangents * weights).T).T
+            _assert_rel_close(layout.gradient_products(tangents, u, layout.E),
+                              schur)
+            _assert_rel_close(
+                _newton_direction(layout, theta, tangents, grad, tau, coef),
+                direction)
+
+
+def test_constraint_curvature_matches_finite_differences(rng):
+    # At p >= 2 the Newton matrix is the Lagrangian Hessian: the step
+    # Hessian minus the lambda-weighted constraint Hessians, which are the
+    # diagonal derivatives of the Euclidean constraint-gradient rows W g_k.
+    tau, eps = 0.05, 1e-5
+    for state in _oracle_states(rng):
+        values = tuple(random_angle_field_values(rng, len(v))
+                       for v in state.values())
+        state = state.with_values(values)
+        layout, theta = PackedLayout.of(state)
+        tangents = layout.tangents(theta)
+        # |sum_k lam_k g_k'| <= 2 sqrt(2) max |lam_k| < 1 / (2 tau): no clip
+        lam = rng.uniform(-1.0, 1.0, size=4)
+        weights = packed_weights(values, state.lengths)
+
+        def rows(shift):
+            shifted = [v + shift for v in values]
+            return lam @ (packed_constraint_gradients(shifted) * weights)
+
+        curvature = (rows(eps) - rows(-eps)) / (2.0 * eps)
+        plain = _hessian_bands(layout, theta, tau)
+        bands = _hessian_bands(layout, theta, tau, tangents, lam)
+        assert np.array_equal(bands[0], plain[0])
+        _assert_rel_close(bands[1] - plain[1], -curvature, rel=1e-8)
+
+
+def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
+    # Clipped at half the movement mass per node, a huge multiplier
+    # estimate leaves the matrix positive definite; below p = 2 the
+    # estimate does not enter the matrix at all.
+    tau = 1e-3
+    for state in _oracle_states(rng):
+        layout, theta = PackedLayout.of(state)
+        tangents = layout.tangents(theta)
+        lam = 1e12 * rng.normal(size=4)
+        plain = _hessian_bands(layout, theta, tau)
+        bands = _hessian_bands(layout, theta, tau, tangents, lam)
+        change = np.abs(bands[1] - plain[1])
+        half_mass = 0.5 * layout.weights / tau
+        assert np.all(change <= half_mass + 1e-12 * plain[1])
+        assert np.max(change / half_mass) > 0.99
+        solveh_banded(bands, np.ones(theta.shape[0]))
+
+        low = PackedLayout.of(replace(state, p_exponent=1.5))[0]
+        plain = _hessian_bands(low, theta, tau)
+        for coef in (lam, rng.normal(size=4)):
+            assert np.array_equal(
+                _hessian_bands(low, theta, tau, tangents, coef), plain)
+
+
+def test_p_at_least_2_inner_solves_converge_quadratically():
+    # Newton on the Lagrangian: from the previous step's state the p = 2
+    # lens meets TOL_INNER within two iterations, where the step Hessian
+    # alone takes four.
+    lens = preset_symmetric_lens(nodes_per_unit=40, p=2.0)
+    traj = run_flow(lens, FlowConfig(p_exponent=2.0, tau=1e-3, T=0.02))
+    assert len(traj.reports) == 20
+    assert all(r.termination == "gradient_tol" and r.inner_iters <= 2
+               for r in traj.reports)
+    triod = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
+                         (1.35, 1.3, 0.95), nodes_per_unit=40, p=3.0)
+    traj = run_flow(triod, FlowConfig(p_exponent=3.0, tau=1e-3, T=0.02))
+    assert all(r.termination == "gradient_tol" for r in traj.reports)
+    assert sum(r.inner_iters for r in traj.reports) <= 60
