@@ -19,9 +19,9 @@ only chooses the direction.  Armijo backtracking follows, each trial
 projected onto the constraint set by Newton iteration along variation
 directions frozen at the trial; the accepted trial's T serves the next
 iteration, and the step's report is assembled from the final T, but for the
-weak residual's gradient, which comes from the public
-:func:`thetaflow.energy.step_gradient` (shared with :func:`weak_residual`
-and timed by the benchmark).  The Armijo slope pairs the direction with the
+weak residual, which comes from the public :func:`weak_residual` of the
+returned state (its gradient from :func:`thetaflow.energy.step_gradient`,
+timed by the benchmark).  The Armijo slope pairs the direction with the
 tangential gradient, whose rounding stays small near convergence.  Once the
 predicted decrease is below the rounding noise of the functional, a trial
 within that noise also passes if it halves the tangential gradient norm.
@@ -53,7 +53,6 @@ from .energy import (
     PackedLayout,
     constraint_defect,
     constraint_vector,
-    p_energy,
     step_gradient,
 )
 from .errors import (
@@ -372,7 +371,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     computed to test its constraints, serve the next iteration.
 
     Returns (theta, tangents, inner_iters, termination), termination being
-    one of
+    one of the four kinds that :class:`StepReport` documents:
 
       * ``"gradient_tol"``: the projected gradient norm reached
         ``TOL_INNER``;
@@ -380,9 +379,9 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
       * ``"stall_window"``: a backstop, 16 accepted iterates that together
         lowered the functional by no more than rounding (iterate kept);
       * ``"line_search_floor"``: no acceptable trial down to step length
-        1e-14 (iterate kept);
-      * ``"iter_cap"``: ``MAX_INNER_ITERS`` iterations ran out; the caller
-        rejects the step.
+        1e-14 (iterate kept).
+
+    Running out of ``MAX_INNER_ITERS`` iterations raises InnerSolveFailed.
     """
     theta = theta_prev
     tangents = layout.tangents(theta)
@@ -431,12 +430,14 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
             return theta, tangents, it, "line_search_floor"
         theta, tangents, energy = accepted
         history.append(energy)
-    return theta, tangents, MAX_INNER_ITERS, "iter_cap"
+    raise InnerSolveFailed(f"inner solver hit the {MAX_INNER_ITERS}-iteration "
+                           f"cap at tau={tau:g}")
 
 
-def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
-                   gradient: np.ndarray, mult: np.ndarray) -> float:
-    """Max over hat test functions of |weak form| / ||hat||_H1.
+def weak_residual(candidate: NetworkState, prev: NetworkState,
+                  tau: float, mult: np.ndarray) -> float:
+    """Max over hat test functions of |weak form| / ||hat||_H1 for the step
+    from ``prev`` to ``candidate`` with multipliers ``mult``.
 
     The weak form of the time-discrete equation pairs the velocity and the
     multiplier terms with the trapezoid rule and the elastic flux with the
@@ -445,27 +446,19 @@ def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
     exactly the optimality system the inner solver drives to zero
     tangentially.
     """
-    density = gradient + layout.fields(mult @ layout.E, tangents)
-    return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
-
-
-def weak_residual(candidate: NetworkState, prev: NetworkState,
-                  tau: float, mult: np.ndarray) -> float:
-    """:func:`_weak_residual` of the step from ``prev`` to ``candidate``."""
     layout, theta = PackedLayout.of(candidate)
-    return _weak_residual(layout, layout.tangents(theta),
-                          np.concatenate(step_gradient(candidate, prev, tau)),
-                          mult)
+    density = (np.concatenate(step_gradient(candidate, prev, tau))
+               + layout.fields(mult @ layout.E, layout.tangents(theta)))
+    return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
 
 
 def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     """One implicit time step from ``prev``.
 
     Returns (new state, StepReport).  Raises FlatnessBlowup when the
-    flatness guard fails at ``prev``, InnerSolveFailed when the inner
-    iteration cap is hit before reaching the gradient tolerance or the step
-    Hessian cannot be factored, and SingularSystem / DegenerateGeometry
-    from the multiplier stage.
+    flatness guard fails at ``prev``, InnerSolveFailed from the inner solve
+    (its iteration cap ran out, or the step Hessian cannot be factored), and
+    SingularSystem / DegenerateGeometry from the multiplier stage.
     """
     if tau is None:
         tau = cfg.tau
@@ -479,11 +472,6 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     layout, theta_prev = PackedLayout.of(prev)
     theta, tangents, iters, termination = _inner_descent(layout, theta_prev,
                                                          cfg, tau)
-    if termination == "iter_cap":
-        raise InnerSolveFailed(
-            f"inner solver hit the {MAX_INNER_ITERS}-iteration cap "
-            f"at tau={tau:g}"
-        )
 
     # the report reuses the layout and the tangents of the final iterate
     state = prev.with_values(layout.unpack(theta))
@@ -510,9 +498,7 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
             layout.constraint_values(tangents)),
         dets=data.dets,
         oscs=np.array([f.oscillation() for f in state.fields]),
-        weak_residual_value=_weak_residual(
-            layout, tangents,
-            np.concatenate(step_gradient(state, prev, tau)), mult),
+        weak_residual_value=weak_residual(state, prev, tau, mult),
         inner_iters=iters,
         inner_converged=termination == "gradient_tol",
         termination=termination,
@@ -539,12 +525,12 @@ class _EstimateLedger(object):
 
     def __init__(self, initial: NetworkState, cfg: FlowConfig):
         self.cfg = cfg
-        # an overflow here is what run_flow reports as a non-finite energy
-        with np.errstate(over="ignore"):
-            self.d0 = p_energy(initial)
-        self.lam_total = float(sum(initial.lengths))
         # the grids are fixed for the whole run
         self.layout, theta = PackedLayout.of(initial)
+        # an overflow here is what run_flow reports as a non-finite energy
+        with np.errstate(over="ignore"):
+            self.d0 = self.layout.elastic_energy(theta)
+        self.lam_total = float(sum(initial.lengths))
         self.l2_initial = np.sqrt(self.layout.curve_sums(theta * theta))
         self.dissipation = 0.0
         self.mult_sq = 0.0
@@ -649,7 +635,6 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
             reports.append(report)
             times.append(t)
     except ThetaflowError as err:
-        err.trajectory = Trajectory(tuple(states), tuple(reports),
-                                    np.array(times))
+        err.trajectory = Trajectory(states, reports, times)
         raise
-    return Trajectory(tuple(states), tuple(reports), np.array(times))
+    return Trajectory(states, reports, times)

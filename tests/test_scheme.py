@@ -131,6 +131,9 @@ def test_step_report_matches_public_path():
     _assert_rel_close(rep.multipliers, x)
     _assert_rel_close(rep.weak_residual_value,
                       weak_residual(state, lens, rep.tau, x))
+    # the report takes its weak residual from the public function itself
+    assert rep.weak_residual_value == weak_residual(state, lens, rep.tau,
+                                                    rep.multipliers)
 
 
 def test_minimize_step_flags_stalled_inner_iteration():
@@ -184,8 +187,28 @@ def test_minimize_step_raises_on_iteration_cap(monkeypatch):
     monkeypatch.setattr(scheme, "MAX_INNER_ITERS", 1)
     lens = preset_symmetric_lens(nodes_per_unit=40)
     cfg = FlowConfig(tau=1e-3)
-    with pytest.raises(InnerSolveFailed):
+    with pytest.raises(InnerSolveFailed, match="1-iteration cap"):
         minimize_step(lens, cfg)
+
+
+@pytest.mark.parametrize("p, termination", [
+    (2.0, "gradient_tol"),
+    (1.2, "stall_window"),
+    (50.0, "line_search_floor"),
+])
+def test_every_termination_kind_is_reachable(p, termination):
+    # "precision_floor" is pinned by
+    # test_minimize_step_flags_stalled_inner_iteration; an exhausted
+    # iteration cap raises instead of returning a kind
+    lens = preset_symmetric_lens(nodes_per_unit=20, p=p)
+    traj = run_flow(lens, FlowConfig(p_exponent=p, tau=1e-2, T=0.02))
+    kinds = {"gradient_tol", "precision_floor", "stall_window",
+             "line_search_floor"}
+    assert len(traj.reports) == 2
+    assert all(r.termination in kinds for r in traj.reports)
+    assert all(r.termination == termination for r in traj.reports)
+    assert all(r.inner_converged == (termination == "gradient_tol")
+               for r in traj.reports)
 
 
 def test_minimize_step_guards_flat_geometry():
