@@ -261,7 +261,8 @@ def _cmd_check(args):
     print(f"p: {state.p_exponent:g}")
     print(f"type: {'theta' if state.is_theta else 'triod'}")
     print(f"constraint defect: {defect:.6e}")
-    print(f"elastic energy: {p_energy(state):.12g}")
+    with np.errstate(over="ignore"):  # a huge p overflows to inf
+        print(f"elastic energy: {p_energy(state):.12g}")
     for j, f in enumerate(state.fields):
         stats = oscillation_stats(f)
         print(f"curve {j + 1}: oscillation {stats.osc:.6g}, "

@@ -16,7 +16,6 @@ __all__ = ["preset_symmetric_lens", "preset_triod", "preset_perturbed"]
 
 LENS_ARC_LENGTH = 2.0  # length of the lens preset's two arcs
 LENS_BAR_LENGTH = 1.0  # length of its straight third curve
-BRENT_MAXITER = 100  # scipy brentq's default
 
 
 def _grid(length: float, nodes_per_unit: int) -> Grid:
@@ -33,74 +32,24 @@ def _discrete_chord(kappa: float, grid: Grid) -> float:
 
 
 def _solve_arc_curvature(grid: Grid, chord: float) -> float:
-    """Curvature kappa >= 0 with discrete chord equal to ``chord``."""
+    """Curvature kappa >= 0 with discrete chord equal to ``chord``.
+
+    On [0, 2 pi / L] the arc turns at most one full circle and its discrete
+    chord falls from L to 0, so the root there is unique.  Bisection keeps
+    chord(lo) >= ``chord`` > chord(hi) until lo and hi are adjacent floats
+    and returns lo.  Near-straight chords (within 1e-14 L of L) give 0.
+    """
     if chord >= grid.length * (1.0 - 1e-14):
         return 0.0
-    f = lambda k: _discrete_chord(k, grid) - chord
-    hi = 1.0 / grid.length
-    for _ in range(80):
-        if f(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise InvalidLengths(
-            f"no arc of length {grid.length:g} spans a chord of {chord:g}"
-        )
-    return _brent_root(f, 0.0, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-
-
-def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
-
-    A step-for-step port of scipy's ``brentq`` (R. P. Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4): inverse quadratic or
-    secant steps while they stay well inside the bracket, bisection
-    otherwise, stopping once half the bracket is below
-    (xtol + rtol |x|) / 2.  The floating-point operations run in the same
-    order as scipy's, so the root is the same to the bit.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise InvalidLengths("root bracket does not change sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    lo, hi = 0.0, 2.0 * np.pi / grid.length
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if _discrete_chord(mid, grid) >= chord:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise InvalidLengths(
-        f"Brent's method did not converge in {BRENT_MAXITER} steps")
+            hi = mid
 
 
 def preset_symmetric_lens(nodes_per_unit: int = 200,

@@ -205,9 +205,10 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     Moves along the four variation directions frozen at the input state; the
     Jacobian of the constraints in those directions starts out equal to the
     multiplier system matrix, so it is invertible whenever that system is.
-    An admissible input is returned unchanged (the same object).  Refuses
-    inputs with constraint defect above 1 and raises ProjectionFailed when
-    Newton stagnates.
+    An admissible input is returned unchanged (the same object).  Raises
+    ProjectionFailed for a constraint defect above 1 or when Newton
+    stagnates, and SingularSystem when the projection Jacobian is
+    numerically singular (condition number not finite or above COND_CAP).
     """
     layout, theta = PackedLayout.of(state)
     projected, _ = _project(layout, theta, cfg)

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from thetaflow import (
     FlowConfig,
+    Grid,
     InvalidLengths,
     constraint_defect,
     constraint_vector,
@@ -97,14 +98,20 @@ def test_triod_preset_rejects_unreachable_targets():
                      (1.35, 1.3, 0.95), nodes_per_unit=40)
 
 
-def _scipy_arc_curvature(grid, chord):
-    """scipy's brentq on the bracket [0, hi] that the presets search, with
-    the same chord function and tolerances."""
+def _assert_arc_curvature(grid, chord, near_brentq=True):
+    """The bisection root: in (0, 2 pi / L], the last float whose discrete
+    chord is still >= ``chord``, and within scipy brentq's own tolerance
+    of brentq's root on the same bracket."""
+    eps = np.finfo(float).eps
+    length = grid.length
     f = lambda k: presets._discrete_chord(k, grid) - chord
-    hi = 1.0 / grid.length
-    while f(hi) >= 0.0:
-        hi *= 2.0
-    return brentq(f, 0.0, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+    kappa = presets._solve_arc_curvature(grid, chord)
+    assert 0.0 < kappa <= 2.0 * np.pi / length
+    assert f(kappa) >= 0.0 > f(np.nextafter(kappa, np.inf))
+    assert abs(f(kappa)) <= 4 * eps * length
+    if near_brentq:
+        root = brentq(f, 0.0, 2.0 * np.pi / length, xtol=1e-14, rtol=4 * eps)
+        assert abs(kappa - root) <= 1e-14 + 4 * eps * abs(kappa)
 
 
 @pytest.mark.parametrize("npu", [1, 3, 20, 200, 3200])
@@ -114,33 +121,34 @@ def test_arc_curvature_equals_scipy_brentq_on_preset_chords(npu):
                             for target, length in zip(cli._TRIOD_TARGETS,
                                                       cli._TRIOD_LENGTHS)]
     for length, chord in cases:
-        grid = presets._grid(length, npu)
-        kappa = presets._solve_arc_curvature(grid, chord)
-        assert kappa > 0.0
-        assert kappa == _scipy_arc_curvature(grid, chord)
+        _assert_arc_curvature(presets._grid(length, npu), chord)
 
 
 def test_arc_curvature_equals_scipy_brentq_on_random_chords():
     rng = np.random.default_rng(20261018)
-    cases = [(40, 1.3, 1.3 - 5e-14)]  # a chord within 1e-13 of the length
+    # a chord within 1e-13 of the length: the chord is flat in kappa there,
+    # so any root with a zero residual is as good as brentq's
+    _assert_arc_curvature(presets._grid(1.3, 40), 1.3 - 5e-14,
+                          near_brentq=False)
     for _ in range(60):
         length = float(rng.uniform(0.2, 3.0))
-        cases.append((int(rng.choice([1, 2, 3, 7, 20, 50, 200, 800, 3200])),
-                      length, length * float(rng.uniform(0.01, 0.99999))))
-    for npu, length, chord in cases:
-        grid = presets._grid(length, npu)
-        kappa = presets._solve_arc_curvature(grid, chord)
-        assert kappa > 0.0
-        assert kappa == _scipy_arc_curvature(grid, chord), (npu, length, chord)
+        npu = int(rng.choice([1, 2, 3, 7, 20, 50, 200, 800, 3200]))
+        _assert_arc_curvature(presets._grid(length, npu),
+                              length * float(rng.uniform(0.01, 0.99999)))
 
 
-def test_brent_root_failures_raise_invalid_lengths(monkeypatch):
-    eps4 = 4 * np.finfo(float).eps
-    monkeypatch.setattr(presets, "BRENT_MAXITER", 1)
-    with pytest.raises(InvalidLengths, match="did not converge"):
-        presets._brent_root(lambda x: x - 0.3, 0.0, 1.0, 1e-14, eps4)
-    with pytest.raises(InvalidLengths, match="does not change sign"):
-        presets._brent_root(lambda x: x + 1.0, 0.0, 1.0, 1e-14, eps4)
+@pytest.mark.parametrize("chord", [1e-3, 1e-9])
+def test_arc_curvature_turns_at_most_once_on_a_coarse_grid(chord):
+    # on three nodes a short chord needs nearly one full turn
+    _assert_arc_curvature(Grid(1.0, 3), chord)
+
+
+def test_coarse_triod_arcs_turn_at_most_once():
+    triod = preset_triod(((0.02, 0.0), (-0.5, 0.95), (0.1, -0.8)),
+                         (1.35, 1.3, 0.95), nodes_per_unit=1)
+    assert max(np.max(np.abs(v)) for v in triod.values()) < 2.0 * np.pi
+    energy = p_energy(triod)
+    assert np.isfinite(energy) and energy < 100.0
 
 
 def test_perturbed_preset_seed_behavior():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ def test_check_rejects_bad_constraint_tolerance(tol, tmp_path, capsys):
     assert code == 1
     assert "error: " in captured.err
     assert captured.out == ""
+
+
+def test_check_prints_an_overflowing_energy_without_a_warning(tmp_path,
+                                                              capsys):
+    state_path = str(tmp_path / "huge_p.json")
+    save_state(preset_symmetric_lens(nodes_per_unit=20, p=1e308), state_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["check", "--input", state_path])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "elastic energy: inf" in captured.out
+    assert captured.err == ""
 
 
 def test_cli_usage_errors_exit_one(tmp_path):

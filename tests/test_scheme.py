@@ -7,6 +7,7 @@ import pytest
 from thetaflow import (
     AngleField,
     DegenerateGeometry,
+    EstimateViolation,
     FlatnessBlowup,
     FlowConfig,
     Grid,
@@ -306,6 +307,55 @@ def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
     assert traj.times == pytest.approx([0.0, 5e-3, 1.5e-2, 2.5e-2, 3e-2],
                                        rel=1e-12)
     assert traj.times[-1] <= 3e-2 * (1.0 + 1e-12)
+
+
+def _bump_curve_1(state):
+    values = list(state.values())
+    values[0] = values[0] + 1e3
+    return state.with_values(values)
+
+
+# one doctored (state, report) per estimate of the run's ledger
+_DOCTORS = {
+    "energy monotonicity":
+        lambda s, r: (s, replace(r, energy_after=r.energy_before + 1.0)),
+    "dissipation budget":
+        lambda s, r: (s, replace(r, velocity_l2sq=1e6)),
+    "per-step multiplier bound":
+        lambda s, r: (s, replace(r, mult_bound=0.0)),
+    "multiplier square budget":
+        lambda s, r: (s, replace(r, multipliers=1e6 * r.multipliers,
+                                 mult_bound=np.inf)),
+    "L2 growth of curve 1":
+        lambda s, r: (_bump_curve_1(s), r),
+    "constraint defect":
+        lambda s, r: (s, replace(r, constraint_defect=1.0)),
+}
+
+
+@pytest.mark.parametrize("estimate", list(_DOCTORS))
+def test_estimate_violation_halts_the_run(estimate, monkeypatch):
+    # the second step comes back doctored so that one estimate fails
+    inner = scheme.minimize_step
+    calls = []
+
+    def second_step_doctored(prev, cfg, tau=None):
+        calls.append(tau)
+        state, report = inner(prev, cfg, tau)
+        if len(calls) == 2:
+            return _DOCTORS[estimate](state, report)
+        return state, report
+
+    monkeypatch.setattr(scheme, "minimize_step", second_step_doctored)
+    lens = preset_symmetric_lens(nodes_per_unit=20)
+    with pytest.raises(EstimateViolation,
+                       match=f"^{estimate} violated at step 1: ") as err:
+        run_flow(lens, FlowConfig(tau=1e-2, T=3e-2))
+    traj = err.value.trajectory
+    assert len(calls) == 2
+    assert len(traj.reports) == 1 and len(traj.states) == 2
+    assert traj.states[0] is lens
+    assert traj.times == pytest.approx([0.0, 1e-2], rel=1e-12)
 
 
 def test_trajectory_shape_validation():
