@@ -8,17 +8,30 @@ State files are JSON:
 
 CSV trajectories hold one row per (selected step, curve, node) with columns
 ``step,t,curve,s,theta,x,y``; floats are printed with 17 significant digits
-so files round-trip doubles exactly.  They are written one (frame, curve)
-chunk at a time, all ``theta,x,y`` values of a chunk in one ``%`` over a
-row template whose ``curve,s`` columns are formatted once per run.  SVG
-frames are deterministic plain strings (no plotting library), one ``%``
-per polyline; the viewBox is fixed from the first frame's bounding box
-inflated by 20 percent, so frames of one run are comparable.
+so files round-trip doubles exactly.  SVG frames are deterministic plain
+strings (no plotting library), one ``%`` per polyline; the viewBox is fixed
+from the first frame's bounding box inflated by 20 percent, so frames of one
+run are comparable.
+
+Each selected state is one job (:func:`_frame_job`): it computes the
+state's positions once, writes its SVG frame and returns its CSV rows, all
+``theta,x,y`` values of a curve in one ``%`` over a row template whose
+``curve,s`` columns are built once per process and grid.  On Linux with
+more than one usable CPU the jobs run in forked worker processes, one per
+CPU up to the frame count, with at most two jobs per worker in flight; the
+parent writes ``report.json`` while the workers start and appends the CSV
+texts in frame order.  Otherwise the same jobs run in-process.  A job's
+bytes come from the same values through the same format strings wherever
+it runs, so the output does not depend on the number of workers.
 """
 
 import json
 import os
+import sys
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,19 +155,11 @@ def _stationary_dict(rep) -> dict:
     }
 
 
-def _write_csv(traj: Trajectory, indices, path: str) -> None:
-    # per node "curve,s,%.17g,%.17g,%.17g\n"; every state shares the grid
-    tails = [[f"{j + 1},{s:.17g},%.17g,%.17g,%.17g\n"
-              for s in f.grid.nodes.tolist()]
-             for j, f in enumerate(traj.states[0].fields)]
-    with open(path, "w") as fh:
-        fh.write("step,t,curve,s,theta,x,y\n")
-        for i in indices:
-            state = traj.states[i]
-            prefix = "%d,%.17g," % (i, traj.times[i])
-            for f, pos, tail in zip(state.fields, _positions(state), tails):
-                rows = np.column_stack([f.values, pos]).ravel().tolist()
-                fh.write((prefix + prefix.join(tail)) % tuple(rows))
+@lru_cache(maxsize=3)
+def _row_tails(curve: int, grid: Grid):
+    """Per node "curve,s,%.17g,%.17g,%.17g\n"; every state shares the grid."""
+    return tuple(f"{curve + 1},{s:.17g},%.17g,%.17g,%.17g\n"
+                 for s in grid.nodes.tolist())
 
 
 def _frame_bbox(state: NetworkState):
@@ -165,7 +170,7 @@ def _frame_bbox(state: NetworkState):
     return lo - pad, hi + pad
 
 
-def _svg_frame(state: NetworkState, caption: str, lo, hi) -> str:
+def _svg_frame(positions, caption: str, lo, hi) -> str:
     # SVG y grows downward; flip sign of y everywhere.
     width = hi[0] - lo[0]
     height = hi[1] - lo[1]
@@ -175,7 +180,6 @@ def _svg_frame(state: NetworkState, caption: str, lo, hi) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{view}" width="640" height="640">\n'
     ]
-    positions = _positions(state)
     for color, pos in zip(_COLORS, positions):
         flipped = np.column_stack([pos[:, 0], -pos[:, 1]]).ravel().tolist()
         pts = " ".join(["%.6g,%.6g"] * len(pos)) % tuple(flipped)
@@ -200,45 +204,122 @@ def _svg_frame(state: NetworkState, caption: str, lo, hi) -> str:
     return "".join(parts)
 
 
+def _frame_job(i: int, t: float, state: NetworkState, csv: bool, svg):
+    """Format state ``i`` at time ``t``: write its SVG frame when ``svg`` is
+    (path, caption, lo, hi), and return its CSV rows, one text per curve
+    (none unless ``csv``)."""
+    positions = _positions(state)
+    if svg is not None:
+        path, caption, lo, hi = svg
+        with open(path, "w") as fh:
+            fh.write(_svg_frame(positions, caption, lo, hi))
+    if not csv:
+        return []
+    prefix = "%d,%.17g," % (i, t)
+    chunks = []
+    for j, (f, pos) in enumerate(zip(state.fields, positions)):
+        rows = np.column_stack([f.values, pos]).ravel().tolist()
+        template = prefix + prefix.join(_row_tails(j, f.grid))
+        chunks.append(template % tuple(rows))
+    return chunks
+
+
+def _frame_jobs(traj: Trajectory, spec: RunSpec):
+    """Argument tuples of :func:`_frame_job`, one per selected state."""
+    csv = "csv" in spec.emit
+    svg = "svg" in spec.emit
+    if not (csv or svg):
+        return []
+    if svg:
+        frame_dir = os.path.join(spec.out_dir, "frames")
+        os.makedirs(frame_dir, exist_ok=True)
+        lo, hi = _frame_bbox(traj.states[0])
+    jobs = []
+    for i in _selected_indices(len(traj.states), spec.stride):
+        frame = None
+        if svg:
+            # report i - 1 holds the energy of state i, evaluated on the
+            # same packed values as p_energy
+            energy = (traj.reports[i - 1].energy_after if i
+                      else p_energy(traj.states[0]))
+            frame = (os.path.join(frame_dir, f"frame_{i:06d}.svg"),
+                     f"t={traj.times[i]:.6g} E={energy:.6g}", lo, hi)
+        jobs.append((i, traj.times[i], traj.states[i], csv, frame))
+    return jobs
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 off Linux: the workers are
+    forked, which macOS does not do safely and Windows not at all."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_pool(workers: int):
+    # imported on first use: at module level they cost every start-up
+    # about 3 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    return ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+
+
+def _write_report(traj: Trajectory, spec: RunSpec, stationary,
+                  halt_reason) -> str:
+    doc = {
+        "config": asdict(spec),
+        "times": [float(t) for t in traj.times],
+        "steps": [_report_dict(r) for r in traj.reports],
+        "stationary": None if stationary is None else _stationary_dict(stationary),
+        "halt_reason": halt_reason,
+    }
+    path = os.path.join(spec.out_dir, "report.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return path
+
+
 def emit_frames(traj: Trajectory, spec: RunSpec, stationary=None,
                 halt_reason=None):
     """Write the requested artifacts for a trajectory.
 
     Returns the list of file paths written.  ``stationary`` (a
     StationaryReport or None) and ``halt_reason`` land in the JSON report.
+    A frame that cannot be written raises its OSError once the jobs still
+    running have ended; the jobs not yet started are cancelled.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
-    indices = _selected_indices(len(traj.states), spec.stride)
+    jobs = _frame_jobs(traj, spec)
+    workers = min(_usable_cpus(), len(jobs))
+    ahead = 2 * workers
     written = []
-
-    if "json" in spec.emit:
-        doc = {
-            "config": asdict(spec),
-            "times": [float(t) for t in traj.times],
-            "steps": [_report_dict(r) for r in traj.reports],
-            "stationary": None if stationary is None else _stationary_dict(stationary),
-            "halt_reason": halt_reason,
-        }
-        path = os.path.join(spec.out_dir, "report.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        written.append(path)
-
-    if "csv" in spec.emit:
-        path = os.path.join(spec.out_dir, "trajectory.csv")
-        _write_csv(traj, indices, path)
-        written.append(path)
-
-    if "svg" in spec.emit:
-        frame_dir = os.path.join(spec.out_dir, "frames")
-        os.makedirs(frame_dir, exist_ok=True)
-        lo, hi = _frame_bbox(traj.states[0])
-        for i in indices:
-            caption = f"t={traj.times[i]:.6g} E={p_energy(traj.states[i]):.6g}"
-            path = os.path.join(frame_dir, f"frame_{i:06d}.svg")
-            with open(path, "w") as fh:
-                fh.write(_svg_frame(traj.states[i], caption, lo, hi))
+    with ExitStack() as stack:
+        futures = deque()
+        pool = None
+        if workers > 1:
+            pool = _fork_pool(workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # the first submissions fork the workers; report.json is
+            # written while they start
+            futures.extend(pool.submit(_frame_job, *job) for job in jobs[:ahead])
+        if "json" in spec.emit:
+            written.append(_write_report(traj, spec, stationary, halt_reason))
+        csv_file = None
+        if "csv" in spec.emit:
+            path = os.path.join(spec.out_dir, "trajectory.csv")
+            csv_file = stack.enter_context(open(path, "w"))
+            csv_file.write("step,t,curve,s,theta,x,y\n")
             written.append(path)
-
+        for k, job in enumerate(jobs):
+            if pool is None:
+                chunks = _frame_job(*job)
+            else:
+                chunks = futures.popleft().result()
+                if k + ahead < len(jobs):
+                    futures.append(pool.submit(_frame_job, *jobs[k + ahead]))
+            if csv_file is not None:
+                csv_file.writelines(chunks)
+    written.extend(svg[0] for *_, svg in jobs if svg is not None)
     return written

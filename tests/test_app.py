@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -18,7 +20,7 @@ from thetaflow import (
     run_flow,
 )
 from thetaflow.grids import cumulative_tangent_integral, midpoint_gradient
-from thetaflow.app import cli, presets
+from thetaflow.app import cli, emit, presets
 from thetaflow.app.emit import RunSpec, emit_frames, load_state, save_state
 from thetaflow.app.presets import (
     preset_perturbed,
@@ -257,6 +259,19 @@ def test_run_spec_records_only_the_settings_it_is_given():
     assert [config[k] for k in keys] == ["lens", None, 100, None, None]
 
 
+@pytest.fixture(params=[
+    pytest.param(2, id="pool", marks=pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="workers are forked")),
+    pytest.param(1, id="in-process"),
+])
+def emission_path(request, monkeypatch):
+    """Run emit_frames in a pool of two workers or in-process, whatever
+    the host's CPU count; no worker may outlive the test."""
+    monkeypatch.setattr(emit, "_usable_cpus", lambda: request.param)
+    yield request.param
+    assert not multiprocessing.active_children()
+
+
 @pytest.fixture(scope="module")
 def one_step_lens():
     lens = preset_symmetric_lens(nodes_per_unit=30)
@@ -305,7 +320,7 @@ def test_emit_writes_requested_artifacts(one_step_lens, tmp_path):
     assert svg.count("<polyline") == 3
 
 
-def test_emit_is_deterministic(one_step_lens, tmp_path):
+def test_emit_is_deterministic(one_step_lens, emission_path, tmp_path):
     traj, cfg = one_step_lens
     blobs = []
     # json carries the differing out_dir in its config block, so byte-compare
@@ -331,20 +346,26 @@ def test_emit_respects_stride(one_step_lens, tmp_path):
     assert len(written) == 2
 
 
-def test_emit_bytes_match_per_value_oracle(tmp_path):
-    # a triod has nonzero offsets, so coordinates take both signs; three
-    # steps at stride 2 select states 0 and 2 plus the forced final state 3
+@pytest.mark.parametrize("steps, stride, selected", [
+    # states 0 and 2 plus the forced final state 3
+    pytest.param(3, 2, (0, 2, 3), id="three-frames"),
+    # more frames than two pool workers keep in flight
+    pytest.param(6, 1, (0, 1, 2, 3, 4, 5, 6), id="seven-frames"),
+])
+def test_emit_bytes_match_per_value_oracle(steps, stride, selected,
+                                           emission_path, tmp_path):
+    # a triod has nonzero offsets, so coordinates take both signs
     triod = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
                          (1.35, 1.3, 0.95), nodes_per_unit=40, p=3.0)
-    cfg = FlowConfig(p_exponent=3.0, tau=1e-3, T=3e-3)
+    cfg = FlowConfig(p_exponent=3.0, tau=1e-3, T=steps * 1e-3)
     traj = run_flow(triod, cfg)
-    assert len(traj.states) == 4
-    spec = RunSpec(flow=cfg, out_dir=str(tmp_path), stride=2,
+    assert len(traj.states) == steps + 1
+    spec = RunSpec(flow=cfg, out_dir=str(tmp_path), stride=stride,
                    emit=("csv", "svg"))
     emit_frames(traj, spec)
     frames = [(i, traj.times[i],
                [(f.values, f.grid.length) for f in traj.states[i].fields])
-              for i in (0, 2, 3)]
+              for i in selected]
     pts = np.vstack([cumulative_tangent_integral(f) for f in triod.fields])
     assert (pts < 0).any(axis=0).all() and (pts > 0).any(axis=0).all()
 
@@ -354,6 +375,18 @@ def test_emit_bytes_match_per_value_oracle(tmp_path):
     assert sorted(os.listdir(tmp_path / "frames")) == [
         f"frame_{i:06d}.svg" for i, _, _ in frames]
     for i, t, curves in frames:
+        # the frames take E from the step reports; p_energy must agree
         caption = f"t={t:.6g} E={p_energy(traj.states[i]):.6g}"
         with open(tmp_path / "frames" / f"frame_{i:06d}.svg", "rb") as fh:
             assert fh.read() == per_value_svg_frame(curves, caption, lo, hi).encode()
+
+
+def test_emit_raises_when_a_frame_cannot_be_written(one_step_lens,
+                                                    emission_path, tmp_path):
+    # a directory where frame 1 goes fails that frame's job
+    traj, cfg = one_step_lens
+    os.makedirs(tmp_path / "frames" / "frame_000001.svg")
+    spec = RunSpec(flow=cfg, out_dir=str(tmp_path), stride=1,
+                   emit=("csv", "svg"))
+    with pytest.raises(OSError, match="frame_000001.svg"):
+        emit_frames(traj, spec)

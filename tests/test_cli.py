@@ -44,6 +44,19 @@ def test_run_command_emits_artifacts(tmp_path):
     assert len(doc["steps"]) == 5
 
 
+def test_run_exits_one_when_a_frame_cannot_be_written(tmp_path):
+    # a directory where frame 1 goes fails that frame's job
+    out = tmp_path / "out"
+    os.makedirs(out / "frames" / "frame_000001.svg")
+    res = run_cli("run", "--preset", "lens", "--nodes-per-unit", "20",
+                  "--tau", "1e-2", "--T", "0.05", "--out", str(out),
+                  "--emit", "svg", "--stride", "1")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "frame_000001.svg" in res.stderr
+
+
 def test_run_command_accepts_state_files(tmp_path):
     state_path = str(tmp_path / "lens.json")
     save_state(preset_symmetric_lens(nodes_per_unit=30), state_path)
