@@ -71,7 +71,8 @@ class PackedLayout(object):
     the (2, M) array of :meth:`tangents`:
 
       * the constraint gradients are g = E e, E the constant (4, 6) matrix
-        below; the variation directions are phi = D g = (D E) e;
+        below; the variation directions are phi = D g = (D E) e, the
+        product D E being the constant ``DE``;
       * lumped products with the e_b are per-curve node sums
         (:meth:`curve_sums`, one ``np.add.reduceat`` over the curve starts,
         as accurate as a pairwise sum), so every 4x4 matrix of the solver
@@ -91,6 +92,7 @@ class PackedLayout(object):
     # phi_1 = g_1 + g_3, phi_2 = g_2 + g_4, phi_3 = -g_1, phi_4 = -g_2
     D = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
                   [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+    DE = D @ E
 
     def __init__(self, grids, offsets: np.ndarray, p: float):
         self.counts = np.array([g.node_count for g in grids])
@@ -129,7 +131,7 @@ class PackedLayout(object):
 
     def inner(self, a: np.ndarray, b: np.ndarray):
         """Lumped L2 products sum_k w_k a[..., k] b_k (each row of a with b)."""
-        return np.sum(a * (self.weights * b), axis=-1)
+        return (a * (self.weights * b)).sum(axis=-1)
 
     @staticmethod
     def tangents(theta: np.ndarray) -> np.ndarray:
@@ -176,12 +178,18 @@ class PackedLayout(object):
         per_node = np.repeat(per_curve, self.counts, axis=-1)
         return np.einsum("...am,am->...m", per_node, basis)
 
+    def oscillations(self, theta: np.ndarray) -> np.ndarray:
+        """Per-curve max - min of a packed vector, shape (3,)."""
+        return (np.maximum.reduceat(theta, self.starts)
+                - np.minimum.reduceat(theta, self.starts))
+
     def slopes(self, theta: np.ndarray) -> np.ndarray:
-        return np.diff(theta) * self.inv_h
+        # np.diff's subtraction, without its per-call argument handling
+        return (theta[1:] - theta[:-1]) * self.inv_h
 
     def elastic_energy(self, theta: np.ndarray) -> float:
         """sum_j (1/p) int |d theta^j/ds|^p (midpoint rule)."""
-        energy = np.sum(self.cell_h * np.abs(self.slopes(theta)) ** self.p)
+        energy = (self.cell_h * np.abs(self.slopes(theta)) ** self.p).sum()
         return float(energy) / self.p
 
     def step_energy(self, theta, theta_prev, tau: float) -> float:
@@ -209,7 +217,7 @@ class PackedLayout(object):
                    tau: float) -> np.ndarray:
         """-(1/tau) <phi_r, move> = -(1/tau) (D E <e_b, move>)_r, the
         movement part of the multiplier right-hand side."""
-        return -(self.D @ self.E) @ self.products(tangents, move) / tau
+        return -self.DE @ self.products(tangents, move) / tau
 
     def multiplier_data(self, theta: np.ndarray,
                         tangents: np.ndarray) -> "MultiplierMatrices":

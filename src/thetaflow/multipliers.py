@@ -64,7 +64,7 @@ def variation_directions(state: NetworkState):
     multiplier system into the 2x2 blocks of :func:`assemble_kkt`.
     """
     layout, theta = PackedLayout.of(state)
-    phi = layout.fields(layout.D @ layout.E, layout.tangents(theta))
+    phi = layout.fields(layout.DE, layout.tangents(theta))
     return tuple(layout.unpack(d) for d in phi)
 
 

@@ -28,7 +28,16 @@ within that noise also passes if it halves the tangential gradient norm.
 The iteration stops at ``TOL_INNER``, or at the working-precision floor: a
 slope below that noise whose full step passes neither test, since no
 shorter step could show a measurable decrease.  Each step reports which
-rule ended it (``StepReport.termination``).  Acceptance is monotone in the
+rule ended it (``StepReport.termination``).
+
+:func:`run_flow` hands each step the report of the step before: its
+``energy_after`` is the new step's ``energy_before`` and the inner solve's
+starting value, and its ``oscs`` feed the flatness guard, both bitwise what
+the state would give again.  A step that made 0 inner iterations at
+``cfg.tau`` returned its input values, and a step is a deterministic
+function of those values, the grids, ``cfg`` and tau, so every later step
+at ``cfg.tau`` would repeat it: the run appends the same state object and
+report again, with the next ``step_index``.  Acceptance is monotone in the
 step functional, which is what makes the a-priori estimates of
 :func:`run_flow` hold by construction:
 
@@ -185,18 +194,19 @@ class Trajectory(object):
         return float(self.times[-1])
 
 
-def _flatness_guard(state: NetworkState, osc_floor: float):
-    """(guard holds?, per-curve oscillations).
+def _flatness_guard(state: NetworkState, oscs: np.ndarray,
+                    osc_floor: float) -> bool:
+    """Whether the guard admits ``state``, whose per-curve oscillations are
+    ``oscs``.
 
     The guard admits a state when either the structural condition holds (a
     theta network whose third curve is strictly shortest) or at least two
     curves oscillate by ``osc_floor`` or more; both routes keep the Gram
     determinants of curves 1 and 2 away from zero.
     """
-    oscs = np.array([f.oscillation() for f in state.fields])
     l1, l2, l3 = state.lengths
     structural = state.is_theta and l3 < min(l1, l2)
-    return structural or int(np.sum(oscs >= osc_floor)) >= 2, oscs
+    return structural or int(np.sum(oscs >= osc_floor)) >= 2
 
 
 def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
@@ -236,7 +246,7 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
         raise ProjectionFailed(
             f"constraint defect {defect:.3e} too large to project"
         )
-    de = layout.D @ layout.E
+    de = layout.DE
     t = np.zeros(4)
     tangents = frozen
     for _ in range(NEWTON_MAX_ITERS):
@@ -350,8 +360,10 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
 
 
 def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
-                   cfg: FlowConfig, tau: float):
-    """Monotone descent for one implicit step, on packed vectors.
+                   cfg: FlowConfig, tau: float, energy: float):
+    """Monotone descent for one implicit step, on packed vectors, from
+    ``theta_prev``, whose elastic energy ``energy`` is also its step
+    functional value.
 
     Directions come from the constrained Newton system (banded Hessian, at
     p >= 2 the Lagrangian's at the multiplier estimate of the tangent
@@ -386,7 +398,6 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     """
     theta = theta_prev
     tangents = layout.tangents(theta)
-    energy = layout.step_energy(theta, theta_prev, tau)
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
@@ -453,8 +464,14 @@ def weak_residual(candidate: NetworkState, prev: NetworkState,
     return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
 
 
-def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
+def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None, *,
+                  last=None):
     """One implicit time step from ``prev``.
+
+    ``last`` is the StepReport of the step that produced ``prev``, or None:
+    its ``energy_after`` and ``oscs`` then stand for the elastic energy and
+    the oscillations of ``prev``, which are otherwise computed from
+    ``prev``.  Either way the step is bitwise the same.
 
     Returns (new state, StepReport).  Raises FlatnessBlowup when the
     flatness guard fails at ``prev``, InnerSolveFailed from the inner solve
@@ -463,16 +480,20 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     """
     if tau is None:
         tau = cfg.tau
-    ok, oscs = _flatness_guard(prev, cfg.osc_floor)
-    if not ok:
+    layout, theta_prev = PackedLayout.of(prev)
+    if last is None:
+        energy_before = layout.elastic_energy(theta_prev)
+        oscs = layout.oscillations(theta_prev)
+    else:
+        energy_before, oscs = last.energy_after, last.oscs
+    if not _flatness_guard(prev, oscs, cfg.osc_floor):
         raise FlatnessBlowup(
             "flatness guard failed: oscillations "
             f"{np.array2string(oscs, precision=3)} with floor {cfg.osc_floor:g} "
             "and no strictly-shortest third curve on a theta network"
         )
-    layout, theta_prev = PackedLayout.of(prev)
-    theta, tangents, iters, termination = _inner_descent(layout, theta_prev,
-                                                         cfg, tau)
+    theta, tangents, iters, termination = _inner_descent(
+        layout, theta_prev, cfg, tau, energy_before)
 
     # the report reuses the layout and the tangents of the final iterate
     state = prev.with_values(layout.unpack(theta))
@@ -486,7 +507,7 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     report = StepReport(
         step_index=-1,
         tau=tau,
-        energy_before=layout.elastic_energy(theta_prev),
+        energy_before=energy_before,
         energy_after=energy_after,
         penalty_value=move_sq / (2.0 * tau),
         velocity_l2sq=move_sq / tau**2,
@@ -498,7 +519,7 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
         constraint_defect=constraint_defect(
             layout.constraint_values(tangents)),
         dets=data.dets,
-        oscs=np.array([f.oscillation() for f in state.fields]),
+        oscs=layout.oscillations(theta),
         weak_residual_value=weak_residual(state, prev, tau, mult),
         inner_iters=iters,
         inner_converged=termination == "gradient_tol",
@@ -507,17 +528,20 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     return state, report
 
 
-def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float):
-    """minimize_step with time-step rejection: halve tau on inner failure."""
+def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float,
+                  prev_report):
+    """minimize_step with time-step rejection: halve tau on inner failure.
+    ``prev_report`` is minimize_step's ``last``."""
     last = None
     for _ in range(MAX_HALVINGS + 1):
         try:
-            return minimize_step(prev, cfg, tau)
+            return minimize_step(prev, cfg, tau, last=prev_report)
         except InnerSolveFailed as err:
             last = err
             tau *= 0.5
     raise InnerSolveFailed(
-        f"step rejected {MAX_HALVINGS} times (final tau {2 * tau:g}): {last}"
+        f"step failed at all {MAX_HALVINGS + 1} attempts (smallest tau "
+        f"{2 * tau:g}): {last}"
     )
 
 
@@ -593,6 +617,13 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     before any stepping; mid-run guard failures surface as FlatnessBlowup.
     Any error raised mid-run carries the partial trajectory in its
     ``trajectory`` attribute.
+
+    Each step gets the report of the step before as minimize_step's
+    ``last``.  Once a step at ``cfg.tau`` makes 0 inner iterations, its
+    input is a fixed point: every later step at ``cfg.tau`` appends that
+    step's state object and report again (with the next ``step_index``),
+    checked by the estimates like any other step, while a last step
+    shortened to end at T is solved.
     """
     if initial.p_exponent != cfg.p_exponent:
         raise ValueError(
@@ -607,8 +638,9 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
                 f"1000x the constraint tolerance"
             )
         initial = project_to_H(initial, cfg)
-    ok, oscs = _flatness_guard(initial, cfg.osc_floor)
-    if not ok:
+    layout, theta = PackedLayout.of(initial)
+    oscs = layout.oscillations(theta)
+    if not _flatness_guard(initial, oscs, cfg.osc_floor):
         raise DegenerateGeometry(
             "initial state fails the flatness guard (oscillations "
             f"{np.array2string(oscs, precision=3)}, floor {cfg.osc_floor:g})"
@@ -623,12 +655,18 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     times = [0.0]
     t = 0.0
     t_end = cfg.T * (1.0 - 1e-12)
+    report = None
     try:
         while t < t_end:
             # after a halved step, the last step shortens to end at T
             over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
             tau = cfg.T - t if over else cfg.tau
-            state, report = _attempt_step(states[-1], cfg, tau)
+            if (not over and report is not None and report.tau == cfg.tau
+                    and report.inner_iters == 0):
+                # a fixed point at cfg.tau: this step would repeat the last
+                state = states[-1]
+            else:
+                state, report = _attempt_step(states[-1], cfg, tau, report)
             report = replace(report, step_index=len(reports))
             ledger.check(state, report)
             t += report.tau
