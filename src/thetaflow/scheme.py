@@ -28,16 +28,7 @@ within that noise also passes if it halves the tangential gradient norm.
 The iteration stops at ``TOL_INNER``, or at the working-precision floor: a
 slope below that noise whose full step passes neither test, since no
 shorter step could show a measurable decrease.  Each step reports which
-rule ended it (``StepReport.termination``).
-
-:func:`run_flow` hands each step the report of the step before: its
-``energy_after`` is the new step's ``energy_before`` and the inner solve's
-starting value, and its ``oscs`` feed the flatness guard, both bitwise what
-the state would give again.  A step that made 0 inner iterations at
-``cfg.tau`` returned its input values, and a step is a deterministic
-function of those values, the grids, ``cfg`` and tau, so every later step
-at ``cfg.tau`` would repeat it: the run appends the same state object and
-report again, with the next ``step_index``.  Acceptance is monotone in the
+rule ended it (``StepReport.termination``).  Acceptance is monotone in the
 step functional, which is what makes the a-priori estimates of
 :func:`run_flow` hold by construction:
 
@@ -464,14 +455,12 @@ def weak_residual(candidate: NetworkState, prev: NetworkState,
     return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
 
 
-def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None, *,
-                  last=None):
+def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
     """One implicit time step from ``prev``.
 
-    ``last`` is the StepReport of the step that produced ``prev``, or None:
-    its ``energy_after`` and ``oscs`` then stand for the elastic energy and
-    the oscillations of ``prev``, which are otherwise computed from
-    ``prev``.  Either way the step is bitwise the same.
+    The elastic energy and the per-curve oscillations of ``prev`` are
+    computed once: the energy is the report's ``energy_before`` and the
+    inner solve's starting value, the oscillations feed the flatness guard.
 
     Returns (new state, StepReport).  Raises FlatnessBlowup when the
     flatness guard fails at ``prev``, InnerSolveFailed from the inner solve
@@ -481,17 +470,14 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None, *,
     if tau is None:
         tau = cfg.tau
     layout, theta_prev = PackedLayout.of(prev)
-    if last is None:
-        energy_before = layout.elastic_energy(theta_prev)
-        oscs = layout.oscillations(theta_prev)
-    else:
-        energy_before, oscs = last.energy_after, last.oscs
+    oscs = layout.oscillations(theta_prev)
     if not _flatness_guard(prev, oscs, cfg.osc_floor):
         raise FlatnessBlowup(
             "flatness guard failed: oscillations "
             f"{np.array2string(oscs, precision=3)} with floor {cfg.osc_floor:g} "
             "and no strictly-shortest third curve on a theta network"
         )
+    energy_before = layout.elastic_energy(theta_prev)
     theta, tangents, iters, termination = _inner_descent(
         layout, theta_prev, cfg, tau, energy_before)
 
@@ -528,14 +514,12 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None, *,
     return state, report
 
 
-def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float,
-                  prev_report):
-    """minimize_step with time-step rejection: halve tau on inner failure.
-    ``prev_report`` is minimize_step's ``last``."""
+def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float):
+    """minimize_step with time-step rejection: halve tau on inner failure."""
     last = None
     for _ in range(MAX_HALVINGS + 1):
         try:
-            return minimize_step(prev, cfg, tau, last=prev_report)
+            return minimize_step(prev, cfg, tau)
         except InnerSolveFailed as err:
             last = err
             tau *= 0.5
@@ -617,13 +601,6 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     before any stepping; mid-run guard failures surface as FlatnessBlowup.
     Any error raised mid-run carries the partial trajectory in its
     ``trajectory`` attribute.
-
-    Each step gets the report of the step before as minimize_step's
-    ``last``.  Once a step at ``cfg.tau`` makes 0 inner iterations, its
-    input is a fixed point: every later step at ``cfg.tau`` appends that
-    step's state object and report again (with the next ``step_index``),
-    checked by the estimates like any other step, while a last step
-    shortened to end at T is solved.
     """
     if initial.p_exponent != cfg.p_exponent:
         raise ValueError(
@@ -640,6 +617,8 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
         initial = project_to_H(initial, cfg)
     layout, theta = PackedLayout.of(initial)
     oscs = layout.oscillations(theta)
+    # a packed copy held in this frame would add its size to the run's peak
+    del theta
     if not _flatness_guard(initial, oscs, cfg.osc_floor):
         raise DegenerateGeometry(
             "initial state fails the flatness guard (oscillations "
@@ -655,18 +634,12 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     times = [0.0]
     t = 0.0
     t_end = cfg.T * (1.0 - 1e-12)
-    report = None
     try:
         while t < t_end:
             # after a halved step, the last step shortens to end at T
             over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
             tau = cfg.T - t if over else cfg.tau
-            if (not over and report is not None and report.tau == cfg.tau
-                    and report.inner_iters == 0):
-                # a fixed point at cfg.tau: this step would repeat the last
-                state = states[-1]
-            else:
-                state, report = _attempt_step(states[-1], cfg, tau, report)
+            state, report = _attempt_step(states[-1], cfg, tau)
             report = replace(report, step_index=len(reports))
             ledger.check(state, report)
             t += report.tau

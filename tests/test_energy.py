@@ -57,6 +57,21 @@ def test_states_on_the_same_grids_share_one_read_only_layout(rng):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_packed_shortcuts_equal_what_they_replace_bitwise(rng, p):
+    # minimize_step takes the guard's oscillations from one reduceat and
+    # starts the inner solve from the elastic energy, not step_energy(θ, θ)
+    state = make_state(rng, m=(7, 11, 5), p=p, scale=3.0)
+    layout, theta = PackedLayout.of(state)
+    oscs = layout.oscillations(theta)
+    assert oscs.tobytes() == np.array(
+        [f.oscillation() for f in state.fields]).tobytes()
+    energy = layout.elastic_energy(theta)
+    for tau in (1e-3, 0.5):
+        assert layout.step_energy(theta, theta, tau) == energy
+    assert layout.DE.tobytes() == (layout.D @ layout.E).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_p_energy_matches_naive_loop(rng, p):
     s = make_state(rng, p=p, m=13)
     expect = naive_p_energy(s.values(), s.lengths, p)

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 from dataclasses import replace
 
@@ -295,11 +294,11 @@ def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
     inner = scheme.minimize_step
     calls = []
 
-    def first_call_fails(prev, cfg, tau=None, *, last=None):
+    def first_call_fails(prev, cfg, tau=None):
         calls.append(tau)
         if len(calls) == 1:
             raise InnerSolveFailed("forced rejection")
-        return inner(prev, cfg, tau, last=last)
+        return inner(prev, cfg, tau)
 
     monkeypatch.setattr(scheme, "minimize_step", first_call_fails)
     lens = preset_symmetric_lens(nodes_per_unit=40)
@@ -310,78 +309,6 @@ def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
     assert traj.times == pytest.approx([0.0, 5e-3, 1.5e-2, 2.5e-2, 3e-2],
                                        rel=1e-12)
     assert traj.times[-1] <= 3e-2 * (1.0 + 1e-12)
-
-
-def _state_bytes(state):
-    return np.concatenate(state.values()).tobytes()
-
-
-def _report_bytes(report):
-    """Every StepReport field as bytes (the termination as its text)."""
-    return {f.name: (getattr(report, f.name) if f.name == "termination"
-                     else np.asarray(getattr(report, f.name)).tobytes())
-            for f in dataclasses.fields(report)}
-
-
-def _counted_steps(monkeypatch):
-    """Record the tau of every minimize_step call run_flow makes."""
-    inner = scheme.minimize_step
-    calls = []
-
-    def counted(prev, cfg, tau=None, *, last=None):
-        calls.append(tau)
-        return inner(prev, cfg, tau, last=last)
-
-    monkeypatch.setattr(scheme, "minimize_step", counted)
-    return calls
-
-
-def test_run_flow_replays_the_fixed_point_bitwise(monkeypatch):
-    # the coarse lens at tau 1e-2 reaches a step of 0 inner iterations at
-    # step 109; the 90 steps after it are replayed, not solved
-    calls = _counted_steps(monkeypatch)
-    lens = preset_symmetric_lens(nodes_per_unit=20)
-    cfg = FlowConfig(tau=1e-2, T=2.0)
-    traj = run_flow(lens, cfg)
-    assert traj.states[0] is lens
-    assert len(traj.reports) == 200
-    zero = [r.step_index for r in traj.reports if r.inner_iters == 0]
-    assert len(zero) == 91 and zero == list(range(zero[0], 200))
-    assert len(calls) == 200 - 90
-    state = lens
-    for i, rep in enumerate(traj.reports):
-        state, expect = minimize_step(state, cfg)
-        assert _state_bytes(traj.states[i + 1]) == _state_bytes(state)
-        assert _report_bytes(rep) == _report_bytes(
-            replace(expect, step_index=i))
-    fixed = traj.states[zero[0] + 1]
-    assert all(s is fixed for s in traj.states[zero[0] + 1:])
-    assert len({id(s) for s in traj.states}) == 201 - 90
-
-
-def test_run_flow_solves_a_shortened_last_step_after_the_fixed_point(
-        monkeypatch):
-    calls = _counted_steps(monkeypatch)
-    lens = preset_symmetric_lens(nodes_per_unit=20)
-    traj = run_flow(lens, FlowConfig(tau=1e-2, T=2.005))
-    assert len(traj.reports) == 201
-    assert traj.reports[-2].inner_iters == 0
-    assert traj.reports[-1].tau == pytest.approx(5e-3, rel=1e-9)
-    assert calls[-1] == traj.reports[-1].tau and len(calls) == 201 - 90
-    assert traj.states[-1] is not traj.states[-2]
-    assert traj.times[-1] == pytest.approx(2.005, rel=1e-12)
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_minimize_step_with_the_last_report_is_bitwise_the_same(p):
-    lens = preset_symmetric_lens(nodes_per_unit=20, p=p)
-    cfg = FlowConfig(p_exponent=p, tau=1e-2, T=1.0)
-    prev, rep = minimize_step(lens, cfg)
-    fresh_state, fresh = minimize_step(prev, cfg)
-    reused_state, reused = minimize_step(prev, cfg, last=rep)
-    assert reused.inner_iters > 0
-    assert _state_bytes(reused_state) == _state_bytes(fresh_state)
-    assert _report_bytes(reused) == _report_bytes(fresh)
 
 
 def _bump_curve_1(state):
@@ -414,9 +341,9 @@ def test_estimate_violation_halts_the_run(estimate, monkeypatch):
     inner = scheme.minimize_step
     calls = []
 
-    def second_step_doctored(prev, cfg, tau=None, *, last=None):
+    def second_step_doctored(prev, cfg, tau=None):
         calls.append(tau)
-        state, report = inner(prev, cfg, tau, last=last)
+        state, report = inner(prev, cfg, tau)
         if len(calls) == 2:
             return _DOCTORS[estimate](state, report)
         return state, report
