@@ -4,17 +4,23 @@ Runs the same flow to t = 0.25 while halving tau and doubling the spatial
 resolution per level, then compares the states on the shared coarse nodes.
 Successive distances should shrink roughly geometrically (the scheme is
 first order in tau, so halving tau dominates the observed rate).
-
-The same study is available from the command line:
-
-    thetaflow refine --preset lens --tau 1e-2 --nodes-per-unit 50 \
-        --T 0.25 --levels 4
 """
 
 import numpy as np
 
 from thetaflow import FlowConfig, run_flow
 from thetaflow.app.presets import preset_symmetric_lens
+
+
+def check_nested(coarse, fine, level):
+    """Raise ValueError unless each curve of ``fine`` halves every cell of
+    ``coarse``, so that the coarse nodes are the even fine nodes."""
+    for j, (gc, gf) in enumerate(zip(coarse.grids, fine.grids)):
+        if gf.node_count != 2 * gc.node_count - 1:
+            raise ValueError(
+                f"refinement needs nested grids, but curve {j + 1} has "
+                f"{gc.node_count} nodes at level {level - 1} and "
+                f"{gf.node_count} at level {level}")
 
 
 def main():
@@ -34,10 +40,10 @@ def main():
     print("inter-level sup distances on shared nodes:")
     prev_d = None
     for i, (coarse, fine) in enumerate(zip(finals, finals[1:])):
+        check_nested(coarse, fine, i + 1)
         d = 0.0
         for fc, ff in zip(coarse.fields, fine.fields):
-            step = (ff.grid.node_count - 1) // (fc.grid.node_count - 1)
-            d = max(d, float(np.max(np.abs(fc.values - ff.values[::step]))))
+            d = max(d, float(np.max(np.abs(fc.values - ff.values[::2]))))
         rate = "" if prev_d is None else f"   observed order {np.log2(prev_d / d):.2f}"
         print(f"  levels {i}->{i + 1}: {d:.6e}{rate}")
         prev_d = d

@@ -4,15 +4,14 @@ Subcommands:
 
     run         advance the flow and emit artifacts
     stationary  run, then scan the tail of the run for a critical point
-    refine      rerun a preset at halved tau / doubled resolution per level
     check       validate a state file and print its diagnostics
 
 Exit codes: 0 on success, 1 for usage/configuration errors (bad flags,
 malformed files, infeasible or degenerate initial data), 2 when the flow
-halts mid-run (flatness blow-up, singular multiplier system, failed step),
-in any subcommand that runs it.  ``run`` and ``stationary`` still emit the
-partial trajectory, and the JSON report carries the halt reason; ``refine``
-prints only its table and writes no artefacts.
+halts mid-run (flatness blow-up, singular multiplier system, failed step).
+``run`` and ``stationary`` still emit the partial trajectory, and the JSON
+report carries the halt reason.  The joint tau/h refinement study is
+``demos/03_refinement_study.py``.
 """
 
 import argparse
@@ -44,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
+def _add_flow_flags(sub):
     sub.add_argument("--preset", choices=["lens", "perturbed-lens", "triod"],
                      help="built-in initial state")
     sub.add_argument("--input", help="state file (JSON) to start from")
@@ -57,9 +56,6 @@ def _add_common(sub):
                      help="perturbation size for perturbed presets")
     sub.add_argument("--osc-floor", type=float, default=1e-3)
     sub.add_argument("--tol-constraint", type=float, default=1e-9)
-
-
-def _add_output(sub):
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--stride", type=int, default=10,
                      help="emit every n-th step")
@@ -72,23 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
                      description="implicit p-elastic flow of planar networks")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="advance the flow")
-    _add_common(run)
-    _add_output(run)
+    _add_flow_flags(subs.add_parser("run", help="advance the flow"))
 
     stat = subs.add_parser("stationary",
                            help="advance the flow and detect criticality")
-    _add_common(stat)
-    _add_output(stat)
+    _add_flow_flags(stat)
     stat.add_argument("--window", type=int, default=25,
                       help="trailing steps scanned for a velocity minimum")
     stat.add_argument("--vel-tol", type=float, default=1e-6,
                       help="L2 velocity threshold for criticality")
-
-    ref = subs.add_parser("refine",
-                          help="halve tau and double resolution per level")
-    _add_common(ref)
-    ref.add_argument("--levels", type=int, default=3)
 
     chk = subs.add_parser("check", help="validate a state file")
     chk.add_argument("--input", required=True)
@@ -96,16 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--save-projected", default=None,
                      help="write the state back out after projection")
     return parser
-
-
-def _build_config(args, p: float) -> FlowConfig:
-    return FlowConfig(
-        p_exponent=p,
-        tau=args.tau,
-        T=args.T,
-        tol_constraint=args.tol_constraint,
-        osc_floor=args.osc_floor,
-    )
 
 
 def _build_state(args):
@@ -137,31 +115,27 @@ def _build_state(args):
     return state, recorded
 
 
-def _drive(state, cfg):
-    """The flow driver of every subcommand; returns (trajectory, halt).
+def _execute_flow(args):
+    """Set up and run ``run``/``stationary``: (spec, trajectory, halt).
 
     A mid-run halt prints its reason and returns the partial trajectory
     with it; an error before the first step propagates to ``cli_main``.
     """
+    state, recorded = _build_state(args)
+    cfg = FlowConfig(p_exponent=state.p_exponent, tau=args.tau, T=args.T,
+                     tol_constraint=args.tol_constraint,
+                     osc_floor=args.osc_floor)
+    spec = RunSpec(flow=cfg, out_dir=args.out, stride=args.stride,
+                   emit=tuple(k for k in args.emit.split(",") if k),
+                   **recorded)
     try:
-        return run_flow(state, cfg), None
+        return spec, run_flow(state, cfg), None
     except ThetaflowError as err:
         if err.trajectory is None:
             raise
         halt = f"{type(err).__name__}: {err}"
         print(f"flow halted: {halt}", file=sys.stderr)
-        return err.trajectory, halt
-
-
-def _execute_flow(args):
-    """Set up and run ``run``/``stationary``: (spec, trajectory, halt)."""
-    state, recorded = _build_state(args)
-    cfg = _build_config(args, state.p_exponent)
-    spec = RunSpec(flow=cfg, out_dir=args.out, stride=args.stride,
-                   emit=tuple(k for k in args.emit.split(",") if k),
-                   **recorded)
-    traj, halt = _drive(state, cfg)
-    return spec, traj, halt
+        return spec, err.trajectory, halt
 
 
 def _print_summary(traj, written):
@@ -201,57 +175,6 @@ def _cmd_stationary(args):
     return 0 if halt is None else 2
 
 
-def _check_nested(coarse, fine, level):
-    """Raise ValueError unless each curve of ``fine`` halves every cell of
-    ``coarse``, so that the coarse nodes are fine nodes."""
-    for j, (gc, gf) in enumerate(zip(coarse.grids, fine.grids)):
-        if gf.node_count != 2 * gc.node_count - 1:
-            raise ValueError(
-                f"refine needs nested grids, but curve {j + 1} has "
-                f"{gc.node_count} nodes at level {level - 1} and "
-                f"{gf.node_count} at level {level}")
-
-
-def _cmd_refine(args):
-    if args.input is not None:
-        raise ValueError("refine needs a --preset (state files have a "
-                         "fixed grid)")
-    if args.levels < 1:
-        raise ValueError(f"--levels must be at least 1 (got {args.levels})")
-    runs = []
-    for level in range(args.levels):
-        scale = 2**level
-        level_args = argparse.Namespace(**vars(args))
-        level_args.tau = args.tau / scale
-        level_args.nodes_per_unit = args.nodes_per_unit * scale
-        state, _ = _build_state(level_args)
-        if runs:
-            _check_nested(runs[-1][1], state, level)
-        runs.append((_build_config(level_args, state.p_exponent), state))
-    rows = []
-    for cfg, state in runs:
-        traj, halt = _drive(state, cfg)
-        if halt is not None:
-            return 2
-        rows.append((cfg.tau, traj.final_state))
-    print("level      tau            h        distance     order")
-    dists = []
-    for (_, coarse), (_, fine) in zip(rows, rows[1:]):
-        d = 0.0
-        for fc, ff in zip(coarse.fields, fine.fields):
-            d = max(d, float(np.max(np.abs(fc.values - ff.values[::2]))))
-        dists.append(d)
-    for i, (tau, final) in enumerate(rows):
-        h = final.fields[0].grid.spacing
-        dist = f"{dists[i]:.6e}" if i < len(dists) else "    --     "
-        if 1 <= i < len(dists):
-            order = f"{np.log2(dists[i - 1] / dists[i]):8.3f}"
-        else:
-            order = "    --  "
-        print(f"{i:5d}  {tau:.6e}  {h:.6e}  {dist}  {order}")
-    return 0
-
-
 def _cmd_check(args):
     state = load_state(args.input)
     cfg = FlowConfig(p_exponent=state.p_exponent,
@@ -286,7 +209,6 @@ def cli_main(argv=None) -> int:
     handler = {
         "run": _cmd_run,
         "stationary": _cmd_stationary,
-        "refine": _cmd_refine,
         "check": _cmd_check,
     }[args.command]
     try:

@@ -117,34 +117,6 @@ def test_stationary_command_detects_relaxed_lens(tmp_path):
     assert doc["stationary"]["step_index"] >= 0
 
 
-def test_refine_command_prints_convergence_table(tmp_path):
-    res = run_cli("refine", "--preset", "lens", "--nodes-per-unit", "20",
-                  "--tau", "2e-2", "--T", "0.1", "--levels", "2")
-    assert res.returncode == 0, res.stderr
-    assert "level" in res.stdout and "distance" in res.stdout
-    # Two levels produce exactly one inter-level distance line.
-    assert res.stdout.count("e-") >= 1
-
-
-@pytest.mark.parametrize("npu,code", [("5", 1), ("10", 1), ("20", 0)])
-def test_refine_needs_nested_grids(npu, code, capsys):
-    # the triod's curves have L * npu cells rounded, so doubling npu
-    # doubles every curve's cells only at some npu (20: 27/26/19 -> 54/52/38)
-    assert cli_main(["refine", "--preset", "triod", "--nodes-per-unit", npu,
-                     "--tau", "1e-2", "--T", "0.02", "--levels", "2"]) == code
-    captured = capsys.readouterr()
-    assert ("level" in captured.out) == (code == 0)
-    assert ("error: refine needs nested grids" in captured.err) == (code == 1)
-
-
-def test_refine_command_refuses_state_files(tmp_path):
-    state_path = str(tmp_path / "lens.json")
-    save_state(preset_symmetric_lens(nodes_per_unit=20), state_path)
-    res = run_cli("refine", "--input", state_path)
-    assert res.returncode == 1
-    assert "preset" in res.stderr
-
-
 def test_check_command_reports_admissibility(tmp_path):
     state_path = str(tmp_path / "lens.json")
     save_state(preset_symmetric_lens(nodes_per_unit=40), state_path)
@@ -236,18 +208,15 @@ def test_run_command_rejects_infinite_horizon(tmp_path, capsys):
     ("stationary", ["--window", "-2"]),
     ("run", ["--nodes-per-unit", "0"]),
     ("run", ["--nodes-per-unit", "-3"]),
-    ("refine", ["--levels", "0"]),
-    ("refine", ["--levels", "-1"]),
     # tau**2 underflows to 0 and the step's velocity divides by it
     ("run", ["--tau", "1e-200", "--T", "1e-200"]),
 ])
 def test_bad_flag_values_exit_one_before_running(command, flags, tmp_path,
                                                  capsys):
     out = tmp_path / "out"
-    # refine writes no artefacts and takes no --out
-    out_args = [] if command == "refine" else ["--out", str(out)]
     code = cli_main([command, "--preset", "lens", "--nodes-per-unit", "20",
-                     "--tau", "1e-2", "--T", "0.05", *out_args, *flags])
+                     "--tau", "1e-2", "--T", "0.05", "--out", str(out),
+                     *flags])
     captured = capsys.readouterr()
     assert code == 1
     assert "error: " in captured.err
@@ -278,7 +247,6 @@ def test_out_at_a_file_exits_one_before_the_flow(command, out, head, tmp_path,
 @pytest.mark.parametrize("argv,message", [
     (["run", "--input", "", "--preset", "triod"], "not both"),
     (["run", "--input", ""], "No such file or directory"),
-    (["refine", "--input", ""], "needs a --preset"),
 ])
 def test_empty_input_path_is_not_a_preset(argv, message, tmp_path, capsys,
                                           monkeypatch):
@@ -359,14 +327,9 @@ _HALTING_TRIOD = ["--preset", "triod", "--nodes-per-unit", "20",
                   "--tau", "1e-2", "--T", "2", "--osc-floor", "1.95"]
 
 
-def test_refine_exits_two_on_a_mid_run_halt(tmp_path, capsys):
+def test_run_exits_two_on_a_mid_run_halt(tmp_path, capsys):
     # the floor sits above the triod's oscillations after its first step,
-    # so the flow halts mid-run on every subcommand that runs it
-    code = cli_main(["refine", *_HALTING_TRIOD, "--levels", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "flow halted: FlatnessBlowup" in captured.err
-    assert "level" not in captured.out
+    # so the flow halts mid-run
     assert cli_main(["run", *_HALTING_TRIOD,
                      "--out", str(tmp_path / "out")]) == 2
     assert "flow halted: FlatnessBlowup" in capsys.readouterr().err
@@ -404,27 +367,12 @@ def test_non_finite_initial_energy_exits_one_before_output(command, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--out", "out"), ("--stride", "1"), ("--emit", "json,csv,svg"),
-])
-def test_refine_rejects_output_flags(flag, value, tmp_path, capsys,
-                                     monkeypatch):
-    # refine writes no artefacts, so it takes no output flags
-    monkeypatch.chdir(tmp_path)
-    code = cli_main(["refine", "--preset", "lens", "--nodes-per-unit", "20",
-                     "--tau", "1e-2", "--T", "0.02", "--levels", "2",
-                     flag, value])
-    assert code == 1
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("argv,expect", [
     ([], 1),
     (["frobnicate"], 1),
     (["run", "--no-such-flag"], 1),
     (["run", "--tau", "abc"], 1),
-    (["refine", "--levels", "1.5"], 1),
+    (["refine"], 1),
     (["--help"], 0),
     (["check", "--help"], 0),
 ])
@@ -439,9 +387,8 @@ def test_cli_main_returns_usage_codes(argv, expect, capsys):
 # Property test over whole argument lists.  Every value comes from a small
 # fixed pool of valid values and one of bad values.  The valid values keep
 # runs tiny: at most 20 nodes per unit and tau 1e-2 up to T 0.03, so at most
-# 6 steps per level and 2 levels.  The bad values are nan, inf, zero,
-# negative, non-numeric or empty strings, and bad paths.  Flags that decide
-# a run's size are always given.  1e14 nodes per unit ask more than the
+# 3 steps.  The bad values are nan, inf, zero, negative, non-numeric or empty
+# strings, and bad paths.  Flags that decide a run's size are always given.  1e14 nodes per unit ask more than the
 # 128 TiB user address space for every preset curve, so the allocation is
 # refused at once.
 _BAD = ["nan", "inf", "-inf", "0", "-1", "abc", ""]
@@ -460,20 +407,16 @@ _FLOW_OPTIONAL = {
     "--amplitude": (["0.01"], _BAD),
     "--osc-floor": (["1e-3", "1.95"], _BAD),
     "--tol-constraint": (["1e-9"], _BAD),
-}
-_OUTPUT = {
     "--out": (["o"], ["afile", "afile/sub"]),
     "--stride": (["1", "5"], _BAD),
     "--emit": (["json", "json,csv,svg"], ["svg,png", ""]),
 }
 _COMMANDS = {
-    "run": (_FLOW_REQUIRED, {**_FLOW_OPTIONAL, **_OUTPUT}),
+    "run": (_FLOW_REQUIRED, _FLOW_OPTIONAL),
     "stationary": (_FLOW_REQUIRED, {
-        **_FLOW_OPTIONAL, **_OUTPUT,
+        **_FLOW_OPTIONAL,
         "--window": (["3", "25"], _BAD),
         "--vel-tol": (["1e-6", "1e9"], _BAD)}),
-    "refine": ({**_FLOW_REQUIRED, "--levels": (["1", "2"], _BAD)},
-               _FLOW_OPTIONAL),
     "check": ({"--input": _PATHS}, {
         "--tol-constraint": (["1e-9"], _BAD),
         "--save-projected": (["proj.json"], ["afile/x.json", "adir"])}),
@@ -520,16 +463,11 @@ def cli_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=_argument_lists())
-@example(argv=["refine", "--preset", "triod", "--nodes-per-unit", "20",
-               "--tau", "1e-2", "--T", "0.03", "--osc-floor", "1.95",
-               "--levels", "2"])
 @example(argv=["stationary", "--preset", "triod", "--nodes-per-unit", "20",
                "--tau", "1e-2", "--T", "0.03", "--osc-floor", "1.95",
                "--out", "afile"])
 @example(argv=["run", "--preset", "lens", "--nodes-per-unit", "20",
                "--tau", "1e-200", "--T", "0.02"])
-@example(argv=["refine", "--preset", "triod", "--nodes-per-unit",
-               "100000000000000", "--tau", "1e-2", "--T", "0.02"])
 def test_cli_argument_lists_exit_0_1_or_2(cli_dir, argv):
     old = os.getcwd()
     out, err = io.StringIO(), io.StringIO()

@@ -1,5 +1,5 @@
-"""The public surface: what ``thetaflow`` exports, and what the demos and the
-README's library example import from it."""
+"""The public surface: what ``thetaflow`` exports, what the demos and the
+README's library example import from it, and the README's CLI examples."""
 
 import ast
 import importlib.util
@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import thetaflow
+from thetaflow.app.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -39,6 +40,18 @@ def test_readme_library_example_imports_only_exported_names():
     names = [name.strip() for name in line.split(",")]
     assert names
     assert set(names) <= set(thetaflow.__all__)
+
+
+def test_readme_cli_examples_parse():
+    # parse only, run no flow: the README's commands must match the parser
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("thetaflow ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(line.split()[1:])
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():
