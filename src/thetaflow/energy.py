@@ -97,6 +97,7 @@ class PackedLayout(object):
     def __init__(self, grids, offsets: np.ndarray, p: float):
         self.counts = np.array([g.node_count for g in grids])
         self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.breaks = tuple(int(k) for k in self.starts[1:])
         self.weights = np.concatenate([trapezoid_weights(g) for g in grids])
         self.cell_h = np.concatenate([
             np.append(np.full(g.node_count - 1, g.spacing), 0.0) for g in grids
@@ -127,7 +128,9 @@ class PackedLayout(object):
 
     def unpack(self, theta: np.ndarray):
         """Per-curve views of a packed vector."""
-        return tuple(np.split(theta, self.starts[1:]))
+        # slicing, without np.split's per-call argument handling
+        a, b = self.breaks
+        return theta[:a], theta[a:b], theta[b:]
 
     def inner(self, a: np.ndarray, b: np.ndarray):
         """Lumped L2 products sum_k w_k a[..., k] b_k (each row of a with b)."""
@@ -145,7 +148,7 @@ class PackedLayout(object):
         """Lumped integrals of ``a * b`` (``a`` alone if b is None) over
         each curve: shape (..., 3).  ``a`` is weighted before it is
         broadcast against ``b``, much the faster order for the
-        (2, 1, M) x (1, 2, M) products of :meth:`gradient_products`."""
+        (2, 1, M) x (1, 2, M) products of :meth:`moments`."""
         rows = a * self.weights
         if b is not None:
             rows = rows * b
@@ -165,7 +168,15 @@ class PackedLayout(object):
         e_b and o_c on different curves are orthogonal, so this is
         E @ blockdiag(per-curve 2x2 moments <T_a, other_a'>) @ coef^T.
         """
-        blocks = self.curve_sums(tangents[:, None], other[None])  # (2, 2, 3)
+        return self.moment_products(self.moments(tangents, other), coef)
+
+    def moments(self, tangents: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Per-curve 2x2 moments <T_a, other_a'>, shape (2, 2, 3)."""
+        return self.curve_sums(tangents[:, None], other[None])
+
+    def moment_products(self, blocks: np.ndarray,
+                        coef: np.ndarray) -> np.ndarray:
+        """:meth:`gradient_products` from its :meth:`moments` ``blocks``."""
         moments = np.zeros((3, 2, 3, 2))
         j = np.arange(3)
         moments[j, :, j, :] = blocks.transpose(2, 0, 1)
@@ -187,15 +198,20 @@ class PackedLayout(object):
         # np.diff's subtraction, without its per-call argument handling
         return (theta[1:] - theta[:-1]) * self.inv_h
 
+    def cell_energies(self, theta: np.ndarray) -> np.ndarray:
+        """Cellwise h |D theta|^p, the midpoint-rule terms of p times the
+        elastic energy."""
+        return self.cell_h * np.abs(self.slopes(theta)) ** self.p
+
     def elastic_energy(self, theta: np.ndarray) -> float:
         """sum_j (1/p) int |d theta^j/ds|^p (midpoint rule)."""
-        energy = (self.cell_h * np.abs(self.slopes(theta)) ** self.p).sum()
-        return float(energy) / self.p
+        return float(self.cell_energies(theta).sum()) / self.p
 
     def step_energy(self, theta, theta_prev, tau: float) -> float:
         """Elastic energy plus (1/(2 tau)) ||theta - theta_prev||_L2^2."""
         d = theta - theta_prev
-        return self.elastic_energy(theta) + float(self.inner(d, d)) / (2.0 * tau)
+        return (float(self.cell_energies(theta).sum()) / self.p
+                + float(self.inner(d, d)) / (2.0 * tau))
 
     def elastic_gradient(self, theta: np.ndarray) -> np.ndarray:
         """Lumped L2 gradient of the elastic energy (flux differences)."""
@@ -219,15 +235,16 @@ class PackedLayout(object):
         movement part of the multiplier right-hand side."""
         return -self.DE @ self.products(tangents, move) / tau
 
-    def multiplier_data(self, theta: np.ndarray,
-                        tangents: np.ndarray) -> "MultiplierMatrices":
+    def multiplier_data(self, theta: np.ndarray, blocks: np.ndarray,
+                        cells: np.ndarray) -> "MultiplierMatrices":
         """A, G and det A (see :class:`MultiplierMatrices`): A from the
-        per-curve moments of T, G from one cellwise reduceat."""
-        (ss, sc), (_, cc) = self.curve_sums(tangents[:, None], tangents[None])
+        :meth:`moments` ``blocks`` of the tangents T of ``theta`` with
+        themselves, G from its :meth:`cell_energies` ``cells`` by one
+        cellwise reduceat."""
+        (ss, sc), (_, cc) = blocks
         A = np.array([[ss, -sc], [-sc, cc]]).transpose(2, 0, 1)
         mid = 0.5 * (theta[:-1] + theta[1:])
-        w = self.cell_h * np.abs(self.slopes(theta)) ** self.p
-        G = np.add.reduceat(w * np.stack([np.cos(mid), np.sin(mid)]),
+        G = np.add.reduceat(cells * np.stack([np.cos(mid), np.sin(mid)]),
                             self.starts, axis=-1).T
         return MultiplierMatrices(A=A, G=G, dets=ss * cc - sc * sc)
 
@@ -307,7 +324,9 @@ class MultiplierMatrices(object):
 def assemble_multiplier_data(state: NetworkState) -> MultiplierMatrices:
     """Assemble the A matrices, forcing vectors G and determinants."""
     layout, theta = PackedLayout.of(state)
-    return layout.multiplier_data(theta, layout.tangents(theta))
+    tangents = layout.tangents(theta)
+    return layout.multiplier_data(theta, layout.moments(tangents, tangents),
+                                  layout.cell_energies(theta))
 
 
 def det_identity_check(f: AngleField):

@@ -161,8 +161,9 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 def trapezoid_integral(values, grid: Grid) -> float:
     """Trapezoid rule for nodal samples on the given grid."""
     v = np.asarray(values, dtype=float)
-    if v.shape[-1] != grid.node_count:
-        raise ValueError("sample count does not match grid")
+    if v.shape != (grid.node_count,):
+        raise ValueError(f"need one sample per grid node: shape {v.shape}, "
+                         f"expected ({grid.node_count},)")
     h = grid.spacing
     return float(h * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 

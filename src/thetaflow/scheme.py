@@ -18,16 +18,21 @@ which makes the iteration SQP Newton with quadratic convergence; the matrix
 only chooses the direction.  Armijo backtracking follows, each trial
 projected onto the constraint set by Newton iteration along variation
 directions frozen at the trial; the accepted trial's T serves the next
-iteration, and the step's report is assembled from the final T, but for the
-weak residual, which comes from the public :func:`weak_residual` of the
-returned state (its gradient from :func:`thetaflow.energy.step_gradient`,
-timed by the benchmark).  The Armijo slope pairs the direction with the
-tangential gradient, whose rounding stays small near convergence.  Once the
-predicted decrease is below the rounding noise of the functional, a trial
-within that noise also passes if it halves the tangential gradient norm.
-The iteration stops at ``TOL_INNER``, or at the working-precision floor: a
-slope below that noise whose full step passes neither test, since no
-shorter step could show a measurable decrease.  Each step reports which
+iteration, as do its per-curve moments, from which the tangent projection
+builds its Gram matrix.  The step's report is assembled from the final
+iterate: its T and moments, and the cellwise |D theta|^p that give both
+the elastic forcing and the energy; the weak residual takes the final T
+too, and only its gradient comes from the public
+:func:`thetaflow.energy.step_gradient` (timed by the benchmark).
+:func:`run_flow` carries the final T, moments, energy and oscillations
+into the next step, so no step evaluates these again.  The Armijo slope
+pairs the direction with the tangential gradient, whose rounding stays
+small near convergence.  Once the predicted decrease is below the rounding
+noise of the functional, a trial within that noise also passes if it
+halves the tangential gradient norm.  The iteration stops at
+``TOL_INNER``, or at the working-precision floor: a slope below that noise
+whose full step passes neither test, since no shorter step could show a
+measurable decrease.  Each step reports which
 rule ended it (``StepReport.termination``).  Acceptance is monotone in the
 step functional, which is what makes the a-priori estimates of
 :func:`run_flow` hold by construction:
@@ -44,7 +49,7 @@ These are asserted after every accepted step and raise EstimateViolation
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -260,13 +265,14 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
 
 
 def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
-                     grad: np.ndarray):
+                     blocks: np.ndarray, grad: np.ndarray):
     """(gp, coef): a nodal gradient minus its components along the
-    constraint gradients g = E e (built from ``tangents``) in the lumped L2
-    inner product, and the (4,) coefficients coef of those components, the
-    least-squares multiplier estimate of grad = sum_k coef_k g_k."""
+    constraint gradients g = E e (built from ``tangents``, whose moments
+    with themselves are ``blocks``) in the lumped L2 inner product, and the
+    (4,) coefficients coef of those components, the least-squares
+    multiplier estimate of grad = sum_k coef_k g_k."""
     e = layout.E
-    gram = layout.gradient_products(tangents, tangents, e)
+    gram = layout.moment_products(blocks, e)
     coef, *_ = np.linalg.lstsq(gram, e @ layout.products(tangents, grad),
                                rcond=None)
     return grad - layout.fields(coef @ e, tangents), coef
@@ -351,10 +357,12 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
 
 
 def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
+                   tangents: np.ndarray, blocks: np.ndarray,
                    cfg: FlowConfig, tau: float, energy: float):
     """Monotone descent for one implicit step, on packed vectors, from
-    ``theta_prev``, whose elastic energy ``energy`` is also its step
-    functional value.
+    ``theta_prev``, whose tangents are ``tangents``, their moments with
+    themselves ``blocks``, and whose elastic energy ``energy`` is also its
+    step functional value.
 
     Directions come from the constrained Newton system (banded Hessian, at
     p >= 2 the Lagrangian's at the multiplier estimate of the tangent
@@ -372,10 +380,12 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     the slope itself is below that resolution and the full step passes
     neither test, no backtracked trial could show a measurable decrease, so
     the iteration stops at once.  The tangents T of the accepted trial,
-    computed to test its constraints, serve the next iteration.
+    computed to test its constraints, and their moments serve the next
+    iteration.
 
-    Returns (theta, tangents, inner_iters, termination), termination being
-    one of the four kinds that :class:`StepReport` documents:
+    Returns (theta, tangents, blocks, inner_iters, termination) for the
+    returned iterate, termination being one of the four kinds that
+    :class:`StepReport` documents:
 
       * ``"gradient_tol"``: the projected gradient norm reached
         ``TOL_INNER``;
@@ -388,18 +398,17 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     Running out of ``MAX_INNER_ITERS`` iterations raises InnerSolveFailed.
     """
     theta = theta_prev
-    tangents = layout.tangents(theta)
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
     for it in range(MAX_INNER_ITERS):
         grad = layout.step_gradient(theta, theta_prev, tau)
-        gp, coef = _tangent_project(layout, tangents, grad)
+        gp, coef = _tangent_project(layout, tangents, blocks, grad)
         gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= TOL_INNER:
-            return theta, tangents, it, "gradient_tol"
+            return theta, tangents, blocks, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
-            return theta, tangents, it, "stall_window"
+            return theta, tangents, blocks, it, "stall_window"
         d = _newton_direction(layout, theta, tangents, grad, tau, coef)
         slope = float(layout.inner(gp, d))
         if not np.isfinite(slope) or slope <= 0.0:
@@ -422,16 +431,18 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                 if ARMIJO_C1 * alpha * slope <= noise and trial_energy <= energy + noise:
                     gp_t, _ = _tangent_project(
                         layout, trial_tangents,
+                        layout.moments(trial_tangents, trial_tangents),
                         layout.step_gradient(trial, theta_prev, tau))
                     if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
                         accepted = (trial, trial_tangents, trial_energy)
                         break
             if slope <= noise:
-                return theta, tangents, it, "precision_floor"
+                return theta, tangents, blocks, it, "precision_floor"
             alpha *= BACKTRACK
         if accepted is None:
-            return theta, tangents, it, "line_search_floor"
+            return theta, tangents, blocks, it, "line_search_floor"
         theta, tangents, energy = accepted
+        blocks = layout.moments(tangents, tangents)
         history.append(energy)
     raise InnerSolveFailed(f"inner solver hit the {MAX_INNER_ITERS}-iteration "
                            f"cap at tau={tau:g}")
@@ -450,48 +461,93 @@ def weak_residual(candidate: NetworkState, prev: NetworkState,
     tangentially.
     """
     layout, theta = PackedLayout.of(candidate)
-    density = (np.concatenate(step_gradient(candidate, prev, tau))
-               + layout.fields(mult @ layout.E, layout.tangents(theta)))
+    return _weak_residual(layout, layout.tangents(theta),
+                          np.concatenate(step_gradient(candidate, prev, tau)),
+                          mult)
+
+
+def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
+                   grad: np.ndarray, mult: np.ndarray) -> float:
+    """:func:`weak_residual` from the candidate's tangents and its packed
+    step gradient ``grad``."""
+    density = grad + layout.fields(mult @ layout.E, tangents)
     return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
 
 
 def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
-    """One implicit time step from ``prev``.
+    """One implicit time step from ``prev``, at ``tau`` (default
+    ``cfg.tau``).
 
-    The elastic energy and the per-curve oscillations of ``prev`` are
-    computed once: the energy is the report's ``energy_before`` and the
-    inner solve's starting value, the oscillations feed the flatness guard.
+    Packs ``prev`` and computes its tangents, their moments, its elastic
+    energy and its per-curve oscillations, which :func:`run_flow` carries
+    over from the step before instead: the energy is the report's
+    ``energy_before`` and the inner solve's starting value, the
+    oscillations feed the flatness guard.
 
-    Returns (new state, StepReport).  Raises FlatnessBlowup when the
-    flatness guard fails at ``prev``, InnerSolveFailed from the inner solve
-    (its iteration cap ran out, or the step Hessian cannot be factored), and
-    SingularSystem / DegenerateGeometry from the multiplier stage.
+    Returns (new state, StepReport), the report's ``step_index`` being -1.
+    Raises ValueError unless ``tau`` is finite and positive with
+    ``(tau / 2**MAX_HALVINGS)**2`` nonzero (as :class:`FlowConfig`
+    demands), FlatnessBlowup when the flatness guard fails at ``prev``,
+    InnerSolveFailed from the inner solve (its iteration cap ran out, or
+    the step Hessian cannot be factored), and SingularSystem /
+    DegenerateGeometry from the multiplier stage.
     """
     if tau is None:
         tau = cfg.tau
-    layout, theta_prev = PackedLayout.of(prev)
-    oscs = layout.oscillations(theta_prev)
-    if not _flatness_guard(prev, oscs, cfg.osc_floor):
+    elif not (math.isfinite(tau) and tau > 0.0
+              and (tau / 2**MAX_HALVINGS) ** 2 != 0.0):
+        raise ValueError(f"tau={tau!r} must be finite and positive, and the "
+                         f"square of tau / 2**{MAX_HALVINGS} must not "
+                         "underflow to 0")
+    layout, theta = PackedLayout.of(prev)
+    tangents = layout.tangents(theta)
+    carried = (layout, tangents, layout.moments(tangents, tangents),
+               layout.elastic_energy(theta), layout.oscillations(theta))
+    state, report, _ = _step(prev, carried, cfg, tau, -1)
+    return state, report
+
+
+def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
+          index: int):
+    """:func:`minimize_step` from ``prev`` and its by-products ``carried``
+    = (layout, tangents T, moments of T with T, elastic energy, per-curve
+    oscillations), the report numbered ``index``.
+
+    Returns (new state, StepReport, the new state's by-products).  The
+    packed values are not carried: packing costs a few microseconds, and
+    holding them from one step into the next raised the peak RSS.
+    """
+    layout, tangents_prev, blocks_prev, energy_before, oscs_prev = carried
+    theta_prev = layout.pack(prev)
+    if not _flatness_guard(prev, oscs_prev, cfg.osc_floor):
         raise FlatnessBlowup(
             "flatness guard failed: oscillations "
-            f"{np.array2string(oscs, precision=3)} with floor {cfg.osc_floor:g} "
-            "and no strictly-shortest third curve on a theta network"
+            f"{np.array2string(oscs_prev, precision=3)} with floor "
+            f"{cfg.osc_floor:g} and no strictly-shortest third curve on a "
+            "theta network"
         )
-    energy_before = layout.elastic_energy(theta_prev)
-    theta, tangents, iters, termination = _inner_descent(
-        layout, theta_prev, cfg, tau, energy_before)
+    theta, tangents, blocks, iters, termination = _inner_descent(
+        layout, theta_prev, tangents_prev, blocks_prev, cfg, tau,
+        energy_before)
 
-    # the report reuses the layout and the tangents of the final iterate
+    # the report reuses the final iterate's tangents, Gram moments and
+    # cellwise |D|^p
     state = prev.with_values(layout.unpack(theta))
     move = theta - theta_prev
     move_sq = float(layout.inner(move, move))
     velocity_l1 = float(layout.inner(np.abs(move), 1.0))
-    data = layout.multiplier_data(theta, tangents)
+    cells = layout.cell_energies(theta)
+    energy_after = float(cells.sum()) / layout.p
+    data = layout.multiplier_data(theta, blocks, cells)
+    del cells
     mult = solve_multipliers(data, layout.remainders(tangents, move, tau))
-    energy_after = layout.elastic_energy(theta)
     bound_const = bound_constant(data, state)
+    oscs = layout.oscillations(theta)
+    # the next step carries oscs; no caller may write to a report's arrays
+    for a in (mult, data.dets, oscs):
+        a.setflags(write=False)
     report = StepReport(
-        step_index=-1,
+        step_index=index,
         tau=tau,
         energy_before=energy_before,
         energy_after=energy_after,
@@ -505,21 +561,25 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
         constraint_defect=constraint_defect(
             layout.constraint_values(tangents)),
         dets=data.dets,
-        oscs=layout.oscillations(theta),
-        weak_residual_value=weak_residual(state, prev, tau, mult),
+        oscs=oscs,
+        weak_residual_value=_weak_residual(
+            layout, tangents, np.concatenate(step_gradient(state, prev, tau)),
+            mult),
         inner_iters=iters,
         inner_converged=termination == "gradient_tol",
         termination=termination,
     )
-    return state, report
+    return state, report, (layout, tangents, blocks, energy_after, oscs)
 
 
-def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float):
-    """minimize_step with time-step rejection: halve tau on inner failure."""
+def _attempt_step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
+                  index: int):
+    """:func:`_step` with time-step rejection: halve tau on inner failure,
+    from the same carried by-products."""
     last = None
     for _ in range(MAX_HALVINGS + 1):
         try:
-            return minimize_step(prev, cfg, tau)
+            return _step(prev, carried, cfg, tau, index)
         except InnerSolveFailed as err:
             last = err
             tau *= 0.5
@@ -532,13 +592,14 @@ def _attempt_step(prev: NetworkState, cfg: FlowConfig, tau: float):
 class _EstimateLedger(object):
     """Running a-priori estimates checked after every accepted step."""
 
-    def __init__(self, initial: NetworkState, cfg: FlowConfig):
+    def __init__(self, layout: PackedLayout, theta: np.ndarray,
+                 initial: NetworkState, cfg: FlowConfig):
         self.cfg = cfg
-        # the grids are fixed for the whole run
-        self.layout, theta = PackedLayout.of(initial)
+        # the grids are fixed for the whole run; theta packs ``initial``
+        self.layout = layout
         # an overflow here is what run_flow reports as a non-finite energy
         with np.errstate(over="ignore"):
-            self.d0 = self.layout.elastic_energy(theta)
+            self.d0 = layout.elastic_energy(theta)
         self.lam_total = float(sum(initial.lengths))
         self.l2_initial = np.sqrt(self.layout.curve_sums(theta * theta))
         self.dissipation = 0.0
@@ -601,6 +662,12 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     before any stepping; mid-run guard failures surface as FlatnessBlowup.
     Any error raised mid-run carries the partial trajectory in its
     ``trajectory`` attribute.
+
+    Each step starts from the tangents, their moments, the elastic energy
+    and the oscillations of the state before it, as the previous step
+    computed them; states and reports are bitwise those of
+    :func:`minimize_step` called on each state in turn (bar
+    ``step_index``).
     """
     if initial.p_exponent != cfg.p_exponent:
         raise ValueError(
@@ -617,18 +684,21 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
         initial = project_to_H(initial, cfg)
     layout, theta = PackedLayout.of(initial)
     oscs = layout.oscillations(theta)
-    # a packed copy held in this frame would add its size to the run's peak
-    del theta
     if not _flatness_guard(initial, oscs, cfg.osc_floor):
         raise DegenerateGeometry(
             "initial state fails the flatness guard (oscillations "
             f"{np.array2string(oscs, precision=3)}, floor {cfg.osc_floor:g})"
         )
 
-    ledger = _EstimateLedger(initial, cfg)
+    ledger = _EstimateLedger(layout, theta, initial, cfg)
     if not math.isfinite(ledger.d0):
         raise ValueError(f"initial elastic energy {ledger.d0:g} is not "
                          f"finite at p={cfg.p_exponent:g}")
+    tangents = layout.tangents(theta)
+    carried = (layout, tangents, layout.moments(tangents, tangents),
+               ledger.d0, oscs)
+    # held here, the initial arrays would outlive the first step
+    del theta, tangents
     states = [initial]
     reports = []
     times = [0.0]
@@ -639,8 +709,8 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
             # after a halved step, the last step shortens to end at T
             over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
             tau = cfg.T - t if over else cfg.tau
-            state, report = _attempt_step(states[-1], cfg, tau)
-            report = replace(report, step_index=len(reports))
+            state, report, carried = _attempt_step(states[-1], carried, cfg,
+                                                   tau, len(reports))
             ledger.check(state, report)
             t += report.tau
             states.append(state)

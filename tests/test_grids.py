@@ -50,6 +50,13 @@ def test_trapezoid_integral_matches_naive_loop(m, length, seed):
     )
 
 
+@pytest.mark.parametrize("shape", [(1, 9), (2, 9), ()])
+def test_trapezoid_integral_wants_one_sample_per_node(shape):
+    # a (1, M) or (2, M) array, or a scalar, is not one curve's samples
+    with pytest.raises(ValueError, match="one sample per grid node"):
+        trapezoid_integral(np.ones(shape), Grid(length=1.0, node_count=9))
+
+
 def test_midpoint_gradient_of_linear_field_is_constant(rng):
     g = Grid(length=1.3, node_count=17)
     slope = rng.normal()

@@ -121,8 +121,10 @@ def test_minimize_step_decreases_energy_and_stays_admissible():
 
 
 def test_step_report_matches_public_path():
-    # minimize_step assembles its report from the final iterate's tangents;
-    # the public functions recompute everything from the returned states
+    # minimize_step assembles its report from the final iterate's tangents,
+    # the Gram moments of its last tangent projection and its cellwise
+    # |D|^p; the public functions recompute everything from the returned
+    # states
     lens = preset_symmetric_lens(nodes_per_unit=50)
     cfg = FlowConfig(tau=1e-3)
     state, rep = minimize_step(lens, cfg)
@@ -132,9 +134,27 @@ def test_step_report_matches_public_path():
     _assert_rel_close(rep.multipliers, x)
     _assert_rel_close(rep.weak_residual_value,
                       weak_residual(state, lens, rep.tau, x))
-    # the report takes its weak residual from the public function itself
+    # the reused pieces are the same arithmetic on the same values, so the
+    # weak residual (whose gradient comes from the public step_gradient)
+    # equals the public function's bitwise, as do the other fields
     assert rep.weak_residual_value == weak_residual(state, lens, rep.tau,
                                                     rep.multipliers)
+    assert rep.dets.tobytes() == data.dets.tobytes()
+    assert rep.multipliers.tobytes() == x.tobytes()
+    assert rep.energy_after == p_energy(state)
+    assert rep.energy_before == p_energy(lens)
+
+
+@pytest.mark.parametrize("tau", [0.0, np.nan, -1e-3, np.inf])
+def test_minimize_step_checks_its_tau(tau, monkeypatch):
+    # rejected at the boundary, before the step starts any work
+    def no_work(*args):
+        raise AssertionError("minimize_step started the step")
+
+    monkeypatch.setattr(scheme, "_step", no_work)
+    lens = preset_symmetric_lens(nodes_per_unit=20)
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        minimize_step(lens, FlowConfig(tau=1e-2), tau)
 
 
 def test_minimize_step_flags_stalled_inner_iteration():
@@ -172,6 +192,72 @@ def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
     assert all(r.termination == "gradient_tol" for r in traj.reports)
     assert calls["_project"] == calls["_newton_direction"]
     assert calls["_newton_direction"] == sum(r.inner_iters for r in traj.reports)
+
+
+def test_run_flow_computes_each_by_product_once(monkeypatch):
+    # run_flow evaluates the initial state's energy and oscillations once;
+    # each step then computes its iterate's oscillations once, takes its
+    # energy from the cell energies of the multiplier data, and hands both
+    # to the next step
+    calls = {"oscillations": 0, "elastic_energy": 0}
+    for name in calls:
+        def counted(self, theta, _name=name,
+                    _inner=getattr(PackedLayout, name)):
+            calls[_name] += 1
+            return _inner(self, theta)
+        monkeypatch.setattr(PackedLayout, name, counted)
+    lens = preset_symmetric_lens(nodes_per_unit=40, p=2.0)
+    traj = run_flow(lens, FlowConfig(p_exponent=2.0, tau=1e-3, T=0.02))
+    assert len(traj.reports) == 20
+    assert calls == {"oscillations": 21, "elastic_energy": 1}
+
+
+def test_step_report_arrays_are_read_only():
+    # a report's oscillations are also what the next step's guard reads
+    lens = preset_symmetric_lens(nodes_per_unit=20)
+    traj = run_flow(lens, FlowConfig(tau=1e-2, T=2e-2))
+    rep = traj.reports[-1]
+    for a in (rep.multipliers, rep.dets, rep.oscs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def _fields_bytes(report):
+    """Every StepReport field but step_index, as comparable bytes."""
+    return {name: np.asarray(value).tobytes() + str(type(value)).encode()
+            for name, value in vars(report).items() if name != "step_index"}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_run_flow_equals_minimize_step_from_each_state(p, monkeypatch):
+    # run_flow carries each step's by-products into the next step; stepping
+    # the public minimize_step by hand from every state of its trajectory,
+    # which computes them afresh, must give the same bits, also for the
+    # step retried at tau/2 and for the shortened last step
+    inner = scheme._step
+    calls = []
+
+    def second_call_fails(prev, carried, cfg, tau, index):
+        calls.append(tau)
+        if len(calls) == 2:
+            raise InnerSolveFailed("forced rejection")
+        return inner(prev, carried, cfg, tau, index)
+
+    monkeypatch.setattr(scheme, "_step", second_call_fails)
+    lens = preset_symmetric_lens(nodes_per_unit=20, p=p)
+    cfg = FlowConfig(p_exponent=p, tau=1e-2, T=4e-2)
+    traj = run_flow(lens, cfg)
+    monkeypatch.undo()
+    assert calls[1:3] == [1e-2, 5e-3]
+    assert [r.tau for r in traj.reports] == pytest.approx(
+        [1e-2, 5e-3, 1e-2, 1e-2, 5e-3], rel=1e-12)
+    for i, rep in enumerate(traj.reports):
+        assert rep.step_index == i
+        state, expect = minimize_step(traj.states[i], cfg, rep.tau)
+        assert expect.step_index == -1
+        assert _fields_bytes(rep) == _fields_bytes(expect)
+        for got, want in zip(traj.states[i + 1].values(), state.values()):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_large_p_line_search_trials_overflow_silently():
@@ -291,16 +377,16 @@ def test_failed_run_carries_partial_trajectory(monkeypatch):
 def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
     # the first step is retried at tau/2, so the steps from then on end
     # half a step off the grid; the last one shortens to end at T
-    inner = scheme.minimize_step
+    inner = scheme._step
     calls = []
 
-    def first_call_fails(prev, cfg, tau=None):
+    def first_call_fails(prev, carried, cfg, tau, index):
         calls.append(tau)
         if len(calls) == 1:
             raise InnerSolveFailed("forced rejection")
-        return inner(prev, cfg, tau)
+        return inner(prev, carried, cfg, tau, index)
 
-    monkeypatch.setattr(scheme, "minimize_step", first_call_fails)
+    monkeypatch.setattr(scheme, "_step", first_call_fails)
     lens = preset_symmetric_lens(nodes_per_unit=40)
     traj = run_flow(lens, FlowConfig(tau=1e-2, T=3e-2))
     assert calls[:2] == [1e-2, 5e-3]
@@ -337,18 +423,19 @@ _DOCTORS = {
 
 @pytest.mark.parametrize("estimate", list(_DOCTORS))
 def test_estimate_violation_halts_the_run(estimate, monkeypatch):
-    # the second step comes back doctored so that one estimate fails
-    inner = scheme.minimize_step
+    # the second step comes back doctored so that one estimate fails; its
+    # carried by-products stay those of the undoctored state
+    inner = scheme._step
     calls = []
 
-    def second_step_doctored(prev, cfg, tau=None):
+    def second_step_doctored(prev, carried, cfg, tau, index):
         calls.append(tau)
-        state, report = inner(prev, cfg, tau)
+        state, report, carried = inner(prev, carried, cfg, tau, index)
         if len(calls) == 2:
-            return _DOCTORS[estimate](state, report)
-        return state, report
+            return _DOCTORS[estimate](state, report) + (carried,)
+        return state, report, carried
 
-    monkeypatch.setattr(scheme, "minimize_step", second_step_doctored)
+    monkeypatch.setattr(scheme, "_step", second_step_doctored)
     lens = preset_symmetric_lens(nodes_per_unit=20)
     with pytest.raises(EstimateViolation,
                        match=f"^{estimate} violated at step 1: ") as err:
@@ -477,7 +564,8 @@ def test_moment_kernel_matches_row_oracles(rng):
         tangents = layout.tangents(theta)
         grad = rng.normal(size=theta.shape)
 
-        gp, _ = _tangent_project(layout, tangents, grad)
+        gp, _ = _tangent_project(layout, tangents,
+                                 layout.moments(tangents, tangents), grad)
         _assert_rel_close(gp, rows_tangent_project(weights, grads, grad))
 
         moved = theta + 0.1 * rng.normal(size=theta.shape)
