@@ -93,6 +93,10 @@ class PackedLayout(object):
     D = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
                   [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
     DE = D @ E
+    # fields(c ER, T) = fields(c E, dT/dtheta), dT/dtheta = (cos, -sin) theta
+    ER = E @ np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+    # flat index of entry (2j + a, 2j + a') of a 6x6 matrix, at [a, a', j]
+    BLOCK_DIAGONAL = np.add.outer(np.add.outer([0, 6], [0, 1]), [0, 14, 28])
 
     def __init__(self, grids, offsets: np.ndarray, p: float):
         self.counts = np.array([g.node_count for g in grids])
@@ -177,9 +181,8 @@ class PackedLayout(object):
     def moment_products(self, blocks: np.ndarray,
                         coef: np.ndarray) -> np.ndarray:
         """:meth:`gradient_products` from its :meth:`moments` ``blocks``."""
-        moments = np.zeros((3, 2, 3, 2))
-        j = np.arange(3)
-        moments[j, :, j, :] = blocks.transpose(2, 0, 1)
+        moments = np.zeros(36)
+        moments[self.BLOCK_DIAGONAL] = blocks
         return self.E @ moments.reshape(6, 6) @ coef.T
 
     def fields(self, coef: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 # Limits of the multiplier stage; the Newton projection of ``scheme`` shares
-# the condition cap.
+# the condition cap through :func:`solve_capped`.
 COND_CAP = 1e12    # largest condition number of a 4x4 system that is solved
 DET_FLOOR = 1e-12  # det A1 or det A2 at or below this is degenerate geometry
 
@@ -114,26 +114,34 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
                              tau)
 
 
+def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):
+    """x with ``matrix @ x = rhs`` from one SVD U S V^T: x = V (U^T rhs / S).
+    Raises SingularSystem, naming ``what``, unless sigma_max / sigma_min
+    (``np.linalg.cond``) is at most ``COND_CAP``; a singular matrix fails."""
+    u, s, vt = np.linalg.svd(matrix)
+    # Python floats: a zero sigma_min gives no numpy division warning
+    cond = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else np.inf
+    if not cond <= COND_CAP:
+        raise SingularSystem(f"{what} condition number {cond:.3e} exceeds "
+                             f"cap {COND_CAP:.3e}")
+    return vt.T @ ((u.T @ rhs) / s)
+
+
 def solve_multipliers(data: MultiplierMatrices,
                       rem: np.ndarray) -> np.ndarray:
-    """Solve x . J = rhs for the multiplier vector x.
+    """Solve x . J = rhs, i.e. J^T x = rhs by :func:`solve_capped`, for the
+    multiplier vector x.
 
-    Raises SingularSystem when the condition number of J exceeds
-    ``COND_CAP`` (at least two essentially flat or aligned curves) or the
-    solved residual fails ``|x.J - rhs| <= 1e-9 (1 + |rhs|)``.
+    Raises SingularSystem when J has a non-finite entry or a condition
+    number above ``COND_CAP`` (at least two essentially flat or aligned
+    curves), or the solved residual fails ``|x.J - rhs| <= 1e-9 (1 + |rhs|)``.
     """
     kkt = assemble_kkt(data)
     if not np.all(np.isfinite(kkt)):
         raise SingularSystem("multiplier system contains non-finite entries")
-    cond = float(np.linalg.cond(kkt))
-    if cond > COND_CAP:
-        raise SingularSystem(
-            f"multiplier system condition number {cond:.3e} exceeds "
-            f"cap {COND_CAP:.3e}"
-        )
     g1, g2, g3 = data.G
     rhs = np.concatenate([g3 - g2, g2 - g1]) + rem
-    x = np.linalg.solve(kkt.T, rhs)
+    x = solve_capped(kkt.T, rhs, "multiplier system")
     resid = float(np.max(np.abs(x @ kkt - rhs)))
     if resid > 1e-9 * (1.0 + float(np.linalg.norm(rhs))):
         raise SingularSystem(

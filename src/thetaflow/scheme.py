@@ -5,37 +5,38 @@ movement penalty) over the four junction constraints, on one packed nodal
 vector (:class:`thetaflow.energy.PackedLayout`, one per run: states sharing
 grids, offsets and p share it); only the step's result becomes a validated
 NetworkState.  The constraint gradients are +-sin theta or +-cos theta on
-single curves, so the iteration carries only the (2, M) array T = (sin,
-cos) theta of its iterate and takes every 4x4 matrix from per-curve moments
-of T.  Each inner iteration takes the constrained Newton direction of the
-bordered system [[B, C^T], [C, 0]] (C the constraint gradients), eliminated
-by one banded solve with three right-hand sides (gradient, sin theta, cos
-theta) and a 4x4 Schur complement.  B is banded and uncoupled across curve
-breaks: the step functional's Hessian, and at p >= 2 the Lagrangian's, the
-constraint curvature entering as a diagonal weighted by the multiplier
-estimate of the tangent projection and clipped to half the movement mass,
-which makes the iteration SQP Newton with quadratic convergence; the matrix
-only chooses the direction.  Armijo backtracking follows, each trial
-projected onto the constraint set by Newton iteration along variation
-directions frozen at the trial; the accepted trial's T serves the next
-iteration, as do its per-curve moments, from which the tangent projection
-builds its Gram matrix.  The step's report is assembled from the final
-iterate: its T and moments, and the cellwise |D theta|^p that give both
-the elastic forcing and the energy; the weak residual takes the final T
-too, and only its gradient comes from the public
-:func:`thetaflow.energy.step_gradient` (timed by the benchmark).
-:func:`run_flow` carries the final T, moments, energy and oscillations
-into the next step, so no step evaluates these again.  The Armijo slope
-pairs the direction with the tangential gradient, whose rounding stays
-small near convergence.  Once the predicted decrease is below the rounding
-noise of the functional, a trial within that noise also passes if it
-halves the tangential gradient norm.  The iteration stops at
-``TOL_INNER``, or at the working-precision floor: a slope below that noise
-whose full step passes neither test, since no shorter step could show a
-measurable decrease.  Each step reports which
-rule ended it (``StepReport.termination``).  Acceptance is monotone in the
-step functional, which is what makes the a-priori estimates of
-:func:`run_flow` hold by construction:
+single curves, so the iteration carries only the (2, M) array T = (sin, cos)
+theta of its iterate and takes every 4x4 matrix from per-curve moments of T.
+Each inner iteration takes the constrained Newton direction of the bordered
+system [[B, C^T], [C, 0]] (C the constraint gradients), eliminated by one
+banded solve with three right-hand sides (gradient, sin theta, cos theta)
+and a 4x4 Schur complement, solved by lstsq: near a straight bar it is close
+to singular.  B is banded and uncoupled across curve breaks: the step
+functional's Hessian, and at p >= 2 the Lagrangian's, the constraint
+curvature entering as a diagonal weighted by the multiplier estimate of the
+tangent projection (its Gram system solved by LU, by lstsq only where LU
+fails) and clipped to half the movement mass, which makes the iteration SQP
+Newton with quadratic convergence; the matrix only chooses the direction.
+Armijo backtracking follows, each trial projected onto the constraint set by
+Newton iteration along variation directions frozen at the trial, one SVD per
+iteration for the update and the condition cap; the accepted trial's T
+serves the next iteration, as do its per-curve moments, from which the
+tangent projection builds its Gram matrix.  The step's report is assembled
+from the final iterate: its T, moments and constraint values, and the
+cellwise |D theta|^p that give both the elastic forcing and the energy; the
+weak residual takes the final T too, and only its gradient comes from the
+public :func:`thetaflow.energy.step_gradient` (timed by the benchmark).
+:func:`run_flow` carries the final T, moments, energy and oscillations into
+the next step, so no step evaluates these again.  The Armijo slope pairs the
+direction with the tangential gradient, whose rounding stays small near
+convergence.  Once the predicted decrease is below the rounding noise of the
+functional, a trial within that noise also passes if it halves the
+tangential gradient norm.  The iteration stops at ``TOL_INNER``, or at the
+working-precision floor: a slope below that noise whose full step passes
+neither test, since no shorter step could show a measurable decrease.  Each
+step reports which rule ended it (``StepReport.termination``).  Acceptance
+is monotone in the step functional, which is what makes the a-priori
+estimates of :func:`run_flow` hold by construction:
 
   * the elastic energy never increases along the flow,
   * half the summed tau * ||velocity||_L2^2 stays below the initial energy,
@@ -71,10 +72,10 @@ from .errors import (
 )
 from .grids import NetworkState
 from .multipliers import (
-    COND_CAP,
     bound_constant,
     multiplier_bound,
     multiplier_norm,
+    solve_capped,
     solve_multipliers,
 )
 
@@ -214,10 +215,11 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     An admissible input is returned unchanged (the same object).  Raises
     ProjectionFailed for a constraint defect above 1 or when Newton
     stagnates, and SingularSystem when the projection Jacobian is
-    numerically singular (condition number not finite or above COND_CAP).
+    numerically singular (its SVD, which also gives each Newton step, has
+    sigma_max / sigma_min above COND_CAP, or sigma_min = 0).
     """
     layout, theta = PackedLayout.of(state)
-    projected, _ = _project(layout, theta, cfg)
+    projected, _, _ = _project(layout, theta, cfg)
     if projected is theta:
         return state
     return state.with_values(layout.unpack(projected))
@@ -225,19 +227,21 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
 
 def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
     """:func:`project_to_H` on a packed vector: (projected vector, its
-    tangents T), the vector being ``theta`` itself if admissible.
+    tangents T, its constraint values), the vector being ``theta`` itself
+    if admissible.
 
     The directions phi = (D E) e are frozen at ``theta`` (tangents T0), so
     the Jacobian at the current point (tangents T) is the products of its
-    constraint gradients with them, and a step t moves by
-    fields(t (D E), T0).
+    constraint gradients with them, and a step t moves by fields(t (D E),
+    T0); one SVD of the Jacobian (:func:`multipliers.solve_capped`) gives
+    each update and the condition number of the ``COND_CAP`` test.
     """
     tol = cfg.tol_constraint
     frozen = layout.tangents(theta)
     c = layout.constraint_values(frozen)
     defect = constraint_defect(c)
     if defect <= tol:
-        return theta, frozen
+        return theta, frozen, c
     if defect > 1.0:
         raise ProjectionFailed(
             f"constraint defect {defect:.3e} too large to project"
@@ -247,18 +251,12 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
     tangents = frozen
     for _ in range(NEWTON_MAX_ITERS):
         jac = layout.gradient_products(tangents, frozen, de)
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > COND_CAP:
-            raise SingularSystem(
-                "projection Jacobian is numerically singular "
-                f"(cond {cond:.3e})"
-            )
-        t = t + np.linalg.solve(jac, -c)
+        t = t + solve_capped(jac, -c, "projection Jacobian")
         current = theta + layout.fields(t @ de, frozen)
         tangents = layout.tangents(current)
         c = layout.constraint_values(tangents)
         if constraint_defect(c) <= tol:
-            return current, tangents
+            return current, tangents, c
     raise ProjectionFailed(
         f"Newton projection stagnated at defect {np.max(np.abs(c)):.3e}"
     )
@@ -270,11 +268,19 @@ def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
     constraint gradients g = E e (built from ``tangents``, whose moments
     with themselves are ``blocks``) in the lumped L2 inner product, and the
     (4,) coefficients coef of those components, the least-squares
-    multiplier estimate of grad = sum_k coef_k g_k."""
+    multiplier estimate of grad = sum_k coef_k g_k, solved from the 4x4
+    Gram matrix of the g_k by LU (``np.linalg.solve``), or by
+    ``np.linalg.lstsq`` when LU finds it singular or returns non-finite
+    values."""
     e = layout.E
     gram = layout.moment_products(blocks, e)
-    coef, *_ = np.linalg.lstsq(gram, e @ layout.products(tangents, grad),
-                               rcond=None)
+    rhs = e @ layout.products(tangents, grad)
+    try:
+        coef = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        coef = np.full(4, np.nan)
+    if not np.all(np.isfinite(coef)):
+        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     return grad - layout.fields(coef @ e, tangents), coef
 
 
@@ -289,7 +295,8 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
     The constraints are lumped integrals of +-sin or +-cos, so their
     Euclidean Hessians are diagonal, W g_k' with g_k' = d g_k / d theta,
     and the Lagrangian Hessian is B - diag(W sum_k coef_k g_k'), the sum
-    being fields(coef E, (cos, -sin) theta).  That term is clipped to half
+    being fields(coef E, (cos, -sin) theta) = fields(coef ER, T) (see
+    :class:`thetaflow.energy.PackedLayout`).  That term is clipped to half
     the movement mass, +-W / (2 tau), per node, so the matrix stays above
     W / (2 tau) plus the elastic part: positive definite, and finite when
     the estimate is huge.
@@ -311,8 +318,7 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
     ab[0, 1:] = -om
     ab[1] += layout.weights / tau
     if p >= 2.0 and coef is not None:
-        slope = np.stack([tangents[1], -tangents[0]])  # d T / d theta
-        curvature = layout.fields(coef @ layout.E, slope)
+        curvature = layout.fields(coef @ layout.ER, tangents)
         ab[1] -= layout.weights * np.clip(curvature, -0.5 / tau, 0.5 / tau)
     return ab
 
@@ -383,8 +389,9 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     computed to test its constraints, and their moments serve the next
     iteration.
 
-    Returns (theta, tangents, blocks, inner_iters, termination) for the
-    returned iterate, termination being one of the four kinds that
+    Returns (theta, tangents, blocks, c, inner_iters, termination) for the
+    returned iterate, c being its constraint values from its projection
+    (None for ``theta_prev``) and termination one of the four kinds that
     :class:`StepReport` documents:
 
       * ``"gradient_tol"``: the projected gradient norm reached
@@ -397,7 +404,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
 
     Running out of ``MAX_INNER_ITERS`` iterations raises InnerSolveFailed.
     """
-    theta = theta_prev
+    theta, c = theta_prev, None
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
@@ -406,9 +413,9 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
         gp, coef = _tangent_project(layout, tangents, blocks, grad)
         gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= TOL_INNER:
-            return theta, tangents, blocks, it, "gradient_tol"
+            return theta, tangents, blocks, c, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
-            return theta, tangents, blocks, it, "stall_window"
+            return theta, tangents, blocks, c, it, "stall_window"
         d = _newton_direction(layout, theta, tangents, grad, tau, coef)
         slope = float(layout.inner(gp, d))
         if not np.isfinite(slope) or slope <= 0.0:
@@ -417,7 +424,8 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
         accepted = None
         while alpha >= 1e-14:
             try:
-                trial, trial_tangents = _project(layout, theta - alpha * d, cfg)
+                trial, trial_tangents, trial_c = _project(
+                    layout, theta - alpha * d, cfg)
             except (ProjectionFailed, SingularSystem):
                 pass
             else:
@@ -426,7 +434,7 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                 with np.errstate(over="ignore"):
                     trial_energy = layout.step_energy(trial, theta_prev, tau)
                 if trial_energy <= energy - ARMIJO_C1 * alpha * slope:
-                    accepted = (trial, trial_tangents, trial_energy)
+                    accepted = (trial, trial_tangents, trial_c, trial_energy)
                     break
                 if ARMIJO_C1 * alpha * slope <= noise and trial_energy <= energy + noise:
                     gp_t, _ = _tangent_project(
@@ -434,14 +442,14 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                         layout.moments(trial_tangents, trial_tangents),
                         layout.step_gradient(trial, theta_prev, tau))
                     if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
-                        accepted = (trial, trial_tangents, trial_energy)
+                        accepted = (trial, trial_tangents, trial_c, trial_energy)
                         break
             if slope <= noise:
-                return theta, tangents, blocks, it, "precision_floor"
+                return theta, tangents, blocks, c, it, "precision_floor"
             alpha *= BACKTRACK
         if accepted is None:
-            return theta, tangents, blocks, it, "line_search_floor"
-        theta, tangents, energy = accepted
+            return theta, tangents, blocks, c, it, "line_search_floor"
+        theta, tangents, c, energy = accepted
         blocks = layout.moments(tangents, tangents)
         history.append(energy)
     raise InnerSolveFailed(f"inner solver hit the {MAX_INNER_ITERS}-iteration "
@@ -526,12 +534,14 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
             f"{cfg.osc_floor:g} and no strictly-shortest third curve on a "
             "theta network"
         )
-    theta, tangents, blocks, iters, termination = _inner_descent(
+    theta, tangents, blocks, c, iters, termination = _inner_descent(
         layout, theta_prev, tangents_prev, blocks_prev, cfg, tau,
         energy_before)
+    if c is None:
+        c = layout.constraint_values(tangents)
 
-    # the report reuses the final iterate's tangents, Gram moments and
-    # cellwise |D|^p
+    # the report reuses the final iterate's tangents, Gram moments,
+    # constraint values and cellwise |D|^p
     state = prev.with_values(layout.unpack(theta))
     move = theta - theta_prev
     move_sq = float(layout.inner(move, move))
@@ -558,8 +568,7 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
         mult_bound=multiplier_bound(bound_const, state.p_exponent,
                                     energy_after, velocity_l1, tau),
         bound_const=bound_const,
-        constraint_defect=constraint_defect(
-            layout.constraint_values(tangents)),
+        constraint_defect=constraint_defect(c),
         dets=data.dets,
         oscs=oscs,
         weak_residual_value=_weak_residual(

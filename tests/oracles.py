@@ -226,6 +226,16 @@ def rows_newton_direction(weights, grads, grad, bands):
     return d0 - z @ y, schur
 
 
+def block_diagonal_moment_products(e, blocks, coef):
+    """e @ blockdiag(per-curve 2x2 blocks[:, :, j]) @ coef^T, the block
+    diagonal built by zero-filling a (3, 2, 3, 2) array and fancy-indexing
+    its three diagonal blocks."""
+    moments = np.zeros((3, 2, 3, 2))
+    j = np.arange(3)
+    moments[j, :, j, :] = blocks.transpose(2, 0, 1)
+    return e @ moments.reshape(6, 6) @ coef.T
+
+
 def naive_junction_balance(values_list, lengths, p, lam, mu):
     """Larger Euclidean force-balance defect over the two curve ends.
 

@@ -28,6 +28,7 @@ from thetaflow.grids import trapezoid_weights
 
 from helpers import make_pair, make_state, steep_pair
 from oracles import (
+    block_diagonal_moment_products,
     double_sum_det,
     fd_step_gradient,
     naive_constraints,
@@ -150,6 +151,18 @@ def test_multiplier_data_matches_naive_assembly(rng):
         assert np.allclose(data.A[j], a, atol=1e-13)
         assert np.allclose(data.G[j], g, atol=1e-13)
         assert data.dets[j] == pytest.approx(np.linalg.det(a), abs=1e-13)
+
+
+def test_moment_products_match_block_diagonal_oracle(rng):
+    # the block diagonal is scattered through a precomputed flat index; the
+    # oracle zero-fills and fancy-indexes it, and the bits must agree
+    layout = PackedLayout.of(make_state(rng))[0]
+    for _ in range(200):
+        blocks = rng.normal(size=(2, 2, 3)) * 10.0 ** rng.uniform(-8, 8)
+        for coef in (layout.E, layout.DE):
+            got = layout.moment_products(blocks, coef)
+            want = block_diagonal_moment_products(layout.E, blocks, coef)
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

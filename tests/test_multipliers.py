@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,17 @@ from thetaflow import (
     p_energy,
     variation_directions,
 )
+from thetaflow import multipliers
+from thetaflow.energy import MultiplierMatrices
 from thetaflow.grids import trapezoid_weights
 from thetaflow.multipliers import (
+    COND_CAP,
     bound_constant,
     compute_remainders,
     directional_constraint_jacobian,
     multiplier_bound,
     multiplier_norm,
+    solve_capped,
     solve_multipliers,
 )
 
@@ -124,6 +130,63 @@ def test_solve_multipliers_rejects_singular_geometry():
     rem = compute_remainders(s, s, 1e-3)
     with pytest.raises(SingularSystem):
         solve_multipliers(data, rem)
+
+
+def _with_singular_values(rng, s):
+    u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    v = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    return (u * s) @ v.T
+
+
+def _capped_matrices(rng):
+    """Random 4x4 matrices, and ones whose condition number sits at 1e12
+    within 1e-3."""
+    for _ in range(100):
+        yield rng.normal(size=(4, 4))
+        s = np.sort(10.0 ** rng.uniform(-4, 4, size=4))[::-1]
+        s[-1] = s[0] / (COND_CAP * (1.0 + rng.uniform(-1e-3, 1e-3)))
+        yield _with_singular_values(rng, s)
+
+
+def test_capped_solve_reads_the_condition_number_of_cond(rng, monkeypatch):
+    # sigma_max / sigma_min of the solve's own SVD must be np.linalg.cond
+    # to 1e-12: a cap just below it rejects the matrix, one just above it
+    # lets it through to the solution
+    for m in _capped_matrices(rng):
+        cond = np.linalg.cond(m)
+        rhs = rng.normal(size=4)
+        monkeypatch.setattr(multipliers, "COND_CAP", cond * (1.0 - 1e-12))
+        with pytest.raises(SingularSystem, match="condition number"):
+            solve_capped(m, rhs, "test matrix")
+        monkeypatch.setattr(multipliers, "COND_CAP", cond * (1.0 + 1e-12))
+        x = solve_capped(m, rhs, "test matrix")
+        assert np.max(np.abs(m @ x - rhs)) <= 1e-14 * cond * (
+            np.linalg.norm(m, 2) * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+
+def test_capped_solve_keeps_the_cap(rng):
+    # a permuted diagonal has its singular values exactly
+    for factor, passes in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+        s = np.array([3.0, 2.0, 1.0, 3.0 / COND_CAP * factor])
+        m = np.diag(s)[rng.permutation(4)]
+        if passes:
+            solve_capped(m, np.ones(4), "test matrix")
+        else:
+            with pytest.raises(SingularSystem):
+                solve_capped(m, np.ones(4), "test matrix")
+
+
+def test_exactly_singular_multiplier_system_raises_singular_system(rng):
+    # sigma_min = 0 exactly: no LinAlgError and no division warning (CI
+    # turns RuntimeWarning into an error)
+    rank_one = np.array([[1.0, 0.0], [0.0, 0.0]])
+    for a in (np.zeros((3, 2, 2)), np.stack([rank_one] * 3)):
+        data = MultiplierMatrices(A=a, G=rng.normal(size=(3, 2)),
+                                  dets=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="condition number"):
+                solve_multipliers(data, np.zeros(4))
 
 
 def test_multiplier_norm_is_euclidean_pair_sum():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaflow import (
     AngleField,
@@ -14,6 +16,7 @@ from thetaflow import (
     InnerSolveFailed,
     NetworkState,
     ProjectionFailed,
+    SingularSystem,
     Trajectory,
     assemble_multiplier_data,
     constraint_defect,
@@ -103,6 +106,73 @@ def test_project_refuses_large_defect():
     assert constraint_defect(constraint_vector(s)) > 1.0
     with pytest.raises(ProjectionFailed):
         project_to_H(s, FlowConfig())
+
+
+def test_project_raises_singular_system_on_singular_jacobian(rng,
+                                                            monkeypatch):
+    # sigma_min = 0 exactly must fail the condition cap as SingularSystem,
+    # not as LinAlgError or a division warning
+    lens = preset_symmetric_lens(nodes_per_unit=40)
+    noisy = lens.with_values(tuple(
+        v + 0.02 * random_angle_field_values(rng, len(v))
+        for v in lens.values()))
+    rank_two = np.diag([1.0, 2.0, 0.0, 0.0])[rng.permutation(4)]
+    for jac in (np.zeros((4, 4)), rank_two):
+        monkeypatch.setattr(PackedLayout, "gradient_products",
+                            lambda *args, _jac=jac: _jac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="projection Jacobian"):
+                project_to_H(noisy, FlowConfig())
+
+
+def _lstsq_tangent_project(layout, tangents, blocks, grad):
+    gram = layout.moment_products(blocks, layout.E)
+    coef, *_ = np.linalg.lstsq(
+        gram, layout.E @ layout.products(tangents, grad), rcond=None)
+    return grad - layout.fields(coef @ layout.E, tangents), coef
+
+
+def test_tangent_project_falls_back_to_lstsq_on_singular_gram(rng):
+    # zero moments on two curves leave a Gram matrix of rank 2, which LU
+    # rejects; the least-squares answer is returned instead
+    layout, theta = PackedLayout.of(preset_symmetric_lens(nodes_per_unit=20))
+    tangents = layout.tangents(theta)
+    grad = rng.normal(size=theta.shape)
+    for kept in range(3):
+        blocks = layout.moments(tangents, tangents)
+        blocks[..., [j for j in range(3) if j != kept]] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(layout.moment_products(blocks, layout.E),
+                            np.ones(4))
+        gp, coef = _tangent_project(layout, tangents, blocks, grad)
+        want_gp, want_coef = _lstsq_tangent_project(layout, tangents, blocks,
+                                                    grad)
+        _assert_rel_close(coef, want_coef)
+        _assert_rel_close(gp, want_gp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       log_scale=st.floats(min_value=-6.0, max_value=6.0))
+def test_tangent_project_solve_agrees_with_lstsq(seed, log_scale):
+    # per-curve SPD blocks with eigenvalues in [0.1, 10] * scale give a
+    # well-conditioned SPD Gram matrix, which LU solves as well as lstsq
+    rng = np.random.default_rng(seed)
+    layout, theta = PackedLayout.of(preset_symmetric_lens(nodes_per_unit=10))
+    tangents = layout.tangents(theta + rng.normal(size=theta.shape))
+    grad = rng.normal(size=theta.shape)
+    blocks = np.empty((2, 2, 3))
+    for j in range(3):
+        q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        blocks[..., j] = (q * rng.uniform(0.1, 10.0, size=2)) @ q.T
+    blocks *= 10.0 ** log_scale
+    assert np.linalg.cond(layout.moment_products(blocks, layout.E)) < 1e4
+    gp, coef = _tangent_project(layout, tangents, blocks, grad)
+    want_gp, want_coef = _lstsq_tangent_project(layout, tangents, blocks,
+                                                grad)
+    _assert_rel_close(coef, want_coef, rel=1e-10)
+    _assert_rel_close(gp, want_gp, rel=1e-10)
 
 
 def test_minimize_step_decreases_energy_and_stays_admissible():
@@ -210,6 +280,50 @@ def test_run_flow_computes_each_by_product_once(monkeypatch):
     traj = run_flow(lens, FlowConfig(p_exponent=2.0, tau=1e-3, T=0.02))
     assert len(traj.reports) == 20
     assert calls == {"oscillations": 21, "elastic_energy": 1}
+
+
+def test_run_flow_kernel_call_budget(monkeypatch):
+    # per inner iteration one lstsq (the Schur complement of the Newton
+    # direction), no np.linalg.cond (the projection's SVD gives its
+    # condition), and after an accepted trial no constraint evaluation
+    # outside the projection: the report takes the trial's values
+    calls = {"lstsq": 0, "cond": 0, "outside": 0}
+    inside = []
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("lstsq", "cond"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    project, values = scheme._project, PackedLayout.constraint_values
+
+    def projecting(*args):
+        inside.append(True)
+        try:
+            return project(*args)
+        finally:
+            inside.pop()
+
+    def constraint_values(self, tangents):
+        calls["outside"] += not inside
+        return values(self, tangents)
+
+    monkeypatch.setattr(scheme, "_project", projecting)
+    monkeypatch.setattr(PackedLayout, "constraint_values", constraint_values)
+    lens = preset_symmetric_lens(nodes_per_unit=40, p=2.0)
+    traj = run_flow(lens, FlowConfig(p_exponent=2.0, tau=1e-3, T=0.02))
+    iters = sum(r.inner_iters for r in traj.reports)
+    assert len(traj.reports) == 20 and iters >= 20
+    assert calls["lstsq"] <= iters
+    assert calls["cond"] == 0
+    # run_flow checks the initial defect once; a step whose inner solve
+    # accepted no trial evaluates its input's constraints for the report
+    idle = sum(r.inner_iters == 0 for r in traj.reports)
+    assert calls["outside"] == 1 + idle
 
 
 def test_step_report_arrays_are_read_only():
