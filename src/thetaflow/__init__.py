@@ -8,19 +8,12 @@ monotonicity, dissipation and multiplier estimates hold step by step and
 are enforced as runtime assertions; long runs can be scanned for
 convergence to critical points of the constrained energy.
 
-The names below are what the CLI, the demos and the acceptance tests use;
-everything else is imported from its defining module.
+The names below are what the CLI, the demos and the README use; everything
+else, the assemblies the tests check included, is imported from its
+defining module.
 """
 
-from .energy import (
-    assemble_multiplier_data,
-    constraint_defect,
-    constraint_vector,
-    det_identity_check,
-    oscillation_stats,
-    p_energy,
-    step_gradient,
-)
+from .energy import p_energy
 from .errors import (
     DegenerateGeometry,
     EstimateViolation,
@@ -33,7 +26,6 @@ from .errors import (
     ThetaflowError,
 )
 from .grids import AngleField, Grid, NetworkState
-from .multipliers import assemble_kkt, variation_directions
 from .scheme import FlowConfig, StepReport, Trajectory, run_flow
 from .stationary import (
     conserved_coefficients,
@@ -59,17 +51,9 @@ __all__ = [
     "StepReport",
     "ThetaflowError",
     "Trajectory",
-    "assemble_kkt",
-    "assemble_multiplier_data",
     "conserved_coefficients",
     "conserved_quantity",
-    "constraint_defect",
-    "constraint_vector",
-    "det_identity_check",
     "detect_stationarity",
-    "oscillation_stats",
     "p_energy",
     "run_flow",
-    "step_gradient",
-    "variation_directions",
 ]

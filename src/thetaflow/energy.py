@@ -41,7 +41,6 @@ __all__ = [
     "constraint_gradients",
     "MultiplierMatrices",
     "assemble_multiplier_data",
-    "det_identity_check",
     "OscillationStats",
     "oscillation_stats",
     "step_gradient",
@@ -330,24 +329,6 @@ def assemble_multiplier_data(state: NetworkState) -> MultiplierMatrices:
     tangents = layout.tangents(theta)
     return layout.multiplier_data(theta, layout.moments(tangents, tangents),
                                   layout.cell_energies(theta))
-
-
-def det_identity_check(f: AngleField):
-    """Return (det A, double-sum form) of the Gram determinant.
-
-    The determinant of the single-curve Gram matrix equals
-
-        (1/2) int int sin^2(theta(s) - theta(t)) ds dt
-
-    exactly (Lagrange identity), for any quadrature weights, so the two
-    numbers agree to rounding.  Quadratic cost in the node count.
-    """
-    w = trapezoid_weights(f.grid)
-    s, c = np.sin(f.values), np.cos(f.values)
-    det = float(np.sum(w * s * s) * np.sum(w * c * c) - np.sum(w * s * c) ** 2)
-    diff = f.values[:, None] - f.values[None, :]
-    double = 0.5 * float(w @ (np.sin(diff) ** 2) @ w)
-    return det, double
 
 
 def _running(op, v: np.ndarray, size: int) -> np.ndarray:

@@ -86,7 +86,6 @@ __all__ = [
     "project_to_H",
     "minimize_step",
     "run_flow",
-    "weak_residual",
 ]
 
 ARMIJO_C1 = 1e-4       # sufficient-decrease constant of the line search
@@ -185,10 +184,6 @@ class Trajectory(object):
     @property
     def final_state(self) -> NetworkState:
         return self.states[-1]
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
 
 
 def _flatness_guard(state: NetworkState, oscs: np.ndarray,
@@ -456,10 +451,11 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
                            f"cap at tau={tau:g}")
 
 
-def weak_residual(candidate: NetworkState, prev: NetworkState,
-                  tau: float, mult: np.ndarray) -> float:
-    """Max over hat test functions of |weak form| / ||hat||_H1 for the step
-    from ``prev`` to ``candidate`` with multipliers ``mult``.
+def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
+                   grad: np.ndarray, mult: np.ndarray) -> float:
+    """Max over hat test functions of |weak form| / ||hat||_H1 for a step
+    with multipliers ``mult``, from the candidate's tangents and its packed
+    step gradient ``grad``.
 
     The weak form of the time-discrete equation pairs the velocity and the
     multiplier terms with the trapezoid rule and the elastic flux with the
@@ -468,51 +464,43 @@ def weak_residual(candidate: NetworkState, prev: NetworkState,
     exactly the optimality system the inner solver drives to zero
     tangentially.
     """
-    layout, theta = PackedLayout.of(candidate)
-    return _weak_residual(layout, layout.tangents(theta),
-                          np.concatenate(step_gradient(candidate, prev, tau)),
-                          mult)
-
-
-def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
-                   grad: np.ndarray, mult: np.ndarray) -> float:
-    """:func:`weak_residual` from the candidate's tangents and its packed
-    step gradient ``grad``."""
     density = grad + layout.fields(mult @ layout.E, tangents)
     return float(np.max(np.abs(layout.weights * density) / layout.hat_norms))
 
 
-def minimize_step(prev: NetworkState, cfg: FlowConfig, tau=None):
-    """One implicit time step from ``prev``, at ``tau`` (default
-    ``cfg.tau``).
+def minimize_step(prev: NetworkState, cfg: FlowConfig):
+    """One implicit time step from ``prev`` at ``cfg.tau``.
 
     Packs ``prev`` and computes its tangents, their moments, its elastic
     energy and its per-curve oscillations, which :func:`run_flow` carries
     over from the step before instead: the energy is the report's
     ``energy_before`` and the inner solve's starting value, the
-    oscillations feed the flatness guard.
+    oscillations feed the flatness guard.  A step at another tau takes
+    ``replace(cfg, tau=...)``, which :class:`FlowConfig` validates.
 
     Returns (new state, StepReport), the report's ``step_index`` being -1.
-    Raises ValueError unless ``tau`` is finite and positive with
-    ``(tau / 2**MAX_HALVINGS)**2`` nonzero (as :class:`FlowConfig`
-    demands), FlatnessBlowup when the flatness guard fails at ``prev``,
+    Raises ValueError when ``prev`` and ``cfg`` disagree on p,
+    FlatnessBlowup when the flatness guard fails at ``prev``,
     InnerSolveFailed from the inner solve (its iteration cap ran out, or
     the step Hessian cannot be factored), and SingularSystem /
     DegenerateGeometry from the multiplier stage.
     """
-    if tau is None:
-        tau = cfg.tau
-    elif not (math.isfinite(tau) and tau > 0.0
-              and (tau / 2**MAX_HALVINGS) ** 2 != 0.0):
-        raise ValueError(f"tau={tau!r} must be finite and positive, and the "
-                         f"square of tau / 2**{MAX_HALVINGS} must not "
-                         "underflow to 0")
+    _check_exponent(prev, cfg)
     layout, theta = PackedLayout.of(prev)
     tangents = layout.tangents(theta)
     carried = (layout, tangents, layout.moments(tangents, tangents),
                layout.elastic_energy(theta), layout.oscillations(theta))
-    state, report, _ = _step(prev, carried, cfg, tau, -1)
+    state, report, _ = _step(prev, carried, cfg, cfg.tau, -1)
     return state, report
+
+
+def _check_exponent(state: NetworkState, cfg: FlowConfig) -> None:
+    """Raise ValueError unless ``state`` and ``cfg`` share p."""
+    if state.p_exponent != cfg.p_exponent:
+        raise ValueError(
+            f"state has p={state.p_exponent:g} but config says "
+            f"p={cfg.p_exponent:g}"
+        )
 
 
 def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
@@ -675,14 +663,10 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     Each step starts from the tangents, their moments, the elastic energy
     and the oscillations of the state before it, as the previous step
     computed them; states and reports are bitwise those of
-    :func:`minimize_step` called on each state in turn (bar
-    ``step_index``).
+    :func:`minimize_step` called on each state in turn with the step's tau
+    (bar ``step_index``).
     """
-    if initial.p_exponent != cfg.p_exponent:
-        raise ValueError(
-            f"state has p={initial.p_exponent:g} but config says "
-            f"p={cfg.p_exponent:g}"
-        )
+    _check_exponent(initial, cfg)
     defect = constraint_defect(constraint_vector(initial))
     if defect > cfg.tol_constraint:
         if defect > 1e3 * cfg.tol_constraint:

@@ -55,10 +55,6 @@ class StationaryReport(object):
     multipliers: np.ndarray        # x = (lambda_1, lambda_2, mu_1, mu_2)
     step_index: int = -1
 
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals))
-
 
 def _endpoint_value(cells: np.ndarray, start: bool) -> float:
     """Extrapolate cell-midpoint data to the nearest grid endpoint."""

@@ -1,8 +1,10 @@
-"""Builders for small random test states."""
+"""Builders for small random test states, and the solver's Gram determinant
+of one curve."""
 
 import numpy as np
 
 from thetaflow import AngleField, Grid, NetworkState
+from thetaflow.energy import assemble_multiplier_data
 
 from oracles import random_angle_field_values
 
@@ -55,3 +57,10 @@ def steep_pair(rng, m=5, p=2.0, tau=0.1):
         v + 0.02 * rng.normal(size=len(v)) for v in cand.values()
     ))
     return cand, prev, tau
+
+
+def solver_det(f):
+    """The solver's Gram determinant of the single curve ``f``: its
+    ``assemble_multiplier_data`` determinant on a network of three copies
+    of ``f``."""
+    return float(assemble_multiplier_data(NetworkState((f, f, f))).dets[0])

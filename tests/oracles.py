@@ -1,7 +1,11 @@
 """Independent reference implementations for cross-checking the package.
 
-Everything here is written as plain loops against the definitions, without
-reusing package internals, so agreement with the package is meaningful.
+Everything here is written as plain loops or array expressions against the
+definitions, without reusing package internals, so agreement with the
+package is meaningful.  The one exception is :func:`weak_residual`, the
+test-facing form of the residual every step report carries: it packs
+states and calls the shipped pieces, so tests of it test the solver's own
+residual.
 """
 
 import math
@@ -9,6 +13,9 @@ import math
 import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
+
+from thetaflow import scheme
+from thetaflow.energy import PackedLayout
 
 
 def naive_trapezoid(values, length):
@@ -90,6 +97,29 @@ def double_sum_det(values, length):
         for j in range(m):
             total += w[i] * w[j] * np.sin(values[i] - values[j]) ** 2
     return 0.5 * total
+
+
+def double_sum(values, length):
+    """(1/2) w^T [sin^2(theta_i - theta_j)] w with w the trapezoid weights:
+    :func:`double_sum_det` as one (m, m) array product.
+
+    It equals the Gram determinant int sin^2 int cos^2 - (int sin cos)^2
+    exactly (Lagrange identity), for any quadrature weights, so the two
+    agree to rounding.
+    """
+    values = np.asarray(values, dtype=float)
+    w = packed_weights([values], [length])
+    diff = values[:, None] - values[None, :]
+    return 0.5 * float(w @ (np.sin(diff) ** 2) @ w)
+
+
+def weak_residual(candidate, prev, tau, mult):
+    """Weak residual (see ``scheme._weak_residual``) of the step from
+    ``prev`` to ``candidate`` with multipliers ``mult``, its gradient from
+    the shipped layout of ``candidate``."""
+    layout, theta = PackedLayout.of(candidate)
+    grad = layout.step_gradient(theta, layout.pack(prev), tau)
+    return scheme._weak_residual(layout, layout.tangents(theta), grad, mult)
 
 
 def node_pair_modulus_inverse(values, spacing, y):

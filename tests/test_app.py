@@ -14,11 +14,10 @@ from thetaflow import (
     FlowConfig,
     Grid,
     InvalidLengths,
-    constraint_defect,
-    constraint_vector,
     p_energy,
     run_flow,
 )
+from thetaflow.energy import constraint_defect, constraint_vector
 from thetaflow.grids import cumulative_tangent_integral, midpoint_gradient
 from thetaflow.app import cli, emit, presets
 from thetaflow.app.emit import RunSpec, emit_frames, load_state, save_state

@@ -9,17 +9,18 @@ from thetaflow import (
     Grid,
     NetworkState,
     SingularSystem,
-    assemble_kkt,
-    assemble_multiplier_data,
-    constraint_vector,
     p_energy,
-    variation_directions,
 )
 from thetaflow import multipliers
-from thetaflow.energy import MultiplierMatrices
+from thetaflow.energy import (
+    MultiplierMatrices,
+    assemble_multiplier_data,
+    constraint_vector,
+)
 from thetaflow.grids import trapezoid_weights
 from thetaflow.multipliers import (
     COND_CAP,
+    assemble_kkt,
     bound_constant,
     compute_remainders,
     directional_constraint_jacobian,
@@ -27,6 +28,7 @@ from thetaflow.multipliers import (
     multiplier_norm,
     solve_capped,
     solve_multipliers,
+    variation_directions,
 )
 
 from helpers import make_pair, make_state

@@ -1,5 +1,6 @@
 """The public surface: what ``thetaflow`` exports, what the demos and the
-README's library example import from it, and the README's CLI examples."""
+README's library example import from it, the README's CLI examples, and the
+names and calls the benchmark's tracer relies on."""
 
 import ast
 import importlib.util
@@ -13,6 +14,7 @@ import pytest
 
 import thetaflow
 from thetaflow.app.cli import build_parser
+from thetaflow.app.presets import preset_symmetric_lens
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -69,3 +71,42 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
                   "scipy.special", "scipy.spatial"):
         assert not [name for name in loaded
                     if name == heavy or name.startswith(heavy + ".")], heavy
+
+
+def _load_tracing():
+    """``benchmarks/tracing.py``, loaded from its path as it stands."""
+    path = ROOT / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_what_it_wraps():
+    # the benchmark resolves its targets by name: a renamed or moved
+    # function, or a report without the field its workloads read, breaks
+    # every traced run
+    tracing = _load_tracing()
+    for name, (modname, attr) in tracing.TARGETS.items():
+        assert callable(getattr(sys.modules[modname], attr, None)), name
+    for name, classes in tracing.CLASS_TARGETS.items():
+        for modname, clsname in classes:
+            cls = getattr(sys.modules[modname], clsname)
+            assert "__post_init__" in cls.__dict__, (name, clsname)
+
+    tracer = tracing.Tracer()
+    lens = preset_symmetric_lens(nodes_per_unit=20)
+    tracer.install()
+    try:
+        # through the package namespace, which the tracer rebinds
+        traj = thetaflow.run_flow(lens, thetaflow.FlowConfig(tau=1e-2,
+                                                             T=3e-2))
+    finally:
+        tracer.uninstall()
+    (root,) = [s for s in tracer.spans if s[1] == "scheme.run_flow"]
+    # the report calls the public step_gradient, as scheme imports it
+    grads = [s for s in tracer.spans if s[1] == "energy.step_gradient"]
+    assert len(grads) == len(traj.reports) == 3
+    assert all(s[4] == root[0] for s in grads)
+    assert tracer.aggregates["scheme.solveh_banded"][0] >= 1
+    assert all(isinstance(r.inner_converged, bool) for r in traj.reports)
