@@ -265,11 +265,18 @@ def p_energy(state: NetworkState) -> float:
 def implicit_step_energy(candidate: NetworkState, prev: NetworkState,
                          tau: float) -> float:
     """Elastic energy plus movement penalty (1/(2 tau)) ||cand - prev||_L2^2."""
+    layout, theta, theta_prev = _pair(candidate, prev, tau)
+    return layout.step_energy(theta, theta_prev, tau)
+
+
+def _pair(candidate: NetworkState, prev: NetworkState, tau: float):
+    """(layout, packed candidate, packed prev) of a step pair; GridMismatch
+    unless the states match, ValueError unless tau is finite and positive."""
     require_compatible(candidate, prev)
-    if tau <= 0.0:
-        raise ValueError("time step tau must be positive")
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValueError("time step tau must be finite and positive")
     layout, theta = PackedLayout.of(candidate)
-    return layout.step_energy(theta, layout.pack(prev), tau)
+    return layout, theta, layout.pack(prev)
 
 
 def constraint_vector(state: NetworkState) -> np.ndarray:
@@ -413,6 +420,5 @@ def step_gradient(candidate: NetworkState, prev: NetworkState, tau: float):
     Dividing the Euclidean partial derivatives of the step functional by the
     trapezoid weights yields exactly these values.
     """
-    require_compatible(candidate, prev)
-    layout, theta = PackedLayout.of(candidate)
-    return layout.unpack(layout.step_gradient(theta, layout.pack(prev), tau))
+    layout, theta, theta_prev = _pair(candidate, prev, tau)
+    return layout.unpack(layout.step_gradient(theta, theta_prev, tau))

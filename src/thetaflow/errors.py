@@ -23,10 +23,11 @@ class GridMismatch(ThetaflowError):
 
 
 class SingularSystem(ThetaflowError):
-    """The 4x4 multiplier system is singular or numerically unusable.
+    """A 4x4 system is singular or numerically unusable: the multiplier
+    system, or the Jacobian of the Newton projection in ``project_to_H``.
 
-    Signals at least two flat (or aligned) curves; the multiplier solve
-    refuses rather than picking one of the nonunique solutions.
+    Signals flat (or aligned) curves; the solve refuses rather than picking
+    one of the nonunique solutions.
     """
 
 

@@ -76,9 +76,6 @@ class AngleField(object):
             raise ValueError("angle values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values) -> "AngleField":
-        return AngleField(self.grid, values)
-
     def oscillation(self) -> float:
         """sup theta - inf theta over the grid nodes."""
         return float(np.max(self.values) - np.min(self.values))
@@ -130,10 +127,9 @@ class NetworkState(object):
         return bool(np.all(self.offsets == 0.0))
 
     def with_values(self, values_per_curve) -> "NetworkState":
-        """Same grids, offsets and exponent; new nodal values."""
-        flds = tuple(
-            f.with_values(v) for f, v in zip(self.fields, values_per_curve)
-        )
+        """Same grids, offsets and exponent; exactly three new arrays."""
+        flds = tuple(AngleField(f.grid, v) for f, v
+                     in zip(self.fields, values_per_curve, strict=True))
         return replace(self, fields=flds)
 
     def values(self):

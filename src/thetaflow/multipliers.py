@@ -27,9 +27,9 @@ solved multipliers whenever both determinants are positive.
 
 import numpy as np
 
-from .energy import MultiplierMatrices, PackedLayout
+from .energy import MultiplierMatrices, PackedLayout, _pair
 from .errors import DegenerateGeometry, SingularSystem
-from .grids import NetworkState, require_compatible
+from .grids import NetworkState
 
 __all__ = [
     "multiplier_norm",
@@ -108,10 +108,8 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
     tau-scale movement dtheta = O(tau) these stay O(1), which is what keeps
     the multipliers bounded along the flow.
     """
-    require_compatible(candidate, prev)
-    layout, theta = PackedLayout.of(candidate)
-    return layout.remainders(layout.tangents(theta), theta - layout.pack(prev),
-                             tau)
+    layout, theta, theta_prev = _pair(candidate, prev, tau)
+    return layout.remainders(layout.tangents(theta), theta - theta_prev, tau)
 
 
 def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):

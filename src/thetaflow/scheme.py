@@ -26,11 +26,12 @@ from the final iterate: its T, moments and constraint values, and the
 cellwise |D theta|^p that give both the elastic forcing and the energy; the
 weak residual takes the final T too, and only its gradient comes from the
 public :func:`thetaflow.energy.step_gradient` (timed by the benchmark).
-:func:`run_flow` carries the final T, moments, energy and oscillations into
-the next step, so no step evaluates these again.  The Armijo slope pairs the
-direction with the tangential gradient, whose rounding stays small near
-convergence.  Once the predicted decrease is below the rounding noise of the
-functional, a trial within that noise also passes if it halves the
+Each state enters a step with its T, moments, constraint values, energy
+and oscillations, computed once where it was made (the initial state's T
+and values by its projection in :func:`run_flow`).  The Armijo slope pairs
+the direction with the tangential gradient, whose rounding stays small
+near convergence.  Once the predicted decrease is below the rounding noise
+of the functional, a trial within that noise also passes if it halves the
 tangential gradient norm.  The iteration stops at ``TOL_INNER``, or at the
 working-precision floor: a slope below that noise whose full step passes
 neither test, since no shorter step could show a measurable decrease.  Each
@@ -55,12 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .energy import (
-    PackedLayout,
-    constraint_defect,
-    constraint_vector,
-    step_gradient,
-)
+from .energy import PackedLayout, constraint_defect, step_gradient
 from .errors import (
     DegenerateGeometry,
     EstimateViolation,
@@ -357,13 +353,12 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
     return d0 - layout.fields(y @ e, u)
 
 
-def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
-                   tangents: np.ndarray, blocks: np.ndarray,
-                   cfg: FlowConfig, tau: float, energy: float):
+def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
+                   tau: float):
     """Monotone descent for one implicit step, on packed vectors, from
-    ``theta_prev``, whose tangents are ``tangents``, their moments with
-    themselves ``blocks``, and whose elastic energy ``energy`` is also its
-    step functional value.
+    ``theta_prev`` and its by-products ``carried`` (see :func:`_step`):
+    its tangents, their moments with themselves, its constraint values and
+    its elastic energy, which is also its step functional value.
 
     Directions come from the constrained Newton system (banded Hessian, at
     p >= 2 the Lagrangian's at the multiplier estimate of the tangent
@@ -385,9 +380,9 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
     iteration.
 
     Returns (theta, tangents, blocks, c, inner_iters, termination) for the
-    returned iterate, c being its constraint values from its projection
-    (None for ``theta_prev``) and termination one of the four kinds that
-    :class:`StepReport` documents:
+    returned iterate, c being its constraint values (from its projection,
+    or carried for ``theta_prev``) and termination one of the four kinds
+    that :class:`StepReport` documents:
 
       * ``"gradient_tol"``: the projected gradient norm reached
         ``TOL_INNER``;
@@ -399,7 +394,8 @@ def _inner_descent(layout: PackedLayout, theta_prev: np.ndarray,
 
     Running out of ``MAX_INNER_ITERS`` iterations raises InnerSolveFailed.
     """
-    theta, c = theta_prev, None
+    layout, tangents, blocks, c, energy, _ = carried
+    theta = theta_prev
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
@@ -471,11 +467,9 @@ def _weak_residual(layout: PackedLayout, tangents: np.ndarray,
 def minimize_step(prev: NetworkState, cfg: FlowConfig):
     """One implicit time step from ``prev`` at ``cfg.tau``.
 
-    Packs ``prev`` and computes its tangents, their moments, its elastic
-    energy and its per-curve oscillations, which :func:`run_flow` carries
-    over from the step before instead: the energy is the report's
-    ``energy_before`` and the inner solve's starting value, the
-    oscillations feed the flatness guard.  A step at another tau takes
+    Packs ``prev`` and computes its by-products (see :func:`_step`) from
+    one tangents evaluation, where :func:`run_flow` carries them over from
+    the step before.  A step at another tau takes
     ``replace(cfg, tau=...)``, which :class:`FlowConfig` validates.
 
     Returns (new state, StepReport), the report's ``step_index`` being -1.
@@ -489,6 +483,7 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig):
     layout, theta = PackedLayout.of(prev)
     tangents = layout.tangents(theta)
     carried = (layout, tangents, layout.moments(tangents, tangents),
+               layout.constraint_values(tangents),
                layout.elastic_energy(theta), layout.oscillations(theta))
     state, report, _ = _step(prev, carried, cfg, cfg.tau, -1)
     return state, report
@@ -506,14 +501,17 @@ def _check_exponent(state: NetworkState, cfg: FlowConfig) -> None:
 def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
           index: int):
     """:func:`minimize_step` from ``prev`` and its by-products ``carried``
-    = (layout, tangents T, moments of T with T, elastic energy, per-curve
-    oscillations), the report numbered ``index``.
+    = (layout, tangents T, moments of T with T, constraint values c,
+    elastic energy, per-curve oscillations), computed where ``prev`` was
+    made; the report is numbered ``index``.  The energy is the report's
+    ``energy_before`` and the inner solve's starting value, the
+    oscillations feed the flatness guard.
 
     Returns (new state, StepReport, the new state's by-products).  The
     packed values are not carried: packing costs a few microseconds, and
     holding them from one step into the next raised the peak RSS.
     """
-    layout, tangents_prev, blocks_prev, energy_before, oscs_prev = carried
+    layout, _, _, _, energy_before, oscs_prev = carried
     theta_prev = layout.pack(prev)
     if not _flatness_guard(prev, oscs_prev, cfg.osc_floor):
         raise FlatnessBlowup(
@@ -523,10 +521,7 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
             "theta network"
         )
     theta, tangents, blocks, c, iters, termination = _inner_descent(
-        layout, theta_prev, tangents_prev, blocks_prev, cfg, tau,
-        energy_before)
-    if c is None:
-        c = layout.constraint_values(tangents)
+        theta_prev, carried, cfg, tau)
 
     # the report reuses the final iterate's tangents, Gram moments,
     # constraint values and cellwise |D|^p
@@ -566,7 +561,7 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
         inner_converged=termination == "gradient_tol",
         termination=termination,
     )
-    return state, report, (layout, tangents, blocks, energy_after, oscs)
+    return state, report, (layout, tangents, blocks, c, energy_after, oscs)
 
 
 def _attempt_step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
@@ -660,22 +655,23 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     Any error raised mid-run carries the partial trajectory in its
     ``trajectory`` attribute.
 
-    Each step starts from the tangents, their moments, the elastic energy
-    and the oscillations of the state before it, as the previous step
-    computed them; states and reports are bitwise those of
-    :func:`minimize_step` called on each state in turn with the step's tau
-    (bar ``step_index``).
+    Each step starts from the by-products of the state before it (see
+    :func:`_step`) as the step that made it computed them, the first from
+    the tangents and constraint values its projection (which returns an
+    admissible vector itself) computed.  States and reports are bitwise
+    those of :func:`minimize_step` called on each state in turn with the
+    step's tau (bar ``step_index``).
     """
     _check_exponent(initial, cfg)
-    defect = constraint_defect(constraint_vector(initial))
-    if defect > cfg.tol_constraint:
-        if defect > 1e3 * cfg.tol_constraint:
-            raise ProjectionFailed(
-                f"initial constraint defect {defect:.3e} exceeds "
-                f"1000x the constraint tolerance"
-            )
-        initial = project_to_H(initial, cfg)
-    layout, theta = PackedLayout.of(initial)
+    layout, packed = PackedLayout.of(initial)
+    defect = constraint_defect(
+        layout.constraint_values(layout.tangents(packed)))
+    if defect > 1e3 * cfg.tol_constraint:
+        raise ProjectionFailed(f"initial constraint defect {defect:.3e} "
+                               f"exceeds 1000x the constraint tolerance")
+    theta, tangents, c = _project(layout, packed, cfg)
+    if theta is not packed:
+        initial = initial.with_values(layout.unpack(theta))
     oscs = layout.oscillations(theta)
     if not _flatness_guard(initial, oscs, cfg.osc_floor):
         raise DegenerateGeometry(
@@ -687,11 +683,10 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     if not math.isfinite(ledger.d0):
         raise ValueError(f"initial elastic energy {ledger.d0:g} is not "
                          f"finite at p={cfg.p_exponent:g}")
-    tangents = layout.tangents(theta)
-    carried = (layout, tangents, layout.moments(tangents, tangents),
+    carried = (layout, tangents, layout.moments(tangents, tangents), c,
                ledger.d0, oscs)
     # held here, the initial arrays would outlive the first step
-    del theta, tangents
+    del packed, theta, tangents
     states = [initial]
     reports = []
     times = [0.0]

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetaflow import AngleField, Grid, NetworkState
-from thetaflow.app.cli import cli_main
-from thetaflow.app.emit import save_state
-from thetaflow.app.presets import preset_symmetric_lens
+from thetaflow import (AngleField, FlowConfig, Grid, NetworkState,
+                       detect_stationarity)
+from thetaflow.app.cli import _build_state, build_parser, cli_main
+from thetaflow.app.emit import RunSpec, save_state
+from thetaflow.app.presets import (preset_perturbed, preset_symmetric_lens,
+                                   preset_triod)
 
 
 def run_cli(*argv, cwd=None):
@@ -365,6 +369,42 @@ def test_non_finite_initial_energy_exits_one_before_output(command, tmp_path,
     assert ("error: initial elastic energy inf is not finite"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def _defaults(fn):
+    return {name: par.default
+            for name, par in inspect.signature(fn).parameters.items()}
+
+
+@pytest.mark.parametrize("command", ["run", "stationary", "check"])
+def test_cli_defaults_are_the_library_defaults(command):
+    # the CLI repeats the library's defaults as literals; parse each
+    # subcommand with no optional flag and hold every literal to its twin
+    args = build_parser().parse_args(
+        [command] + (["--input", "state.json"] if command == "check" else []))
+    flow = {f.name: f.default for f in dataclasses.fields(FlowConfig)}
+    assert args.tol_constraint == flow["tol_constraint"]
+    if command == "check":
+        return
+    assert (args.tau, args.T, args.osc_floor) == (
+        flow["tau"], flow["T"], flow["osc_floor"])
+    spec = {f.name: f.default for f in dataclasses.fields(RunSpec)}
+    assert args.out == spec["out_dir"]
+    assert args.stride == spec["stride"]
+    assert tuple(args.emit.split(",")) == spec["emit"]
+    for preset in (preset_symmetric_lens, preset_triod):
+        assert args.nodes_per_unit == _defaults(preset)["nodes_per_unit"]
+    perturbed = _defaults(preset_perturbed)
+    assert (args.amplitude, args.seed) == (perturbed["amplitude"],
+                                           perturbed["seed"])
+    if command == "stationary":
+        scan = _defaults(detect_stationarity)
+        assert (args.window, args.vel_tol) == (scan["window"], scan["tol"])
+    # no --p: the preset runs at the library's p
+    state, _ = _build_state(args)
+    assert state.p_exponent == flow["p_exponent"]
+    for preset in (preset_symmetric_lens, preset_triod):
+        assert _defaults(preset)["p"] == flow["p_exponent"]
 
 
 @pytest.mark.parametrize("argv,expect", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +26,7 @@ from thetaflow.energy import (
     step_gradient,
 )
 from thetaflow.grids import trapezoid_weights
+from thetaflow.multipliers import compute_remainders
 
 from helpers import make_pair, make_state, solver_det, steep_pair
 from oracles import (
@@ -111,6 +114,19 @@ def test_implicit_step_energy_rejects_mismatched_grids(rng):
     other = make_state(rng, m=11)
     with pytest.raises(GridMismatch):
         implicit_step_energy(cand, other, 0.1)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -1e-3])
+@pytest.mark.parametrize("pair_function", [implicit_step_energy, step_gradient,
+                                           compute_remainders])
+def test_pair_functions_reject_a_bad_tau(pair_function, tau, rng):
+    # as FlowConfig does: a finite, positive time step, refused before any
+    # arithmetic could return nan or warn
+    cand, prev, _ = make_pair(rng, p=2.5, m=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tau"):
+            pair_function(cand, prev, tau)
 
 
 def test_constraint_vector_matches_naive(rng):

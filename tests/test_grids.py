@@ -82,14 +82,6 @@ def test_angle_field_values_are_read_only(rng):
         f.values[0] = 99.0
 
 
-def test_angle_field_with_values_keeps_grid(rng):
-    g = Grid(length=1.0, node_count=8)
-    f = AngleField(g, random_angle_field_values(rng, 8))
-    f2 = f.with_values(f.values + 1.0)
-    assert f2.grid is f.grid
-    assert np.allclose(f2.values, f.values + 1.0)
-
-
 def test_angle_field_oscillation_is_peak_to_peak(rng):
     g = Grid(length=1.0, node_count=12)
     vals = random_angle_field_values(rng, 12)
@@ -130,6 +122,15 @@ def test_network_state_with_values_preserves_structure(rng):
     assert np.array_equal(s2.offsets, s.offsets)
     for a, b in zip(s2.values(), new_vals):
         assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_network_state_with_values_wants_three_arrays(rng, count):
+    # zip would silently drop a fourth array and keep a 3-curve state
+    s = _state(rng=rng)
+    vals = (s.values() + (np.zeros(9),))[:count]
+    with pytest.raises(ValueError):
+        s.with_values(vals)
 
 
 def test_require_compatible_flags_mismatches(rng):

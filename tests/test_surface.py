@@ -1,6 +1,7 @@
 """The public surface: what ``thetaflow`` exports, what the demos and the
-README's library example import from it, the README's CLI examples, and the
-names and calls the benchmark's tracer relies on."""
+README's library example import from it, the README's CLI examples, the
+distribution's name and version, and the names and calls the benchmark's
+tracer relies on."""
 
 import ast
 import importlib.util
@@ -54,6 +55,15 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(line.split()[1:])
+
+
+def test_distribution_is_named_thetaflow_at_the_package_version():
+    # ``pip show thetaflow`` and importlib.metadata find it under this name
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "thetaflow"
+    assert project["version"] == thetaflow.__version__
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():
