@@ -39,7 +39,6 @@ __all__ = [
     "constraint_vector",
     "constraint_defect",
     "constraint_gradients",
-    "MultiplierMatrices",
     "assemble_multiplier_data",
     "OscillationStats",
     "oscillation_stats",
@@ -77,7 +76,11 @@ class PackedLayout(object):
         as accurate as a pairwise sum), so every 4x4 matrix of the solver
         is E @ (block-diagonal per-curve 2x2 moments) @ F^T
         (:meth:`gradient_products`): the Gram matrix of the gradients
-        takes F = E, the projection Jacobian F = D E;
+        takes F = E; the multiplier matrix J[l, r] = <g_l, phi_r> and the
+        projection Jacobian, which starts out equal to it, take F = D E;
+      * D E maps six products with the e_b to the four directions: the
+        multiplier forcing is -(D E) f (:meth:`multiplier_data`), the
+        remainders -(D E) <e_b, move> / tau (:meth:`remainders`);
       * a combination sum_b c_b e_b is :meth:`fields` of c and T.
 
     Node sums are pairwise: BLAS sums are too coarse for the noise-level
@@ -238,17 +241,23 @@ class PackedLayout(object):
         return -self.DE @ self.products(tangents, move) / tau
 
     def multiplier_data(self, theta: np.ndarray, blocks: np.ndarray,
-                        cells: np.ndarray) -> "MultiplierMatrices":
-        """A, G and det A (see :class:`MultiplierMatrices`): A from the
-        :meth:`moments` ``blocks`` of the tangents T of ``theta`` with
-        themselves, G from its :meth:`cell_energies` ``cells`` by one
-        cellwise reduceat."""
-        (ss, sc), (_, cc) = blocks
-        A = np.array([[ss, -sc], [-sc, cc]]).transpose(2, 0, 1)
+                        cells: np.ndarray):
+        """(J, forcing, dets) of the multiplier system x . J = forcing +
+        :meth:`remainders`, from the :meth:`moments` ``blocks`` of T with T
+        and the :meth:`cell_energies` ``cells`` of ``theta``: J[l, r] =
+        <g_l, phi_r> is :meth:`moment_products` with F = D E; the forcing
+        is -(D E) f, f_b the sum over curve j of ``cells`` times
+        (dT/dtheta)_a = (cos, -sin)_a at the cell midpoints, b = 2j + a,
+        which is -(D ER) f' with f' the same sums of T; dets are the
+        blocks' determinants."""
         mid = 0.5 * (theta[:-1] + theta[1:])
-        G = np.add.reduceat(cells * np.stack([np.cos(mid), np.sin(mid)]),
-                            self.starts, axis=-1).T
-        return MultiplierMatrices(A=A, G=G, dets=ss * cc - sc * sc)
+        f = np.add.reduceat(cells * self.tangents(mid), self.starts,
+                            axis=-1).T.ravel()
+        (ss, sc), (_, cc) = blocks
+        # (-D @ ER) first: an exact integer matrix, so each entry of the
+        # forcing is one rounded sum of two curve totals
+        return (self.moment_products(blocks, self.DE), -self.D @ self.ER @ f,
+                ss * cc - sc * sc)
 
 
 @lru_cache(maxsize=8)
@@ -311,27 +320,9 @@ def constraint_gradients(state: NetworkState):
             for g in layout.fields(layout.E, layout.tangents(theta))]
 
 
-@dataclass(frozen=True)
-class MultiplierMatrices(object):
-    """Per-curve Gram matrices and elastic forcing vectors.
-
-    ``A`` has shape (3, 2, 2); curve i contributes
-
-        A^i = [[ int sin^2,    -int sin cos ],
-               [ -int sin cos,  int cos^2   ]]
-
-    (trapezoid rule).  ``G`` has shape (3, 2): the cellwise sums
-    sum_c h |D theta_c|^p (cos, sin)(theta averaged over cell c).  ``dets``
-    are the three determinants of A.
-    """
-
-    A: np.ndarray
-    G: np.ndarray
-    dets: np.ndarray
-
-
-def assemble_multiplier_data(state: NetworkState) -> MultiplierMatrices:
-    """Assemble the A matrices, forcing vectors G and determinants."""
+def assemble_multiplier_data(state: NetworkState):
+    """(J, forcing, dets) of the multiplier system of ``state``: see
+    :meth:`PackedLayout.multiplier_data`."""
     layout, theta = PackedLayout.of(state)
     tangents = layout.tangents(theta)
     return layout.multiplier_data(theta, layout.moments(tangents, tangents),

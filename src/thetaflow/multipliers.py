@@ -1,4 +1,4 @@
-"""Junction multipliers: the 4x4 saddle-point system and explicit bounds.
+"""Junction multipliers: the 4x4 multiplier system and explicit bounds.
 
 At a minimizer of the implicit step functional the first variation vanishes
 along every admissible direction.  Testing against four specific variation
@@ -7,34 +7,36 @@ pair coupling curves 2 and 3, one pair coupling curves 1 and 2) produces a
 4x4 linear system for the multiplier row vector x = (lambda_1, lambda_2,
 mu_1, mu_2):
 
-    x . J = rhs,   J = [[ A2, -(A1 + A2)],      rhs = (G3 - G2 + R23,
-                        [ A3,   A1      ]]              G2 - G1 + R21)
+    x . J = rhs,   J[l, r] = <g_l, phi_r>,   rhs = -(D E) f + R
 
-with the 2x2 Gram blocks A_i and elastic forcings G_i from
-:func:`thetaflow.energy.assemble_multiplier_data` and movement remainders
-R23, R21 from :func:`compute_remainders`.  Entry (l, r) of J is the
-derivative of constraint l along direction phi_r.  The multipliers are
-carried as the (4,) array x; :func:`multiplier_norm` gives |lambda| + |mu|.
+J is the derivative of constraint l along direction phi_r, built like
+every 4x4 matrix of the solver from the per-curve moments of T = (sin,
+cos) theta with F = D E (see :class:`thetaflow.energy.PackedLayout`); the
+elastic forcing -(D E) f tests the cellwise |D theta|^p against the
+rotated tangents dT/dtheta = (cos, -sin) theta.  Both come from
+:func:`thetaflow.energy.assemble_multiplier_data`, the movement remainders
+R from :func:`compute_remainders`.  The multipliers are carried as the (4,)
+array x; :func:`multiplier_norm` gives |lambda| + |mu|.
 
-The same blocks yield a fully explicit a-priori bound on |lambda| + |mu|
-in terms of the two determinants det A1, det A2, the lengths, the elastic
-energy and the L1 speed of the step; see :func:`multiplier_bound`.  Every
-inequality used there (operator norm of a PSD 2x2 matrix by its trace,
-inverse norm by norm/det, det(I + A3 M) >= 1 for M positive definite)
-overestimates the exact elimination, so the bound provably dominates the
-solved multipliers whenever both determinants are positive.
+The Gram determinants det A_i of the per-curve moments yield a fully
+explicit a-priori bound on |lambda| + |mu| in terms of det A1, det A2, the
+lengths, the elastic energy and the L1 speed of the step; see
+:func:`multiplier_bound`.  Every inequality used there (operator norm of a
+PSD 2x2 matrix by its trace, inverse norm by norm/det, det(I + A3 M) >= 1
+for M positive definite) overestimates the exact elimination, so the bound
+provably dominates the solved multipliers whenever both determinants are
+positive.
 """
 
 import numpy as np
 
-from .energy import MultiplierMatrices, PackedLayout, _pair
+from .energy import PackedLayout, _pair
 from .errors import DegenerateGeometry, SingularSystem
 from .grids import NetworkState
 
 __all__ = [
     "multiplier_norm",
     "variation_directions",
-    "assemble_kkt",
     "directional_constraint_jacobian",
     "compute_remainders",
     "solve_multipliers",
@@ -59,33 +61,23 @@ def variation_directions(state: NetworkState):
     phi_1 = (0, sin theta2, -sin theta3)   phi_2 = (0, -cos theta2, cos theta3)
     phi_3 = (sin theta1, -sin theta2, 0)   phi_4 = (-cos theta1, cos theta2, 0)
 
-    Each leaves the constraint set invariant to first order in the direction
-    complementary to its own constraint pair, which is what decouples the
-    multiplier system into the 2x2 blocks of :func:`assemble_kkt`.
+    phi = D g, D the constant ``PackedLayout.D``.  Each leaves the
+    constraint set invariant to first order in the direction complementary
+    to its own constraint pair, which is what gives the multiplier matrix
+    J[l, r] = <g_l, phi_r> its 2x2 blocks.
     """
     layout, theta = PackedLayout.of(state)
     phi = layout.fields(layout.DE, layout.tangents(theta))
     return tuple(layout.unpack(d) for d in phi)
 
 
-def assemble_kkt(data: MultiplierMatrices) -> np.ndarray:
-    """Block matrix [[A2, -(A1 + A2)], [A3, A1]] of the multiplier system."""
-    a1, a2, a3 = data.A
-    j = np.empty((4, 4))
-    j[:2, :2] = a2
-    j[:2, 2:] = -(a1 + a2)
-    j[2:, :2] = a3
-    j[2:, 2:] = a1
-    return j
-
-
 def directional_constraint_jacobian(state: NetworkState, directions) -> np.ndarray:
     """Matrix of constraint derivatives J[l, r] = d c_l / d t along
     direction r, for arbitrary nodal direction triples.
 
-    With ``directions = variation_directions(state)`` this reproduces
-    ``assemble_kkt`` exactly; the Newton projection uses it with directions
-    frozen at a different state.
+    With ``directions = variation_directions(state)`` this reproduces the
+    J of :func:`thetaflow.energy.assemble_multiplier_data` exactly; the
+    Newton projection uses it with directions frozen at a different state.
     """
     layout, theta = PackedLayout.of(state)
     dirs = np.stack([np.concatenate(d) for d in directions])
@@ -125,32 +117,32 @@ def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):
     return vt.T @ ((u.T @ rhs) / s)
 
 
-def solve_multipliers(data: MultiplierMatrices,
-                      rem: np.ndarray) -> np.ndarray:
+def solve_multipliers(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve x . J = rhs, i.e. J^T x = rhs by :func:`solve_capped`, for the
-    multiplier vector x.
+    multiplier vector x, J and the elastic part of rhs being those of
+    :func:`thetaflow.energy.assemble_multiplier_data`.
 
-    Raises SingularSystem when J has a non-finite entry or a condition
-    number above ``COND_CAP`` (at least two essentially flat or aligned
-    curves), or the solved residual fails ``|x.J - rhs| <= 1e-9 (1 + |rhs|)``.
+    Raises SingularSystem when J or rhs has a non-finite entry, J has a
+    condition number above ``COND_CAP`` (at least two essentially flat or
+    aligned curves), or the solved residual fails
+    ``|x.J - rhs| <= 1e-9 (1 + |rhs|)``.
     """
-    kkt = assemble_kkt(data)
-    if not np.all(np.isfinite(kkt)):
+    if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(rhs))):
         raise SingularSystem("multiplier system contains non-finite entries")
-    g1, g2, g3 = data.G
-    rhs = np.concatenate([g3 - g2, g2 - g1]) + rem
-    x = solve_capped(kkt.T, rhs, "multiplier system")
-    resid = float(np.max(np.abs(x @ kkt - rhs)))
-    if resid > 1e-9 * (1.0 + float(np.linalg.norm(rhs))):
+    x = solve_capped(jac.T, rhs, "multiplier system")
+    resid = float(np.max(np.abs(x @ jac - rhs)))
+    # NaN-safe: a NaN residual fails too
+    if not resid <= 1e-9 * (1.0 + float(np.linalg.norm(rhs))):
         raise SingularSystem(
             f"multiplier solve residual {resid:.3e} out of tolerance"
         )
     return x
 
 
-def bound_constant(data: MultiplierMatrices, state: NetworkState) -> float:
-    """Geometry factor C of the multiplier bound, explicit in the lengths
-    and the first two Gram determinants.
+def bound_constant(dets: np.ndarray, lengths) -> float:
+    """Geometry factor C of the multiplier bound, explicit in the curve
+    ``lengths`` and the first two Gram determinants ``dets`` of
+    :func:`thetaflow.energy.assemble_multiplier_data`.
 
     With k_i = L_i / det A_i and m = k_1 + k_2:
 
@@ -162,13 +154,13 @@ def bound_constant(data: MultiplierMatrices, state: NetworkState) -> float:
     DegenerateGeometry when either determinant sits at or below
     ``DET_FLOOR``.
     """
-    det1, det2 = float(data.dets[0]), float(data.dets[1])
+    det1, det2 = float(dets[0]), float(dets[1])
     if det1 <= DET_FLOOR or det2 <= DET_FLOOR:
         raise DegenerateGeometry(
             "Gram determinants of curves 1 and 2 must exceed the floor "
             f"{DET_FLOOR:g} (got {det1:g}, {det2:g})"
         )
-    l1, l2, l3 = state.lengths
+    l1, l2, l3 = lengths
     k1 = l1 / det1
     k2 = l2 / det2
     m = k1 + k2

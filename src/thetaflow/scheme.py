@@ -201,8 +201,10 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     """Newton projection onto the constraint set.
 
     Moves along the four variation directions frozen at the input state; the
-    Jacobian of the constraints in those directions starts out equal to the
-    multiplier system matrix, so it is invertible whenever that system is.
+    Jacobian of the constraints in those directions starts out as the
+    multiplier system matrix J of
+    :func:`thetaflow.energy.assemble_multiplier_data`, the same moment
+    products, so it is invertible whenever that system is.
     An admissible input is returned unchanged (the same object).  Raises
     ProjectionFailed for a constraint defect above 1 or when Newton
     stagnates, and SingularSystem when the projection Jacobian is
@@ -216,10 +218,12 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     return state.with_values(layout.unpack(projected))
 
 
-def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
+def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig,
+             initial: bool = False):
     """:func:`project_to_H` on a packed vector: (projected vector, its
     tangents T, its constraint values), the vector being ``theta`` itself
-    if admissible.
+    if admissible.  ``initial`` also refuses, as :func:`run_flow` does, a
+    defect above 1000x the constraint tolerance.
 
     The directions phi = (D E) e are frozen at ``theta`` (tangents T0), so
     the Jacobian at the current point (tangents T) is the products of its
@@ -233,6 +237,9 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig):
     defect = constraint_defect(c)
     if defect <= tol:
         return theta, frozen, c
+    if initial and defect > 1e3 * tol:
+        raise ProjectionFailed(f"initial constraint defect {defect:.3e} "
+                               f"exceeds 1000x the constraint tolerance")
     if defect > 1.0:
         raise ProjectionFailed(
             f"constraint defect {defect:.3e} too large to project"
@@ -531,13 +538,14 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
     velocity_l1 = float(layout.inner(np.abs(move), 1.0))
     cells = layout.cell_energies(theta)
     energy_after = float(cells.sum()) / layout.p
-    data = layout.multiplier_data(theta, blocks, cells)
+    jac, forcing, dets = layout.multiplier_data(theta, blocks, cells)
     del cells
-    mult = solve_multipliers(data, layout.remainders(tangents, move, tau))
-    bound_const = bound_constant(data, state)
+    mult = solve_multipliers(jac,
+                             forcing + layout.remainders(tangents, move, tau))
+    bound_const = bound_constant(dets, state.lengths)
     oscs = layout.oscillations(theta)
     # the next step carries oscs; no caller may write to a report's arrays
-    for a in (mult, data.dets, oscs):
+    for a in (mult, dets, oscs):
         a.setflags(write=False)
     report = StepReport(
         step_index=index,
@@ -552,7 +560,7 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
                                     energy_after, velocity_l1, tau),
         bound_const=bound_const,
         constraint_defect=constraint_defect(c),
-        dets=data.dets,
+        dets=dets,
         oscs=oscs,
         weak_residual_value=_weak_residual(
             layout, tangents, np.concatenate(step_gradient(state, prev, tau)),
@@ -664,12 +672,7 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
     """
     _check_exponent(initial, cfg)
     layout, packed = PackedLayout.of(initial)
-    defect = constraint_defect(
-        layout.constraint_values(layout.tangents(packed)))
-    if defect > 1e3 * cfg.tol_constraint:
-        raise ProjectionFailed(f"initial constraint defect {defect:.3e} "
-                               f"exceeds 1000x the constraint tolerance")
-    theta, tangents, c = _project(layout, packed, cfg)
+    theta, tangents, c = _project(layout, packed, cfg, initial=True)
     if theta is not packed:
         initial = initial.with_values(layout.unpack(theta))
     oscs = layout.oscillations(theta)

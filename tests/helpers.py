@@ -63,4 +63,4 @@ def solver_det(f):
     """The solver's Gram determinant of the single curve ``f``: its
     ``assemble_multiplier_data`` determinant on a network of three copies
     of ``f``."""
-    return float(assemble_multiplier_data(NetworkState((f, f, f))).dets[0])
+    return float(assemble_multiplier_data(NetworkState((f, f, f)))[2][0])

@@ -169,21 +169,39 @@ def naive_remainder_piece(cand, prev, length, tau):
     ]) / tau
 
 
+def block_multiplier_system(grams, forcings):
+    """The multiplier system x . J = rhs (remainders left out) in its 2x2
+    block form, from per-curve Gram blocks A_i (:func:`naive_gram`) and
+    forcings G_i (:func:`naive_forcing`):
+
+        J = [[ A2, -(A1 + A2)],      rhs = (G3 - G2, G2 - G1)
+             [ A3,   A1      ]]
+
+    The package builds J as <g_l, phi_r> from moments and the forcing as
+    -(D E) f, f the sums against (cos, -sin): the same numbers, with the
+    sign of -sin carried by the (G3 - G2, G2 - G1) differences here."""
+    a1, a2, a3 = grams
+    g1, g2, g3 = forcings
+    kkt = np.block([[a2, -(a1 + a2)], [a3, a1]])
+    return kkt, np.concatenate([g3 - g2, g2 - g1])
+
+
+def naive_multiplier_system(values_list, lengths, p):
+    """:func:`block_multiplier_system` of the naive Gram blocks and
+    forcings of the curves."""
+    return block_multiplier_system(
+        [naive_gram(v, l) for v, l in zip(values_list, lengths)],
+        [naive_forcing(v, l, p) for v, l in zip(values_list, lengths)])
+
+
 def brute_force_multipliers(cand_list, prev_list, lengths, p, tau):
     """Solve the 4x4 multiplier system assembled entirely from the oracle
     pieces (Gram blocks, forcings, remainders), via dense lstsq on the
     row-vector equation x . J = rhs."""
-    a = [naive_gram(v, l) for v, l in zip(cand_list, lengths)]
-    g = [naive_forcing(v, l, p) for v, l in zip(cand_list, lengths)]
+    kkt, forcing = naive_multiplier_system(cand_list, lengths, p)
     r = [naive_remainder_piece(c, q, l, tau)
          for c, q, l in zip(cand_list, prev_list, lengths)]
-    kkt = np.zeros((4, 4))
-    kkt[:2, :2] = a[1]
-    kkt[:2, 2:] = -(a[0] + a[1])
-    kkt[2:, :2] = a[2]
-    kkt[2:, 2:] = a[0]
-    rhs = np.concatenate([g[2] - g[1] + (r[2] - r[1]),
-                          g[1] - g[0] + (r[1] - r[0])])
+    rhs = forcing + np.concatenate([r[2] - r[1], r[1] - r[0]])
     x, *_ = np.linalg.lstsq(kkt.T, rhs, rcond=None)
     return x[:2], x[2:]
 

@@ -12,15 +12,11 @@ from thetaflow import (
     p_energy,
 )
 from thetaflow import multipliers
-from thetaflow.energy import (
-    MultiplierMatrices,
-    assemble_multiplier_data,
-    constraint_vector,
-)
+from thetaflow.app.presets import preset_symmetric_lens
+from thetaflow.energy import assemble_multiplier_data, constraint_vector
 from thetaflow.grids import trapezoid_weights
 from thetaflow.multipliers import (
     COND_CAP,
-    assemble_kkt,
     bound_constant,
     compute_remainders,
     directional_constraint_jacobian,
@@ -32,7 +28,12 @@ from thetaflow.multipliers import (
 )
 
 from helpers import make_pair, make_state
-from oracles import brute_force_multipliers, naive_remainder_piece
+from oracles import (
+    block_multiplier_system,
+    brute_force_multipliers,
+    naive_multiplier_system,
+    naive_remainder_piece,
+)
 
 
 def test_variation_directions_zero_slots(rng):
@@ -52,16 +53,18 @@ def test_variation_directions_zero_slots(rng):
 
 
 def test_kkt_matrix_equals_directional_jacobian(rng):
+    # both are E @ (per-curve moments) with one +-moment per entry of the
+    # middle factor, summed in the same order
     for m in (14, (7, 11, 5)):
         s = make_state(rng, m=m)
-        kkt = assemble_kkt(assemble_multiplier_data(s))
+        kkt, _, _ = assemble_multiplier_data(s)
         j = directional_constraint_jacobian(s, variation_directions(s))
-        assert np.allclose(kkt, j, atol=1e-12)
+        assert kkt.tobytes() == j.tobytes()
 
 
 def test_kkt_matrix_matches_finite_difference_jacobian(rng):
     s = make_state(rng, m=10)
-    kkt = assemble_kkt(assemble_multiplier_data(s))
+    kkt, _, _ = assemble_multiplier_data(s)
     phi = variation_directions(s)
     eps = 1e-6
     fd = np.empty((4, 4))
@@ -98,9 +101,9 @@ def test_remainders_for_constant_shift_of_flat_curve():
 def test_solve_multipliers_matches_brute_force(rng):
     for _ in range(10):
         cand, prev, tau = make_pair(rng, m=11, p=2.0)
-        data = assemble_multiplier_data(cand)
+        jac, forcing, _ = assemble_multiplier_data(cand)
         rem = compute_remainders(cand, prev, tau)
-        x = solve_multipliers(data, rem)
+        x = solve_multipliers(jac, forcing + rem)
         lam, mu = brute_force_multipliers(
             [v for v in cand.values()], [v for v in prev.values()],
             cand.lengths, 2.0, tau)
@@ -111,15 +114,12 @@ def test_solve_multipliers_matches_brute_force(rng):
 
 def test_solve_multipliers_satisfies_row_equation(rng):
     cand, prev, tau = make_pair(rng, m=16, p=2.5)
-    data = assemble_multiplier_data(cand)
+    jac, forcing, _ = assemble_multiplier_data(cand)
     rem = compute_remainders(cand, prev, tau)
-    x = solve_multipliers(data, rem)
-    j = assemble_kkt(data)
-    rhs = np.concatenate([
-        data.G[2] - data.G[1] + rem[:2],
-        data.G[1] - data.G[0] + rem[2:],
-    ])
-    assert np.allclose(x @ j, rhs, atol=1e-10)
+    x = solve_multipliers(jac, forcing + rem)
+    j, g = naive_multiplier_system(cand.values(), cand.lengths,
+                                   cand.p_exponent)
+    assert np.allclose(x @ j, g + rem, atol=1e-10)
 
 
 def test_solve_multipliers_rejects_singular_geometry():
@@ -128,10 +128,10 @@ def test_solve_multipliers_rejects_singular_geometry():
     m = 9
     fields = tuple(AngleField(Grid(L, m), np.zeros(m)) for L in (1.0, 1.0, 0.5))
     s = NetworkState(fields)
-    data = assemble_multiplier_data(s)
+    jac, forcing, _ = assemble_multiplier_data(s)
     rem = compute_remainders(s, s, 1e-3)
     with pytest.raises(SingularSystem):
-        solve_multipliers(data, rem)
+        solve_multipliers(jac, forcing + rem)
 
 
 def _with_singular_values(rng, s):
@@ -183,12 +183,29 @@ def test_exactly_singular_multiplier_system_raises_singular_system(rng):
     # turns RuntimeWarning into an error)
     rank_one = np.array([[1.0, 0.0], [0.0, 0.0]])
     for a in (np.zeros((3, 2, 2)), np.stack([rank_one] * 3)):
-        data = MultiplierMatrices(A=a, G=rng.normal(size=(3, 2)),
-                                  dets=np.zeros(3))
+        jac, forcing = block_multiplier_system(a, rng.normal(size=(3, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularSystem, match="condition number"):
-                solve_multipliers(data, np.zeros(4))
+                solve_multipliers(jac, forcing)
+
+
+def test_non_finite_multiplier_system_raises_singular_system(rng):
+    # at p = 1e308 the cellwise |D theta|^p overflow, so the forcing is not
+    # finite; the solve must refuse it, and a non-finite matrix entry, with
+    # no warning rather than return NaN multipliers
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = preset_symmetric_lens(nodes_per_unit=20, p=1e308)
+        jac, forcing, _ = assemble_multiplier_data(s)
+    rhs = forcing + compute_remainders(s, s, 1e-3)
+    assert np.all(np.isfinite(jac)) and not np.all(np.isfinite(rhs))
+    bad_jac, finite_rhs, _ = assemble_multiplier_data(make_state(rng))
+    bad_jac[1, 2] = np.nan
+    for j, r in ((jac, rhs), (bad_jac, finite_rhs)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="non-finite"):
+                solve_multipliers(j, r)
 
 
 def test_multiplier_norm_is_euclidean_pair_sum():
@@ -200,11 +217,13 @@ def test_bound_dominates_solved_multipliers(rng):
     hits = 0
     for _ in range(25):
         cand, prev, tau = make_pair(rng, m=12, p=2.0, step_scale=0.05)
-        data = assemble_multiplier_data(cand)
+        jac, forcing, dets = assemble_multiplier_data(cand)
         try:
-            x = solve_multipliers(data, compute_remainders(cand, prev, tau))
+            x = solve_multipliers(
+                jac, forcing + compute_remainders(cand, prev, tau))
             bound = multiplier_bound(
-                bound_constant(data, cand), cand.p_exponent, p_energy(cand),
+                bound_constant(dets, cand.lengths), cand.p_exponent,
+                p_energy(cand),
                 velocity_l1=sum(
                     trapezoid_weights(g) @ np.abs(c - q)
                     for g, c, q in zip(cand.grids, cand.values(), prev.values())),
@@ -225,27 +244,30 @@ def test_bound_constant_requires_curved_first_pair():
     )
     s = NetworkState(fields)
     with pytest.raises(DegenerateGeometry):
-        bound_constant(assemble_multiplier_data(s), s)
+        bound_constant(assemble_multiplier_data(s)[2], s.lengths)
 
 
 def test_bound_constant_is_rotation_invariant(rng):
     s = make_state(rng, m=13)
-    c0 = bound_constant(assemble_multiplier_data(s), s)
+    c0 = bound_constant(assemble_multiplier_data(s)[2], s.lengths)
     rot = s.with_values(tuple(v + 0.7 for v in s.values()))
-    c1 = bound_constant(assemble_multiplier_data(rot), rot)
+    c1 = bound_constant(assemble_multiplier_data(rot)[2], rot.lengths)
     assert c1 == pytest.approx(c0, rel=1e-10)
 
 
 def test_solved_multipliers_rotate_with_the_frame(rng):
+    def solved(cand, prev, tau):
+        jac, forcing, _ = assemble_multiplier_data(cand)
+        return solve_multipliers(jac,
+                                 forcing + compute_remainders(cand, prev, tau))
+
     alpha = 0.7
     rot = np.array([[np.cos(alpha), -np.sin(alpha)],
                     [np.sin(alpha), np.cos(alpha)]])
     cand, prev, tau = make_pair(rng, m=12)
-    x = solve_multipliers(assemble_multiplier_data(cand),
-                          compute_remainders(cand, prev, tau))
+    x = solved(cand, prev, tau)
     cand_r = cand.with_values(tuple(v + alpha for v in cand.values()))
     prev_r = prev.with_values(tuple(v + alpha for v in prev.values()))
-    x_r = solve_multipliers(assemble_multiplier_data(cand_r),
-                            compute_remainders(cand_r, prev_r, tau))
+    x_r = solved(cand_r, prev_r, tau)
     assert np.allclose(x_r[:2], rot @ x[:2], atol=1e-9)
     assert np.allclose(x_r[2:], rot @ x[2:], atol=1e-9)

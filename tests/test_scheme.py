@@ -201,9 +201,10 @@ def test_step_report_matches_public_path():
     lens = preset_symmetric_lens(nodes_per_unit=50)
     cfg = FlowConfig(tau=1e-3)
     state, rep = minimize_step(lens, cfg)
-    data = assemble_multiplier_data(state)
-    x = solve_multipliers(data, compute_remainders(state, lens, rep.tau))
-    _assert_rel_close(rep.dets, data.dets)
+    jac, forcing, dets = assemble_multiplier_data(state)
+    x = solve_multipliers(jac,
+                          forcing + compute_remainders(state, lens, rep.tau))
+    _assert_rel_close(rep.dets, dets)
     _assert_rel_close(rep.multipliers, x)
     _assert_rel_close(rep.weak_residual_value,
                       weak_residual(state, lens, rep.tau, x))
@@ -212,7 +213,7 @@ def test_step_report_matches_public_path():
     # equals the public function's bitwise, as do the other fields
     assert rep.weak_residual_value == weak_residual(state, lens, rep.tau,
                                                     rep.multipliers)
-    assert rep.dets.tobytes() == data.dets.tobytes()
+    assert rep.dets.tobytes() == dets.tobytes()
     assert rep.multipliers.tobytes() == x.tobytes()
     assert rep.energy_after == p_energy(state)
     assert rep.energy_before == p_energy(lens)
@@ -255,9 +256,10 @@ def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
     # the initial state, through which run_flow enters the first step.
     calls = {"_project": 0, "_newton_direction": 0}
     for name in calls:
-        def counted(*args, _name=name, _inner=getattr(scheme, name)):
+        def counted(*args, _name=name, _inner=getattr(scheme, name),
+                    **kwargs):
             calls[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
         monkeypatch.setattr(scheme, name, counted)
     lens = preset_symmetric_lens(nodes_per_unit=40, p=p)
     traj = run_flow(lens, FlowConfig(p_exponent=p, tau=1e-3, T=0.02))
@@ -302,10 +304,10 @@ def _count_kernel_calls(monkeypatch, npu, tau, T):
                             counted(name, getattr(np.linalg, name)))
     project, values = scheme._project, PackedLayout.constraint_values
 
-    def projecting(*args):
+    def projecting(*args, **kwargs):
         inside.append(True)
         try:
-            return project(*args)
+            return project(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -322,14 +324,15 @@ def _count_kernel_calls(monkeypatch, npu, tau, T):
 def test_run_flow_kernel_call_budget(monkeypatch):
     # per inner iteration one lstsq (the Schur complement of the Newton
     # direction), no np.linalg.cond (the projection's SVD gives its
-    # condition), and no constraint evaluation outside the projection but
-    # run_flow's initial defect check: the report takes the trial's values
+    # condition), and no constraint evaluation outside the projection, which
+    # also makes run_flow's initial defect check: the report takes the
+    # trial's values
     traj, calls = _count_kernel_calls(monkeypatch, 40, 1e-3, 0.02)
     iters = sum(r.inner_iters for r in traj.reports)
     assert len(traj.reports) == 20 and iters >= 20
     assert calls["lstsq"] <= iters
     assert calls["cond"] == 0
-    assert calls["outside"] == 1
+    assert calls["outside"] == 0
 
 
 def test_idle_steps_evaluate_no_constraints(monkeypatch):
@@ -338,7 +341,7 @@ def test_idle_steps_evaluate_no_constraints(monkeypatch):
     traj, calls = _count_kernel_calls(monkeypatch, 20, 1e-2, 2.0)
     assert len(traj.reports) == 200
     assert sum(r.inner_iters == 0 for r in traj.reports) >= 50
-    assert calls["outside"] == 1
+    assert calls["outside"] == 0
 
 
 def test_step_report_arrays_are_read_only():
@@ -479,7 +482,7 @@ def test_run_flow_refuses_far_from_constraint_set(rng):
                                    for v in lens.values()))
     if constraint_defect(constraint_vector(noisy)) <= 1e3 * FlowConfig().tol_constraint:
         pytest.skip("random perturbation too tame")
-    with pytest.raises(ProjectionFailed):
+    with pytest.raises(ProjectionFailed, match="exceeds 1000x the constraint"):
         run_flow(noisy, FlowConfig(tau=1e-3, T=2e-3))
 
 
