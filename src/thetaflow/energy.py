@@ -251,8 +251,11 @@ class PackedLayout(object):
         which is -(D ER) f' with f' the same sums of T; dets are the
         blocks' determinants."""
         mid = 0.5 * (theta[:-1] + theta[1:])
-        f = np.add.reduceat(cells * self.tangents(mid), self.starts,
-                            axis=-1).T.ravel()
+        # overflowing cells sum inf of both signs to NaN: a non-finite
+        # forcing, which solve_multipliers refuses
+        with np.errstate(invalid="ignore"):
+            f = np.add.reduceat(cells * self.tangents(mid), self.starts,
+                                axis=-1).T.ravel()
         (ss, sc), (_, cc) = blocks
         # (-D @ ER) first: an exact integer matrix, so each entry of the
         # forcing is one rounded sum of two curve totals

@@ -9,7 +9,8 @@ single curves, so the iteration carries only the (2, M) array T = (sin, cos)
 theta of its iterate and takes every 4x4 matrix from per-curve moments of T.
 Each inner iteration takes the constrained Newton direction of the bordered
 system [[B, C^T], [C, 0]] (C the constraint gradients), eliminated by one
-banded solve with three right-hand sides (gradient, sin theta, cos theta)
+tridiagonal solve (LAPACK ``dptsv``, called directly from scipy's compiled
+wrappers) with three right-hand sides (gradient, sin theta, cos theta)
 and a 4x4 Schur complement, solved by lstsq: near a straight bar it is close
 to singular.  B is banded and uncoupled across curve breaks: the step
 functional's Hessian, and at p >= 2 the Lagrangian's, the constraint
@@ -50,11 +51,14 @@ These are asserted after every accepted step and raise EstimateViolation
 (with the partial trajectory attached) if they ever fail.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+import scipy
 
 from .energy import PackedLayout, constraint_defect, step_gradient
 from .errors import (
@@ -90,6 +94,45 @@ NEWTON_MAX_ITERS = 30  # Newton iterations of one constraint projection
 MAX_HALVINGS = 3       # tau halvings before a step is given up
 MAX_INNER_ITERS = 5000 # inner iterations before a step retries at tau/2
 TOL_INNER = 1e-8       # tangential gradient norm that ends an inner solve
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without running
+    ``scipy.linalg``'s package init, which imports much of numpy and scipy
+    that thetaflow does not use."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError("thetaflow needs scipy's compiled LAPACK module "
+                          "scipy/linalg/_flapack, which was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dptsv = _load_flapack().dptsv
+
+
+def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a symmetric positive definite tridiagonal A in
+    upper band form ``ab`` (superdiagonal ``ab[0, 1:]``, diagonal
+    ``ab[1]``) by LAPACK ``dptsv``, the routine and call that
+    ``scipy.linalg.solveh_banded`` makes for a two-row band, so the result
+    is bitwise the same.  ``b`` is (n,) or (n, nrhs); ``ab`` and ``b`` may
+    be overwritten.
+
+    Raises LinAlgError when ``ab`` or ``b`` has a non-finite entry or A is
+    not positive definite.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("band or right-hand side is not finite")
+    _, _, x, info = _dptsv(ab[1], ab[0, 1:], b, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
+    return x
 
 
 @dataclass(frozen=True)
@@ -309,7 +352,9 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
     mag = np.abs(layout.slopes(theta))
     if p < 2.0:
         mag = np.maximum(mag, 1e-8)
-    om = (p - 1.0) * mag ** (p - 2.0) * layout.inv_h
+    # |D|^(p-2) may overflow at large p; the solve refuses a non-finite band
+    with np.errstate(over="ignore"):
+        om = (p - 1.0) * mag ** (p - 2.0) * layout.inv_h
     ab = np.zeros((2, theta.shape[0]))
     ab[1, :-1] += om
     ab[1, 1:] += om
@@ -335,21 +380,22 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
     gradients (W g, W the trapezoid weights), eliminated through B and a
     4x4 Schur complement.  B does not couple curves, so
     B^-1 W (sigma T_a) = sigma B^-1 W T_a for per-curve factors sigma:
-    one banded solve with the three right-hand sides
-    W (grad, sin theta, cos theta) gives d0 = B^-1 W grad and U =
-    B^-1 W T, the Schur complement is E @ blockdiag(<T_a, U_a'>) @ E^T and
-    B^-1 C^T y = fields(y E, U).  Its fixed point d = 0 is exactly the
-    constrained first-order condition: the gradient lies in the span of the
-    constraint gradients.
+    one tridiagonal solve (LAPACK ``dptsv``, see :func:`solveh_banded`)
+    with the three right-hand sides W (grad, sin theta, cos theta) gives
+    d0 = B^-1 W grad and U = B^-1 W T, the Schur complement is
+    E @ blockdiag(<T_a, U_a'>) @ E^T and B^-1 C^T y = fields(y E, U).  Its
+    fixed point d = 0 is exactly the constrained first-order condition: the
+    gradient lies in the span of the constraint gradients.
     """
     rhs = np.vstack([grad, tangents])
     rhs *= layout.weights
     try:
         sol = solveh_banded(_hessian_bands(layout, theta, tau, tangents, coef),
-                            rhs.T, overwrite_ab=True, overwrite_b=True)
+                            rhs.T)
     except np.linalg.LinAlgError as err:
-        # rounding can cost Cholesky the definiteness when the elastic
-        # weights dwarf the mass term; the caller retries at tau/2
+        # rounding can cost the factorization its definiteness when the
+        # elastic weights dwarf the mass term, and at large p the band or
+        # gradient can overflow; the caller retries at tau/2
         raise InnerSolveFailed(f"step Hessian cannot be factored at "
                                f"tau={tau:g}: {err}") from err
     d0, u = sol[:, 0], sol[:, 1:].T
@@ -407,9 +453,12 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
     window = 16
     history = [energy]
     for it in range(MAX_INNER_ITERS):
-        grad = layout.step_gradient(theta, theta_prev, tau)
-        gp, coef = _tangent_project(layout, tangents, blocks, grad)
-        gp_sq = float(layout.inner(gp, gp))
+        # at large p the gradient, its projection and its norm may
+        # overflow; the Newton solve then refuses the non-finite system
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = layout.step_gradient(theta, theta_prev, tau)
+            gp, coef = _tangent_project(layout, tangents, blocks, grad)
+            gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= TOL_INNER:
             return theta, tangents, blocks, c, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
@@ -483,8 +532,8 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig):
     Raises ValueError when ``prev`` and ``cfg`` disagree on p,
     FlatnessBlowup when the flatness guard fails at ``prev``,
     InnerSolveFailed from the inner solve (its iteration cap ran out, or
-    the step Hessian cannot be factored), and SingularSystem /
-    DegenerateGeometry from the multiplier stage.
+    the step Hessian cannot be factored or its Newton system overflowed),
+    and SingularSystem / DegenerateGeometry from the multiplier stage.
     """
     _check_exponent(prev, cfg)
     layout, theta = PackedLayout.of(prev)

@@ -341,19 +341,25 @@ def test_run_exits_two_on_a_mid_run_halt(tmp_path, capsys):
 
 def test_unfactorable_step_hessian_halts_the_flow(tmp_path):
     # at p = 60 the Newton weights (p-1)|D|^(p-2)/h of the lens dwarf the
-    # mass term and Cholesky loses definiteness to rounding at every tau
-    # halving: a failed step, so exit 2 with the halt in report.json
-    out = tmp_path / "o"
-    res = run_cli("run", "--preset", "lens", "--nodes-per-unit", "20",
-                  "--tau", "1e-2", "--T", "0.02", "--p", "60",
-                  "--out", str(out))
-    assert res.returncode == 2, res.stderr
-    assert "Traceback" not in res.stderr
-    assert "flow halted: InnerSolveFailed: " in res.stderr
-    with open(out / "report.json") as fh:
-        doc = json.load(fh)
-    assert doc["halt_reason"].startswith("InnerSolveFailed: ")
-    assert "cannot be factored" in doc["halt_reason"]
+    # mass term and the factorization loses definiteness to rounding at
+    # every tau halving; at p = 1100 they overflow and the solve refuses the
+    # non-finite band.  Either way a failed step, so exit 2 with the halt in
+    # report.json, and no warning
+    for p, cause in (("60", "th leading minor not positive definite"),
+                     ("1100", "band or right-hand side is not finite")):
+        out = tmp_path / p
+        res = run_cli("run", "--preset", "lens", "--nodes-per-unit", "20",
+                      "--tau", "1e-2", "--T", "0.02", "--p", p,
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "Warning" not in res.stderr
+        assert "flow halted: InnerSolveFailed: " in res.stderr
+        with open(out / "report.json") as fh:
+            doc = json.load(fh)
+        assert doc["halt_reason"].startswith("InnerSolveFailed: ")
+        assert "cannot be factored" in doc["halt_reason"]
+        assert doc["halt_reason"].endswith(cause)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -505,6 +506,79 @@ def test_failed_run_carries_partial_trajectory(monkeypatch):
     assert isinstance(traj, Trajectory)
     assert len(traj.states) == 1
     assert traj.states[0] is lens
+
+
+@pytest.mark.parametrize("p, amplitude", [(1100.0, 0.0), (1000.0, 0.05)])
+def test_overflowing_newton_system_fails_the_step(p, amplitude):
+    # at these p the lens's Newton weights (p-1)|D|^(p-2)/h overflow, and
+    # the perturbed lens's gradient too: the solve refuses the non-finite
+    # system at every tau halving, a failed step with no warning
+    state = preset_perturbed(preset_symmetric_lens(nodes_per_unit=20, p=p),
+                             amplitude, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InnerSolveFailed, match="not finite") as err:
+            run_flow(state, FlowConfig(p_exponent=p, tau=1e-2, T=0.02))
+    assert len(err.value.trajectory.states) == 1
+
+
+def _random_bands(rng, n, breaks):
+    """Seeded SPD tridiagonal bands in upper form, diagonally dominant,
+    with zero off-diagonals at the curve breaks ``breaks`` as in the
+    Newton band."""
+    off = rng.normal(size=n)
+    off[0] = 0.0
+    off[list(breaks)] = 0.0
+    diag = (np.abs(off) + np.abs(np.append(off[1:], 0.0))
+            + rng.uniform(0.1, 2.0, size=n))
+    return np.vstack([off, diag])
+
+
+def test_dptsv_solve_equals_scipy_solveh_banded(rng):
+    # scheme.solveh_banded calls the LAPACK routine that scipy's
+    # solveh_banded calls for a two-row band, so the results are bitwise
+    # equal; right-hand sides come as rhs.T, the layout _newton_direction
+    # passes
+    for n, breaks in ((3, ()), (61, (20, 41)), (701, (200, 401))):
+        ab = _random_bands(rng, n, breaks)
+        for nrhs in (1, 3):
+            rhs = rng.normal(size=(nrhs, n))
+            expect = solveh_banded(ab, rhs.T)
+            got = scheme.solveh_banded(ab.copy(), rhs.copy().T)
+            assert got.shape == (n, nrhs)
+            assert np.array_equal(got, expect)
+
+
+def test_dptsv_solve_refuses_indefinite_and_non_finite_bands(rng):
+    # the same leading-minor index as scipy, and LinAlgError, which
+    # _newton_direction turns into InnerSolveFailed, for a non-finite input
+    ab = _random_bands(rng, 61, (20, 41))
+    rhs = rng.normal(size=(3, 61))
+    for k in (0, 30, 60):
+        bad = ab.copy()
+        bad[1, k] = -1.0
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            solveh_banded(bad, rhs.T)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            scheme.solveh_banded(bad.copy(), rhs.copy().T)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{k + 1}th leading minor")
+    for value in (np.nan, np.inf):
+        bad_ab, bad_rhs = ab.copy(), rhs.copy()
+        bad_ab[0, 5] = value
+        bad_rhs[2, 7] = value
+        for a, b in ((bad_ab, rhs), (ab, bad_rhs)):
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                scheme.solveh_banded(a.copy(), b.copy().T)
+
+
+def test_missing_lapack_module_raises_import_error_naming_scipy(
+        monkeypatch, tmp_path):
+    # a scipy installation without its compiled LAPACK wrappers
+    monkeypatch.setattr(scheme, "scipy",
+                        SimpleNamespace(__path__=[str(tmp_path)]))
+    with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
+        scheme._load_flapack()
 
 
 def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):

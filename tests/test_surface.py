@@ -77,8 +77,8 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
         check=True).stdout
     loaded = ast.literal_eval(out)
     assert "thetaflow.app.cli" in loaded
-    for heavy in ("scipy.optimize", "scipy.ndimage", "scipy.sparse",
-                  "scipy.special", "scipy.spatial"):
+    for heavy in ("scipy.linalg", "scipy.optimize", "scipy.ndimage",
+                  "scipy.sparse", "scipy.special", "scipy.spatial"):
         assert not [name for name in loaded
                     if name == heavy or name.startswith(heavy + ".")], heavy
 
