@@ -23,9 +23,9 @@ from ..energy import (constraint_defect, constraint_vector, oscillation_stats,
                       p_energy)
 from ..errors import ThetaflowError
 from ..multipliers import multiplier_norm
-from ..scheme import FlowConfig, project_to_H, run_flow
+from ..scheme import FlowConfig, collect, project_to_H, steps
 from ..stationary import check_scan, detect_stationarity
-from .emit import RunSpec, emit_frames, load_state, save_state
+from .emit import FrameWriter, RunSpec, load_state, save_state
 from .presets import preset_perturbed, preset_symmetric_lens, preset_triod
 
 __all__ = ["build_parser", "cli_main", "console_main"]
@@ -115,11 +115,14 @@ def _build_state(args):
     return state, recorded
 
 
-def _execute_flow(args):
-    """Set up and run ``run``/``stationary``: (spec, trajectory, halt).
+def _execute_flow(args, scan=None):
+    """Run ``run``/``stationary`` and write its artifacts while the flow
+    runs: (trajectory, halt, stationary report, paths written).  ``scan``
+    is the (window, tol) of the stationarity scan, None for no scan.
 
-    A mid-run halt prints its reason and returns the partial trajectory
-    with it; an error before the first step propagates to ``cli_main``.
+    A mid-run halt prints its reason and emits the partial trajectory with
+    it; an error before the first step propagates to ``cli_main`` before
+    anything is created.
     """
     state, recorded = _build_state(args)
     cfg = FlowConfig(p_exponent=state.p_exponent, tau=args.tau, T=args.T,
@@ -128,14 +131,19 @@ def _execute_flow(args):
     spec = RunSpec(flow=cfg, out_dir=args.out, stride=args.stride,
                    emit=tuple(k for k in args.emit.split(",") if k),
                    **recorded)
-    try:
-        return spec, run_flow(state, cfg), None
-    except ThetaflowError as err:
-        if err.trajectory is None:
-            raise
-        halt = f"{type(err).__name__}: {err}"
-        print(f"flow halted: {halt}", file=sys.stderr)
-        return spec, err.trajectory, halt
+    with FrameWriter(spec) as writer:
+        halt = None
+        try:
+            traj = collect(writer.feed(steps(state, cfg)))
+        except ThetaflowError as err:
+            if err.trajectory is None:
+                raise
+            halt = f"{type(err).__name__}: {err}"
+            print(f"flow halted: {halt}", file=sys.stderr)
+            traj = err.trajectory
+        stat = None if scan is None else detect_stationarity(traj, *scan)
+        written = writer.finish(traj, stationary=stat, halt_reason=halt)
+    return traj, halt, stat, written
 
 
 def _print_summary(traj, written):
@@ -152,17 +160,15 @@ def _print_summary(traj, written):
 
 
 def _cmd_run(args):
-    spec, traj, halt = _execute_flow(args)
-    written = emit_frames(traj, spec, halt_reason=halt)
+    traj, halt, _, written = _execute_flow(args)
     _print_summary(traj, written)
     return 0 if halt is None else 2
 
 
 def _cmd_stationary(args):
     check_scan(args.window, args.vel_tol)
-    spec, traj, halt = _execute_flow(args)
-    stat = detect_stationarity(traj, args.window, args.vel_tol)
-    written = emit_frames(traj, spec, stationary=stat, halt_reason=halt)
+    traj, halt, stat, written = _execute_flow(args, (args.window,
+                                                     args.vel_tol))
     if stat is None:
         print("no critical point detected in the trailing window")
     else:

@@ -13,16 +13,22 @@ strings (no plotting library), one ``%`` per polyline; the viewBox is fixed
 from the first frame's bounding box inflated by 20 percent, so frames of one
 run are comparable.
 
-Each selected state is one job (:func:`_frame_job`): it computes the
+Each emitted state is one job (:func:`_frame_job`): it computes the
 state's positions once, writes its SVG frame and returns its CSV rows, all
 ``theta,x,y`` values of a curve in one ``%`` over a row template whose
-``curve,s`` columns are built once per process and grid.  On Linux with
-more than one usable CPU the jobs run in forked worker processes, one per
-CPU up to the frame count, with at most two jobs per worker in flight; the
-parent writes ``report.json`` while the workers start and appends the CSV
-texts in frame order.  Otherwise the same jobs run in-process.  A job's
+``curve,s`` columns are built once per process and grid.  A
+:class:`FrameWriter` takes a run's states as the flow yields them and
+starts the job of every ``stride``-th state as soon as it arrives, and the
+last state's when the run has ended; :func:`emit_frames` feeds it a
+finished trajectory.  On Linux with more than one usable CPU the jobs run
+in worker processes, forked when state 0 arrives, one per CPU up to the
+run's expected frame count, each at a lower priority so that the flow keeps
+its core; between states the parent appends the CSV texts of finished jobs
+in frame order without waiting for the others.  Otherwise the same jobs run
+in-process.  ``report.json`` is written once the run has ended.  A job's
 bytes come from the same values through the same format strings wherever
-it runs, so the output does not depend on the number of workers.
+it runs, so the output does not depend on the number of workers or on when
+the jobs ran.
 """
 
 import json
@@ -40,7 +46,8 @@ from ..errors import InvalidLengths
 from ..grids import AngleField, Grid, NetworkState, cumulative_tangent_integral
 from ..scheme import FlowConfig, StepReport, Trajectory
 
-__all__ = ["RunSpec", "save_state", "load_state", "emit_frames"]
+__all__ = ["RunSpec", "save_state", "load_state", "FrameWriter",
+           "emit_frames"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
@@ -49,7 +56,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 class RunSpec(object):
     """What to run and what to write.  The five settings after ``flow``
     are recorded as given: None unless the caller passes them.  ``out_dir``
-    must be a directory or a path that :func:`emit_frames` can create."""
+    must be a directory or a path that :class:`FrameWriter` can create."""
 
     flow: FlowConfig
     preset: str = None
@@ -123,13 +130,6 @@ def load_state(path: str) -> NetworkState:
 def _positions(state: NetworkState):
     """Curve positions with the common junction at the origin."""
     return [cumulative_tangent_integral(f) for f in state.fields]
-
-
-def _selected_indices(n_states: int, stride: int):
-    idx = list(range(0, n_states, stride))
-    if idx[-1] != n_states - 1:
-        idx.append(n_states - 1)
-    return idx
 
 
 def _multipliers_dict(mult) -> dict:
@@ -224,30 +224,6 @@ def _frame_job(i: int, t: float, state: NetworkState, csv: bool, svg):
     return chunks
 
 
-def _frame_jobs(traj: Trajectory, spec: RunSpec):
-    """Argument tuples of :func:`_frame_job`, one per selected state."""
-    csv = "csv" in spec.emit
-    svg = "svg" in spec.emit
-    if not (csv or svg):
-        return []
-    if svg:
-        frame_dir = os.path.join(spec.out_dir, "frames")
-        os.makedirs(frame_dir, exist_ok=True)
-        lo, hi = _frame_bbox(traj.states[0])
-    jobs = []
-    for i in _selected_indices(len(traj.states), spec.stride):
-        frame = None
-        if svg:
-            # report i - 1 holds the energy of state i, evaluated on the
-            # same packed values as p_energy
-            energy = (traj.reports[i - 1].energy_after if i
-                      else p_energy(traj.states[0]))
-            frame = (os.path.join(frame_dir, f"frame_{i:06d}.svg"),
-                     f"t={traj.times[i]:.6g} E={energy:.6g}", lo, hi)
-        jobs.append((i, traj.times[i], traj.states[i], csv, frame))
-    return jobs
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on, or 1 off Linux: the workers are
     forked, which macOS does not do safely and Windows not at all."""
@@ -256,13 +232,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _lower_priority():
+    """Pool initializer: the workers yield their CPU to the flow.  A host
+    that refuses the change leaves the priority as it is."""
+    try:
+        os.nice(10)
+    except OSError:
+        pass
+
+
 def _fork_pool(workers: int):
     # imported on first use: at module level they cost every start-up
     # about 3 ms
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    return ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    return ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_lower_priority)
 
 
 def _write_report(traj: Trajectory, spec: RunSpec, stationary,
@@ -281,45 +267,123 @@ def _write_report(traj: Trajectory, spec: RunSpec, stationary,
     return path
 
 
+class FrameWriter(object):
+    """Writes the artifacts of one run while its states arrive.
+
+    Pass the run's (state, report, t) items, as
+    :func:`thetaflow.scheme.steps` yields them, through :meth:`feed`, then
+    call :meth:`finish` once; a writer takes one run.  Every
+    ``stride``-th state, starting with state 0, is formatted as soon as it
+    arrives, and the last one at :meth:`finish`.  The output directory, the
+    CSV file and the worker pool are made when state 0 arrives.  Leaving the
+    ``with`` block closes the CSV file and shuts the pool down, cancelling
+    the jobs not yet started, so no worker outlives the writer.
+    """
+
+    def __init__(self, spec: RunSpec):
+        self.spec = spec
+        self._stack = ExitStack()
+        self._pool = None
+        self._futures = deque()
+        self._csv = None
+        self._svg = None    # (frame directory, lo, hi) once state 0 arrives
+        self._paths = []    # trajectory.csv, then the frames in order
+        self._last = None   # (index, state, report, t) of the last item
+        self._formatted = None  # index of the last state formatted
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stack.close()
+
+    def _start(self, state: NetworkState):
+        spec = self.spec
+        os.makedirs(spec.out_dir, exist_ok=True)
+        if not {"csv", "svg"} & set(spec.emit):
+            return
+        # the run's frames if no step is halved: states 0, stride,
+        # 2 stride, ... and the last; T / tau may overflow to inf
+        frames = spec.flow.T / spec.flow.tau / spec.stride + 2
+        workers = int(min(_usable_cpus(), frames))
+        if workers > 1:
+            self._pool = _fork_pool(workers)
+            self._stack.callback(self._pool.shutdown, cancel_futures=True)
+        if "svg" in spec.emit:
+            frame_dir = os.path.join(spec.out_dir, "frames")
+            os.makedirs(frame_dir, exist_ok=True)
+            self._svg = (frame_dir, *_frame_bbox(state))
+        if "csv" in spec.emit:
+            path = os.path.join(spec.out_dir, "trajectory.csv")
+            self._csv = self._stack.enter_context(open(path, "w"))
+            self._csv.write("step,t,curve,s,theta,x,y\n")
+            self._paths.append(path)
+
+    def _format(self, i: int, state: NetworkState, report, t: float):
+        self._formatted = i
+        svg = None
+        if self._svg is not None:
+            frame_dir, lo, hi = self._svg
+            # the step's report holds the state's energy, evaluated on the
+            # same packed values as p_energy
+            energy = p_energy(state) if report is None else report.energy_after
+            svg = (os.path.join(frame_dir, f"frame_{i:06d}.svg"),
+                   f"t={t:.6g} E={energy:.6g}", lo, hi)
+            self._paths.append(svg[0])
+        job = (i, t, state, self._csv is not None, svg)
+        if self._pool is not None:
+            self._futures.append(self._pool.submit(_frame_job, *job))
+        elif self._csv is not None or svg is not None:
+            self._write(_frame_job(*job))
+
+    def _write(self, chunks):
+        if self._csv is not None:
+            self._csv.writelines(chunks)
+
+    def _drain(self, block: bool):
+        """Append the CSV texts of finished jobs in frame order; with
+        ``block``, wait for every job."""
+        while self._futures and (block or self._futures[0].done()):
+            self._write(self._futures.popleft().result())
+
+    def feed(self, stream):
+        """Pass the run's (state, report, t) items through, taking each
+        state as it arrives; report is None for state 0."""
+        for i, (state, report, t) in enumerate(stream):
+            self._last = (i, state, report, t)
+            if i == 0:
+                self._start(state)
+            if i % self.spec.stride == 0:
+                self._format(*self._last)
+            self._drain(block=False)
+            yield state, report, t
+
+    def finish(self, traj: Trajectory, stationary=None, halt_reason=None):
+        """Format the last state if the stride missed it, write
+        ``report.json`` for ``traj`` (the states taken) and wait for the
+        frames.  Returns the list of file paths written."""
+        if self._last[0] != self._formatted:
+            self._format(*self._last)
+        written = []
+        if "json" in self.spec.emit:
+            written.append(_write_report(traj, self.spec, stationary,
+                                         halt_reason))
+        self._drain(block=True)
+        return written + self._paths
+
+
 def emit_frames(traj: Trajectory, spec: RunSpec, stationary=None,
                 halt_reason=None):
-    """Write the requested artifacts for a trajectory.
+    """Write the requested artifacts for a finished trajectory through a
+    :class:`FrameWriter`.
 
     Returns the list of file paths written.  ``stationary`` (a
     StationaryReport or None) and ``halt_reason`` land in the JSON report.
     A frame that cannot be written raises its OSError once the jobs still
     running have ended; the jobs not yet started are cancelled.
     """
-    os.makedirs(spec.out_dir, exist_ok=True)
-    jobs = _frame_jobs(traj, spec)
-    workers = min(_usable_cpus(), len(jobs))
-    ahead = 2 * workers
-    written = []
-    with ExitStack() as stack:
-        futures = deque()
-        pool = None
-        if workers > 1:
-            pool = _fork_pool(workers)
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # the first submissions fork the workers; report.json is
-            # written while they start
-            futures.extend(pool.submit(_frame_job, *job) for job in jobs[:ahead])
-        if "json" in spec.emit:
-            written.append(_write_report(traj, spec, stationary, halt_reason))
-        csv_file = None
-        if "csv" in spec.emit:
-            path = os.path.join(spec.out_dir, "trajectory.csv")
-            csv_file = stack.enter_context(open(path, "w"))
-            csv_file.write("step,t,curve,s,theta,x,y\n")
-            written.append(path)
-        for k, job in enumerate(jobs):
-            if pool is None:
-                chunks = _frame_job(*job)
-            else:
-                chunks = futures.popleft().result()
-                if k + ahead < len(jobs):
-                    futures.append(pool.submit(_frame_job, *jobs[k + ahead]))
-            if csv_file is not None:
-                csv_file.writelines(chunks)
-    written.extend(svg[0] for *_, svg in jobs if svg is not None)
-    return written
+    with FrameWriter(spec) as writer:
+        for _ in writer.feed(zip(traj.states, (None, *traj.reports),
+                                 traj.times)):
+            pass
+        return writer.finish(traj, stationary, halt_reason)

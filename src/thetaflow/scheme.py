@@ -29,7 +29,7 @@ weak residual takes the final T too, and only its gradient comes from the
 public :func:`thetaflow.energy.step_gradient` (timed by the benchmark).
 Each state enters a step with its T, moments, constraint values, energy
 and oscillations, computed once where it was made (the initial state's T
-and values by its projection in :func:`run_flow`).  The Armijo slope pairs
+and values by its projection in :func:`steps`).  The Armijo slope pairs
 the direction with the tangential gradient, whose rounding stays small
 near convergence.  Once the predicted decrease is below the rounding noise
 of the functional, a trial within that noise also passes if it halves the
@@ -38,7 +38,7 @@ working-precision floor: a slope below that noise whose full step passes
 neither test, since no shorter step could show a measurable decrease.  Each
 step reports which rule ended it (``StepReport.termination``).  Acceptance
 is monotone in the step functional, which is what makes the a-priori
-estimates of :func:`run_flow` hold by construction:
+estimates of :func:`steps` hold by construction:
 
   * the elastic energy never increases along the flow,
   * half the summed tau * ||velocity||_L2^2 stays below the initial energy,
@@ -48,7 +48,13 @@ estimates of :func:`run_flow` hold by construction:
   * nodal L2 norms grow at most like sqrt(2 T E_0).
 
 These are asserted after every accepted step and raise EstimateViolation
-(with the partial trajectory attached) if they ever fail.
+if they ever fail.
+
+The run is a stream: :func:`steps` yields each state with its report as
+soon as its step is accepted, so a caller can use a state while the next
+one is computed (the CLI formats it), and :func:`run_flow` collects the
+stream into a Trajectory, which a mid-run error carries as the partial
+trajectory.
 """
 
 import importlib.machinery
@@ -85,6 +91,8 @@ __all__ = [
     "Trajectory",
     "project_to_H",
     "minimize_step",
+    "steps",
+    "collect",
     "run_flow",
 ]
 
@@ -142,7 +150,7 @@ class FlowConfig(object):
       * ``p_exponent``: exponent p > 1 of the elastic energy;
       * ``tau``: time step, at most ``T``, and large enough that the square
         of its smallest halving, ``(tau / 2**MAX_HALVINGS)**2``, is not 0;
-      * ``T``: time horizon of :func:`run_flow`;
+      * ``T``: time horizon of :func:`steps`;
       * ``tol_constraint``: constraint defect of accepted and projected states;
       * ``osc_floor``: oscillation floor of the flatness guard.
 
@@ -265,7 +273,7 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig,
              initial: bool = False):
     """:func:`project_to_H` on a packed vector: (projected vector, its
     tangents T, its constraint values), the vector being ``theta`` itself
-    if admissible.  ``initial`` also refuses, as :func:`run_flow` does, a
+    if admissible.  ``initial`` also refuses, as :func:`steps` does, a
     defect above 1000x the constraint tolerance.
 
     The directions phi = (D E) e are frozen at ``theta`` (tangents T0), so
@@ -524,7 +532,7 @@ def minimize_step(prev: NetworkState, cfg: FlowConfig):
     """One implicit time step from ``prev`` at ``cfg.tau``.
 
     Packs ``prev`` and computes its by-products (see :func:`_step`) from
-    one tangents evaluation, where :func:`run_flow` carries them over from
+    one tangents evaluation, where :func:`steps` carries them over from
     the step before.  A step at another tau takes
     ``replace(cfg, tau=...)``, which :class:`FlowConfig` validates.
 
@@ -646,7 +654,7 @@ class _EstimateLedger(object):
         self.cfg = cfg
         # the grids are fixed for the whole run; theta packs ``initial``
         self.layout = layout
-        # an overflow here is what run_flow reports as a non-finite energy
+        # an overflow here is what steps reports as a non-finite energy
         with np.errstate(over="ignore"):
             self.d0 = layout.elastic_energy(theta)
         self.lam_total = float(sum(initial.lengths))
@@ -701,16 +709,20 @@ class _EstimateLedger(object):
         )
 
 
-def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
-    """Advance the implicit scheme from ``initial`` to the horizon.
+def steps(initial: NetworkState, cfg: FlowConfig):
+    """Advance the implicit scheme from ``initial`` to the horizon, one
+    accepted step at a time.
 
-    The initial state is projected onto the constraint set when its defect
-    is at most 1000x the constraint tolerance (larger defects are refused).
-    A degenerate initial geometry (flatness guard violated) raises
-    DegenerateGeometry, and a non-finite initial elastic energy ValueError,
-    before any stepping; mid-run guard failures surface as FlatnessBlowup.
-    Any error raised mid-run carries the partial trajectory in its
-    ``trajectory`` attribute.
+    Yields (state, report, t): first the initial state, projected, with
+    report None at t = 0, then each accepted step's state, StepReport and
+    time.  Every check on the input runs before the first item: a p that
+    differs from ``cfg``'s raises ValueError, the initial state is projected
+    onto the constraint set when its defect is at most 1000x the constraint
+    tolerance (larger defects are refused), a degenerate initial geometry
+    (flatness guard violated) raises DegenerateGeometry, and a non-finite
+    initial elastic energy ValueError.  Mid-run guard failures surface as
+    FlatnessBlowup; a mid-run error ends the stream after the last state
+    yielded.
 
     Each step starts from the by-products of the state before it (see
     :func:`_step`) as the step that made it computed them, the first from
@@ -739,24 +751,49 @@ def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
                ledger.d0, oscs)
     # held here, the initial arrays would outlive the first step
     del packed, theta, tangents
-    states = [initial]
-    reports = []
-    times = [0.0]
+    state = initial
+    index = 0
     t = 0.0
+    yield state, None, t
     t_end = cfg.T * (1.0 - 1e-12)
+    while t < t_end:
+        # after a halved step, the last step shortens to end at T
+        over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
+        tau = cfg.T - t if over else cfg.tau
+        state, report, carried = _attempt_step(state, carried, cfg, tau,
+                                               index)
+        ledger.check(state, report)
+        t += report.tau
+        index += 1
+        yield state, report, t
+
+
+def collect(stream) -> Trajectory:
+    """The Trajectory of a stream of :func:`steps` items.  A ThetaflowError
+    raised after the first item carries the partial trajectory in its
+    ``trajectory`` attribute."""
+    states = []
+    reports = []
+    times = []
     try:
-        while t < t_end:
-            # after a halved step, the last step shortens to end at T
-            over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
-            tau = cfg.T - t if over else cfg.tau
-            state, report, carried = _attempt_step(states[-1], carried, cfg,
-                                                   tau, len(reports))
-            ledger.check(state, report)
-            t += report.tau
+        for state, report, t in stream:
             states.append(state)
-            reports.append(report)
+            if report is not None:
+                reports.append(report)
             times.append(t)
     except ThetaflowError as err:
-        err.trajectory = Trajectory(states, reports, times)
+        if states:
+            err.trajectory = Trajectory(states, reports, times)
         raise
     return Trajectory(states, reports, times)
+
+
+def run_flow(initial: NetworkState, cfg: FlowConfig) -> Trajectory:
+    """Advance the implicit scheme from ``initial`` to the horizon: the
+    collected :func:`steps`.
+
+    An error raised before the first step (see :func:`steps`) carries no
+    trajectory; any error raised mid-run carries the partial trajectory in
+    its ``trajectory`` attribute.
+    """
+    return collect(steps(initial, cfg))

@@ -1,10 +1,13 @@
+import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from thetaflow import FlowConfig, run_flow
+from thetaflow.app import emit
 from thetaflow.app.presets import preset_symmetric_lens
 
 # CI runs the property tests on a fixed example sequence, so a failure there
@@ -31,3 +34,33 @@ def relaxed_lens():
     state = preset_symmetric_lens(nodes_per_unit=50)
     cfg = FlowConfig(T=6.0, tau=1e-2)
     return run_flow(state, cfg), cfg
+
+
+@pytest.fixture(params=[
+    pytest.param(2, id="pool", marks=pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="workers are forked")),
+    pytest.param(1, id="in-process"),
+])
+def emission_path(request, monkeypatch):
+    """Emit frames in a pool of two workers or in-process, whatever the
+    host's CPU count; no worker may outlive the test."""
+    monkeypatch.setattr(emit, "_usable_cpus", lambda: request.param)
+    yield request.param
+    assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def pool_forks(monkeypatch):
+    """Emit frames through a pool of two workers; the list holds the worker
+    count of each pool forked.  No worker may outlive the test."""
+    forks = []
+    fork = emit._fork_pool
+
+    def recorded(workers):
+        forks.append(workers)
+        return fork(workers)
+
+    monkeypatch.setattr(emit, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(emit, "_fork_pool", recorded)
+    yield forks
+    assert not multiprocessing.active_children()

@@ -1,7 +1,5 @@
 import json
-import multiprocessing
 import os
-import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -19,7 +17,7 @@ from thetaflow import (
 )
 from thetaflow.energy import constraint_defect, constraint_vector
 from thetaflow.grids import cumulative_tangent_integral, midpoint_gradient
-from thetaflow.app import cli, emit, presets
+from thetaflow.app import cli, presets
 from thetaflow.app.emit import RunSpec, emit_frames, load_state, save_state
 from thetaflow.app.presets import (
     preset_perturbed,
@@ -258,19 +256,6 @@ def test_run_spec_records_only_the_settings_it_is_given():
     assert [config[k] for k in keys] == ["lens", None, 100, None, None]
 
 
-@pytest.fixture(params=[
-    pytest.param(2, id="pool", marks=pytest.mark.skipif(
-        not sys.platform.startswith("linux"), reason="workers are forked")),
-    pytest.param(1, id="in-process"),
-])
-def emission_path(request, monkeypatch):
-    """Run emit_frames in a pool of two workers or in-process, whatever
-    the host's CPU count; no worker may outlive the test."""
-    monkeypatch.setattr(emit, "_usable_cpus", lambda: request.param)
-    yield request.param
-    assert not multiprocessing.active_children()
-
-
 @pytest.fixture(scope="module")
 def one_step_lens():
     lens = preset_symmetric_lens(nodes_per_unit=30)
@@ -348,7 +333,7 @@ def test_emit_respects_stride(one_step_lens, tmp_path):
 @pytest.mark.parametrize("steps, stride, selected", [
     # states 0 and 2 plus the forced final state 3
     pytest.param(3, 2, (0, 2, 3), id="three-frames"),
-    # more frames than two pool workers keep in flight
+    # more frames than workers
     pytest.param(6, 1, (0, 1, 2, 3, 4, 5, 6), id="seven-frames"),
 ])
 def test_emit_bytes_match_per_value_oracle(steps, stride, selected,

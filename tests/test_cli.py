@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetaflow import (AngleField, FlowConfig, Grid, NetworkState,
-                       detect_stationarity)
+from thetaflow import (AngleField, FlatnessBlowup, FlowConfig, Grid,
+                       NetworkState, detect_stationarity, run_flow)
+from thetaflow import scheme
 from thetaflow.app.cli import _build_state, build_parser, cli_main
-from thetaflow.app.emit import RunSpec, save_state
+from thetaflow.app.emit import RunSpec, emit_frames, save_state
 from thetaflow.app.presets import (preset_perturbed, preset_symmetric_lens,
                                    preset_triod)
 
@@ -177,14 +179,19 @@ def test_cli_usage_errors_exit_one(tmp_path):
                    str(tmp_path / "missing.json")).returncode == 1
 
 
-def test_degenerate_initial_state_exits_one(tmp_path):
+def test_degenerate_initial_state_exits_one(tmp_path, capsys, pool_forks):
     m = 21
     fields = tuple(AngleField(Grid(1.0, m), np.zeros(m)) for _ in range(3))
     path = str(tmp_path / "flat.json")
     save_state(NetworkState(fields), path)
-    res = run_cli("run", "--input", path, "--T", "1e-2")
-    assert res.returncode == 1
-    assert "error" in res.stderr
+    out = tmp_path / "out"
+    code = cli_main(["run", "--input", path, "--T", "1e-2",
+                     "--emit", "json,csv,svg", "--out", str(out)])
+    assert code == 1
+    assert "error: initial state fails the flatness guard" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert pool_forks == []
 
 
 def test_cli_main_is_importable_and_matches_subprocess(tmp_path, capsys):
@@ -238,7 +245,8 @@ def test_out_at_a_file_exits_one_before_the_flow(command, out, head, tmp_path,
     # and turn 2 into 1
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("kept\n")
-    monkeypatch.setattr("thetaflow.app.cli.run_flow", None)
+    # the CLI steps the flow through this name: no step may start
+    monkeypatch.setattr("thetaflow.app.cli.steps", None)
     code = cli_main([command, *_HALTING_TRIOD, "--T", "0.03", "--out", out])
     captured = capsys.readouterr()
     assert code == 1
@@ -365,16 +373,128 @@ def test_unfactorable_step_hessian_halts_the_flow(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "stationary"])
 def test_non_finite_initial_energy_exits_one_before_output(command, tmp_path,
-                                                          capsys):
+                                                          capsys, pool_forks):
     # |theta_s|^p overflows for the lens at p = 1e308
     out = tmp_path / "out"
     code = cli_main([command, "--preset", "lens", "--nodes-per-unit", "20",
                      "--tau", "1e-2", "--T", "0.02", "--p", "1e308",
-                     "--out", str(out)])
+                     "--emit", "json,csv,svg", "--out", str(out)])
     assert code == 1
     assert ("error: initial elastic energy inf is not finite"
             in capsys.readouterr().err)
     assert not out.exists()
+    assert pool_forks == []
+
+
+def _artifacts(out_dir):
+    """Every file under ``out_dir`` by relative path, as bytes; the path
+    that ``report.json`` records is replaced."""
+    files = {}
+    for path in sorted(out_dir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "report.json":
+                data = data.replace(json.dumps(str(out_dir)).encode(),
+                                    b'"OUT"')
+            files[str(path.relative_to(out_dir))] = data
+    return files
+
+
+_LENS = ["--preset", "lens", "--nodes-per-unit", "20", "--tau", "1e-2",
+         "--T", "0.05"]
+_SCAN = ["--window", "3", "--vel-tol", "1e9"]
+
+
+@pytest.mark.parametrize("argv,stride,code", [
+    pytest.param(["run", *_LENS], 1, 0, id="run-stride1"),
+    # states 0 and 3, and the final state 5 that the stride misses
+    pytest.param(["run", *_LENS], 3, 0, id="run-stride3"),
+    pytest.param(["stationary", *_LENS, *_SCAN], 1, 0, id="stationary-stride1"),
+    pytest.param(["stationary", *_LENS, *_SCAN], 3, 0, id="stationary-stride3"),
+    pytest.param(["run", *_HALTING_TRIOD], 1, 2, id="halt-stride1"),
+])
+def test_cli_artifacts_equal_emit_frames_of_the_run(argv, stride, code,
+                                                    emission_path, tmp_path):
+    # the CLI formats each state while the flow runs; its files must be
+    # those that emit_frames writes for the finished (or halted) run
+    args = build_parser().parse_args([*argv, "--stride", str(stride)])
+    state, recorded = _build_state(args)
+    cfg = FlowConfig(p_exponent=state.p_exponent, tau=args.tau, T=args.T,
+                     tol_constraint=args.tol_constraint,
+                     osc_floor=args.osc_floor)
+    spec = RunSpec(flow=cfg, out_dir=str(tmp_path / "lib"), stride=stride,
+                   emit=("json", "csv", "svg"), **recorded)
+    halt = None
+    try:
+        traj = run_flow(state, cfg)
+    except FlatnessBlowup as err:
+        traj = err.trajectory
+        halt = f"FlatnessBlowup: {err}"
+    stat = (detect_stationarity(traj, args.window, args.vel_tol)
+            if args.command == "stationary" else None)
+    emit_frames(traj, spec, stationary=stat, halt_reason=halt)
+    assert (halt is None) == (code == 0)
+
+    assert cli_main([*argv, "--stride", str(stride), "--emit", "json,csv,svg",
+                     "--out", str(tmp_path / "cli")]) == code
+    lib, cli = _artifacts(tmp_path / "lib"), _artifacts(tmp_path / "cli")
+    assert sorted(cli) == sorted(lib)
+    for name in lib:
+        assert cli[name] == lib[name], name
+    frames = sorted(name for name in lib if name.endswith(".svg"))
+    last = len(traj.states) - 1
+    assert frames == [os.path.join("frames", f"frame_{i:06d}.svg")
+                      for i in sorted({*range(0, last + 1, stride), last})]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers are forked")
+@pytest.mark.parametrize("error,code", [
+    (ValueError("injected failure"), 1),
+    (FlatnessBlowup("injected halt"), 2),
+])
+def test_no_worker_outlives_a_failed_run(error, code, tmp_path, capsys,
+                                         monkeypatch, pool_forks):
+    # the frame pool lives through the flow; a step that fails must still
+    # shut it down before cli_main returns
+    attempt = scheme._attempt_step
+
+    def failing(prev, carried, cfg, tau, index):
+        if index == 3:
+            raise error
+        return attempt(prev, carried, cfg, tau, index)
+
+    monkeypatch.setattr(scheme, "_attempt_step", failing)
+    code_got = cli_main(["run", *_LENS, "--emit", "csv,svg", "--stride", "1",
+                         "--out", str(tmp_path / "out")])
+    assert code_got == code
+    assert str(error) in capsys.readouterr().err
+    assert pool_forks == [2]
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers are forked")
+def test_refused_priority_drop_leaves_emission_unchanged(tmp_path,
+                                                        monkeypatch,
+                                                        pool_forks):
+    # a worker that may not lower its priority formats at the old one
+    argv = ["run", *_LENS, "--emit", "csv,svg", "--stride", "1"]
+    assert cli_main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    refusals = tmp_path / "refusals"
+
+    def refuse(increment):
+        # runs in the forked workers: leave a trace, then refuse
+        with open(refusals, "a") as fh:
+            fh.write(f"{increment}\n")
+        raise PermissionError("not permitted")
+
+    monkeypatch.setattr(os, "nice", refuse)
+    assert cli_main([*argv, "--out", str(tmp_path / "refused")]) == 0
+    assert refusals.read_text() == "10\n10\n"
+    assert pool_forks == [2, 2]
+    assert (_artifacts(tmp_path / "refused")
+            == _artifacts(tmp_path / "plain"))
 
 
 def _defaults(fn):

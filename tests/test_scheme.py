@@ -457,6 +457,22 @@ def test_run_flow_bookkeeping():
         assert rep.tau == pytest.approx(1e-3)
 
 
+def test_steps_yields_the_initial_state_then_each_step():
+    lens = preset_symmetric_lens(nodes_per_unit=40)
+    cfg = FlowConfig(tau=1e-3, T=3e-3)
+    traj = run_flow(lens, cfg)
+    items = list(scheme.steps(lens, cfg))
+    assert [t for *_, t in items] == traj.times.tolist()
+    assert items[0][1] is None
+    for (state, report, _), s, r in zip(items, traj.states,
+                                        (None, *traj.reports)):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(state.values(), s.values()))
+        if r is not None:
+            assert (report.step_index, report.energy_after) == (
+                r.step_index, r.energy_after)
+
+
 def test_run_flow_rejects_mismatched_exponent():
     lens = preset_symmetric_lens(nodes_per_unit=40, p=2.0)
     with pytest.raises(ValueError, match="state has p=2 but config says p=3"):
@@ -492,6 +508,9 @@ def test_run_flow_guards_degenerate_initial_state():
     fields = tuple(AngleField(Grid(1.0, m), np.zeros(m)) for _ in range(3))
     with pytest.raises(DegenerateGeometry):
         run_flow(NetworkState(fields), FlowConfig(T=1e-3))
+    # the stream checks its input before its first item
+    with pytest.raises(DegenerateGeometry):
+        next(scheme.steps(NetworkState(fields), FlowConfig(T=1e-3)))
 
 
 def test_failed_run_carries_partial_trajectory(monkeypatch):
