@@ -115,15 +115,18 @@ def _build_state(args):
     return state, recorded
 
 
-def _execute_flow(args, scan=None):
-    """Run ``run``/``stationary`` and write its artifacts while the flow
-    runs: (trajectory, halt, stationary report, paths written).  ``scan``
-    is the (window, tol) of the stationarity scan, None for no scan.
+def _cmd_flow(args):
+    """Run ``run``/``stationary``, writing its artifacts while the flow
+    runs, then print the stationarity scan (``stationary`` only) and the
+    summary.
 
-    A mid-run halt prints its reason and emits the partial trajectory with
-    it; an error before the first step propagates to ``cli_main`` before
-    anything is created.
+    A mid-run halt prints its reason, emits the partial trajectory with it
+    and exits 2; an error before the first step propagates to ``cli_main``
+    before anything is created.
     """
+    scan = args.command == "stationary"
+    if scan:
+        check_scan(args.window, args.vel_tol)
     state, recorded = _build_state(args)
     cfg = FlowConfig(p_exponent=state.p_exponent, tau=args.tau, T=args.T,
                      tol_constraint=args.tol_constraint,
@@ -141,12 +144,17 @@ def _execute_flow(args, scan=None):
             halt = f"{type(err).__name__}: {err}"
             print(f"flow halted: {halt}", file=sys.stderr)
             traj = err.trajectory
-        stat = None if scan is None else detect_stationarity(traj, *scan)
+        stat = (detect_stationarity(traj, args.window, args.vel_tol)
+                if scan else None)
         written = writer.finish(traj, stationary=stat, halt_reason=halt)
-    return traj, halt, stat, written
-
-
-def _print_summary(traj, written):
+    if scan and stat is None:
+        print("no critical point detected in the trailing window")
+    elif stat is not None:
+        print(f"critical point detected at step {stat.step_index}")
+        print(f"equation residuals: {stat.residuals}")
+        print(f"boundary defect: {stat.bc_defect:.6g}")
+        print(f"conserved drift: {stat.conserved_drift}")
+        print(f"junction balance defect: {stat.junction_balance_defect:.6g}")
     n = len(traj.reports)
     print(f"steps: {n}")
     if n:
@@ -157,27 +165,6 @@ def _print_summary(traj, written):
         print(f"|multipliers|: {multiplier_norm(last.multipliers):.6g}")
     for path in written:
         print(f"wrote {path}")
-
-
-def _cmd_run(args):
-    traj, halt, _, written = _execute_flow(args)
-    _print_summary(traj, written)
-    return 0 if halt is None else 2
-
-
-def _cmd_stationary(args):
-    check_scan(args.window, args.vel_tol)
-    traj, halt, stat, written = _execute_flow(args, (args.window,
-                                                     args.vel_tol))
-    if stat is None:
-        print("no critical point detected in the trailing window")
-    else:
-        print(f"critical point detected at step {stat.step_index}")
-        print(f"equation residuals: {stat.residuals}")
-        print(f"boundary defect: {stat.bc_defect:.6g}")
-        print(f"conserved drift: {stat.conserved_drift}")
-        print(f"junction balance defect: {stat.junction_balance_defect:.6g}")
-    _print_summary(traj, written)
     return 0 if halt is None else 2
 
 
@@ -213,8 +200,8 @@ def cli_main(argv=None) -> int:
         # argparse exits on usage errors (1) and --help (0); return that code
         return err.code
     handler = {
-        "run": _cmd_run,
-        "stationary": _cmd_stationary,
+        "run": _cmd_flow,
+        "stationary": _cmd_flow,
         "check": _cmd_check,
     }[args.command]
     try:

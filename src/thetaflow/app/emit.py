@@ -22,13 +22,12 @@ starts the job of every ``stride``-th state as soon as it arrives, and the
 last state's when the run has ended; :func:`emit_frames` feeds it a
 finished trajectory.  On Linux with more than one usable CPU the jobs run
 in worker processes, forked when state 0 arrives, one per CPU up to the
-run's expected frame count, each at a lower priority so that the flow keeps
-its core; between states the parent appends the CSV texts of finished jobs
-in frame order without waiting for the others.  Otherwise the same jobs run
-in-process.  ``report.json`` is written once the run has ended.  A job's
-bytes come from the same values through the same format strings wherever
-it runs, so the output does not depend on the number of workers or on when
-the jobs ran.
+run's expected frame count; between states the parent appends the CSV
+texts of finished jobs in frame order without waiting for the others.
+Otherwise the same jobs run in-process.  ``report.json`` is written once
+the run has ended.  A job's bytes come from the same values through the
+same format strings wherever it runs, so the output does not depend on the
+number of workers or on when the jobs ran.
 """
 
 import json
@@ -232,23 +231,13 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _lower_priority():
-    """Pool initializer: the workers yield their CPU to the flow.  A host
-    that refuses the change leaves the priority as it is."""
-    try:
-        os.nice(10)
-    except OSError:
-        pass
-
-
 def _fork_pool(workers: int):
     # imported on first use: at module level they cost every start-up
     # about 3 ms
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    return ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                               initializer=_lower_priority)
+    return ProcessPoolExecutor(workers, mp_context=get_context("fork"))
 
 
 def _write_report(traj: Trajectory, spec: RunSpec, stationary,
@@ -289,7 +278,6 @@ class FrameWriter(object):
         self._svg = None    # (frame directory, lo, hi) once state 0 arrives
         self._paths = []    # trajectory.csv, then the frames in order
         self._last = None   # (index, state, report, t) of the last item
-        self._formatted = None  # index of the last state formatted
 
     def __enter__(self):
         return self
@@ -320,7 +308,6 @@ class FrameWriter(object):
             self._paths.append(path)
 
     def _format(self, i: int, state: NetworkState, report, t: float):
-        self._formatted = i
         svg = None
         if self._svg is not None:
             frame_dir, lo, hi = self._svg
@@ -362,7 +349,7 @@ class FrameWriter(object):
         """Format the last state if the stride missed it, write
         ``report.json`` for ``traj`` (the states taken) and wait for the
         frames.  Returns the list of file paths written."""
-        if self._last[0] != self._formatted:
+        if self._last[0] % self.spec.stride:
             self._format(*self._last)
         written = []
         if "json" in self.spec.emit:

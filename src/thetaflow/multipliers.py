@@ -13,10 +13,13 @@ J is the derivative of constraint l along direction phi_r, built like
 every 4x4 matrix of the solver from the per-curve moments of T = (sin,
 cos) theta with F = D E (see :class:`thetaflow.energy.PackedLayout`); the
 elastic forcing -(D E) f tests the cellwise |D theta|^p against the
-rotated tangents dT/dtheta = (cos, -sin) theta.  Both come from
-:func:`thetaflow.energy.assemble_multiplier_data`, the movement remainders
-R from :func:`compute_remainders`.  The multipliers are carried as the (4,)
-array x; :func:`multiplier_norm` gives |lambda| + |mu|.
+rotated tangents dT/dtheta = (cos, -sin) theta.  A step takes both from
+:meth:`thetaflow.energy.PackedLayout.multiplier_data` and the movement
+remainders R from :meth:`~thetaflow.energy.PackedLayout.remainders`;
+:func:`thetaflow.energy.assemble_multiplier_data` and
+:func:`compute_remainders` wrap them for a NetworkState.  The multipliers
+are carried as the (4,) array x; :func:`multiplier_norm` gives |lambda| +
+|mu|.
 
 The Gram determinants det A_i of the per-curve moments yield a fully
 explicit a-priori bound on |lambda| + |mu| in terms of det A1, det A2, the
@@ -120,7 +123,7 @@ def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):
 def solve_multipliers(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve x . J = rhs, i.e. J^T x = rhs by :func:`solve_capped`, for the
     multiplier vector x, J and the elastic part of rhs being those of
-    :func:`thetaflow.energy.assemble_multiplier_data`.
+    :meth:`thetaflow.energy.PackedLayout.multiplier_data`.
 
     Raises SingularSystem when J or rhs has a non-finite entry, J has a
     condition number above ``COND_CAP`` (at least two essentially flat or
@@ -142,7 +145,7 @@ def solve_multipliers(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def bound_constant(dets: np.ndarray, lengths) -> float:
     """Geometry factor C of the multiplier bound, explicit in the curve
     ``lengths`` and the first two Gram determinants ``dets`` of
-    :func:`thetaflow.energy.assemble_multiplier_data`.
+    :meth:`thetaflow.energy.PackedLayout.multiplier_data`.
 
     With k_i = L_i / det A_i and m = k_1 + k_2:
 

@@ -254,7 +254,7 @@ def project_to_H(state: NetworkState, cfg: FlowConfig) -> NetworkState:
     Moves along the four variation directions frozen at the input state; the
     Jacobian of the constraints in those directions starts out as the
     multiplier system matrix J of
-    :func:`thetaflow.energy.assemble_multiplier_data`, the same moment
+    :meth:`thetaflow.energy.PackedLayout.multiplier_data`, the same moment
     products, so it is invertible whenever that system is.
     An admissible input is returned unchanged (the same object).  Raises
     ProjectionFailed for a constraint defect above 1 or when Newton
@@ -629,86 +629,6 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
     return state, report, (layout, tangents, blocks, c, energy_after, oscs)
 
 
-def _attempt_step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
-                  index: int):
-    """:func:`_step` with time-step rejection: halve tau on inner failure,
-    from the same carried by-products."""
-    last = None
-    for _ in range(MAX_HALVINGS + 1):
-        try:
-            return _step(prev, carried, cfg, tau, index)
-        except InnerSolveFailed as err:
-            last = err
-            tau *= 0.5
-    raise InnerSolveFailed(
-        f"step failed at all {MAX_HALVINGS + 1} attempts (smallest tau "
-        f"{2 * tau:g}): {last}"
-    )
-
-
-class _EstimateLedger(object):
-    """Running a-priori estimates checked after every accepted step."""
-
-    def __init__(self, layout: PackedLayout, theta: np.ndarray,
-                 initial: NetworkState, cfg: FlowConfig):
-        self.cfg = cfg
-        # the grids are fixed for the whole run; theta packs ``initial``
-        self.layout = layout
-        # an overflow here is what steps reports as a non-finite energy
-        with np.errstate(over="ignore"):
-            self.d0 = layout.elastic_energy(theta)
-        self.lam_total = float(sum(initial.lengths))
-        self.l2_initial = np.sqrt(self.layout.curve_sums(theta * theta))
-        self.dissipation = 0.0
-        self.mult_sq = 0.0
-        self.c_star = 0.0
-        self.steps = 0
-
-    def check(self, state: NetworkState, report: StepReport):
-        cfg = self.cfg
-        eps = 1e-12 * (1.0 + abs(self.d0))
-        self.steps += 1
-        self.dissipation += report.tau * report.velocity_l2sq
-        mult = report.multipliers
-        self.mult_sq += report.tau * float(mult @ mult)
-        self.c_star = max(self.c_star, report.bound_const)
-
-        if report.energy_after + report.penalty_value > report.energy_before + eps:
-            self._fail(
-                "energy monotonicity",
-                report.energy_after + report.penalty_value,
-                report.energy_before,
-            )
-        if 0.5 * self.dissipation > self.d0 - report.energy_after + self.steps * eps:
-            self._fail("dissipation budget", 0.5 * self.dissipation,
-                       self.d0 - report.energy_after)
-        norm = multiplier_norm(mult)
-        if norm > report.mult_bound * (1.0 + 1e-9) + 1e-9:
-            self._fail("per-step multiplier bound", norm, report.mult_bound)
-        horizon = cfg.T + cfg.tau
-        budget = (2.0 * self.c_star**2
-                  * max(cfg.p_exponent**2, 2.0 * self.lam_total)
-                  * (horizon * self.d0 + 1.0) * self.d0)
-        if self.mult_sq > budget * (1.0 + 1e-6) + 1e-12:
-            self._fail("multiplier square budget", self.mult_sq, budget)
-        growth = math.sqrt(2.0 * horizon * self.d0)
-        theta = self.layout.pack(state)
-        norms = np.sqrt(self.layout.curve_sums(theta * theta))
-        for j, norm in enumerate(norms):
-            cap = self.l2_initial[j] + growth
-            if norm > cap * (1.0 + 1e-9) + 1e-9:
-                self._fail(f"L2 growth of curve {j + 1}", norm, cap)
-        if report.constraint_defect > cfg.tol_constraint * (1.0 + 1e-9) + 1e-16:
-            self._fail("constraint defect", report.constraint_defect,
-                       cfg.tol_constraint)
-
-    def _fail(self, what, got, allowed):
-        raise EstimateViolation(
-            f"{what} violated at step {self.steps - 1}: "
-            f"{got:.12e} > {allowed:.12e}"
-        )
-
-
 def steps(initial: NetworkState, cfg: FlowConfig):
     """Advance the implicit scheme from ``initial`` to the horizon, one
     accepted step at a time.
@@ -722,7 +642,9 @@ def steps(initial: NetworkState, cfg: FlowConfig):
     (flatness guard violated) raises DegenerateGeometry, and a non-finite
     initial elastic energy ValueError.  Mid-run guard failures surface as
     FlatnessBlowup; a mid-run error ends the stream after the last state
-    yielded.
+    yielded.  A step whose inner solve fails is retried at tau/2, at most
+    ``MAX_HALVINGS`` times, before it raises InnerSolveFailed; a violated
+    a-priori estimate raises EstimateViolation.
 
     Each step starts from the by-products of the state before it (see
     :func:`_step`) as the step that made it computed them, the first from
@@ -743,12 +665,26 @@ def steps(initial: NetworkState, cfg: FlowConfig):
             f"{np.array2string(oscs, precision=3)}, floor {cfg.osc_floor:g})"
         )
 
-    ledger = _EstimateLedger(layout, theta, initial, cfg)
-    if not math.isfinite(ledger.d0):
-        raise ValueError(f"initial elastic energy {ledger.d0:g} is not "
+    # an overflow here is what the check below reports
+    with np.errstate(over="ignore"):
+        d0 = layout.elastic_energy(theta)
+    if not math.isfinite(d0):
+        raise ValueError(f"initial elastic energy {d0:g} is not "
                          f"finite at p={cfg.p_exponent:g}")
-    carried = (layout, tangents, layout.moments(tangents, tangents), c,
-               ledger.d0, oscs)
+    # the running a-priori estimates, checked after every accepted step
+    eps = 1e-12 * (1.0 + abs(d0))
+    horizon = cfg.T + cfg.tau
+    lam_total = float(sum(initial.lengths))
+    l2_caps = (np.sqrt(layout.curve_sums(theta * theta))
+               + math.sqrt(2.0 * horizon * d0))
+    dissipation = mult_sq = c_star = 0.0
+
+    def fail(what, got, allowed):
+        raise EstimateViolation(f"{what} violated at step {index}: "
+                                f"{got:.12e} > {allowed:.12e}")
+
+    carried = (layout, tangents, layout.moments(tangents, tangents), c, d0,
+               oscs)
     # held here, the initial arrays would outlive the first step
     del packed, theta, tangents
     state = initial
@@ -760,9 +696,45 @@ def steps(initial: NetworkState, cfg: FlowConfig):
         # after a halved step, the last step shortens to end at T
         over = t + cfg.tau > cfg.T * (1.0 + 1e-12)
         tau = cfg.T - t if over else cfg.tau
-        state, report, carried = _attempt_step(state, carried, cfg, tau,
-                                               index)
-        ledger.check(state, report)
+        # an inner failure retries at tau/2 from the same by-products
+        for _ in range(MAX_HALVINGS + 1):
+            try:
+                state, report, carried = _step(state, carried, cfg, tau, index)
+                break
+            except InnerSolveFailed as err:
+                last = err
+                tau *= 0.5
+        else:
+            raise InnerSolveFailed(
+                f"step failed at all {MAX_HALVINGS + 1} attempts (smallest "
+                f"tau {2 * tau:g}): {last}")
+
+        dissipation += report.tau * report.velocity_l2sq
+        mult = report.multipliers
+        mult_sq += report.tau * float(mult @ mult)
+        c_star = max(c_star, report.bound_const)
+        if report.energy_after + report.penalty_value > report.energy_before + eps:
+            fail("energy monotonicity",
+                 report.energy_after + report.penalty_value,
+                 report.energy_before)
+        if 0.5 * dissipation > d0 - report.energy_after + (index + 1) * eps:
+            fail("dissipation budget", 0.5 * dissipation,
+                 d0 - report.energy_after)
+        norm = multiplier_norm(mult)
+        if norm > report.mult_bound * (1.0 + 1e-9) + 1e-9:
+            fail("per-step multiplier bound", norm, report.mult_bound)
+        budget = (2.0 * c_star**2
+                  * max(cfg.p_exponent**2, 2.0 * lam_total)
+                  * (horizon * d0 + 1.0) * d0)
+        if mult_sq > budget * (1.0 + 1e-6) + 1e-12:
+            fail("multiplier square budget", mult_sq, budget)
+        norms = np.sqrt(layout.curve_sums(np.square(layout.pack(state))))
+        for j, (norm, cap) in enumerate(zip(norms, l2_caps)):
+            if norm > cap * (1.0 + 1e-9) + 1e-9:
+                fail(f"L2 growth of curve {j + 1}", norm, cap)
+        if report.constraint_defect > cfg.tol_constraint * (1.0 + 1e-9) + 1e-16:
+            fail("constraint defect", report.constraint_defect,
+                 cfg.tol_constraint)
         t += report.tau
         index += 1
         yield state, report, t

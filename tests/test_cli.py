@@ -457,44 +457,20 @@ def test_no_worker_outlives_a_failed_run(error, code, tmp_path, capsys,
                                          monkeypatch, pool_forks):
     # the frame pool lives through the flow; a step that fails must still
     # shut it down before cli_main returns
-    attempt = scheme._attempt_step
+    step = scheme._step
 
     def failing(prev, carried, cfg, tau, index):
         if index == 3:
             raise error
-        return attempt(prev, carried, cfg, tau, index)
+        return step(prev, carried, cfg, tau, index)
 
-    monkeypatch.setattr(scheme, "_attempt_step", failing)
+    monkeypatch.setattr(scheme, "_step", failing)
     code_got = cli_main(["run", *_LENS, "--emit", "csv,svg", "--stride", "1",
                          "--out", str(tmp_path / "out")])
     assert code_got == code
     assert str(error) in capsys.readouterr().err
     assert pool_forks == [2]
     assert not multiprocessing.active_children()
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="workers are forked")
-def test_refused_priority_drop_leaves_emission_unchanged(tmp_path,
-                                                        monkeypatch,
-                                                        pool_forks):
-    # a worker that may not lower its priority formats at the old one
-    argv = ["run", *_LENS, "--emit", "csv,svg", "--stride", "1"]
-    assert cli_main([*argv, "--out", str(tmp_path / "plain")]) == 0
-    refusals = tmp_path / "refusals"
-
-    def refuse(increment):
-        # runs in the forked workers: leave a trace, then refuse
-        with open(refusals, "a") as fh:
-            fh.write(f"{increment}\n")
-        raise PermissionError("not permitted")
-
-    monkeypatch.setattr(os, "nice", refuse)
-    assert cli_main([*argv, "--out", str(tmp_path / "refused")]) == 0
-    assert refusals.read_text() == "10\n10\n"
-    assert pool_forks == [2, 2]
-    assert (_artifacts(tmp_path / "refused")
-            == _artifacts(tmp_path / "plain"))
 
 
 def _defaults(fn):

@@ -601,13 +601,16 @@ def test_missing_lapack_module_raises_import_error_naming_scipy(
 
 
 def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
-    # the first step is retried at tau/2, so the steps from then on end
-    # half a step off the grid; the last one shortens to end at T
+    # the first step is retried at tau/2 from the very by-products the
+    # rejected attempt got, so the steps from then on end half a step off
+    # the grid; the last one shortens to end at T
     inner = scheme._step
     calls = []
+    carried_seen = []
 
     def first_call_fails(prev, carried, cfg, tau, index):
         calls.append(tau)
+        carried_seen.append(carried)
         if len(calls) == 1:
             raise InnerSolveFailed("forced rejection")
         return inner(prev, carried, cfg, tau, index)
@@ -616,6 +619,8 @@ def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
     lens = preset_symmetric_lens(nodes_per_unit=40)
     traj = run_flow(lens, FlowConfig(tau=1e-2, T=3e-2))
     assert calls[:2] == [1e-2, 5e-3]
+    assert carried_seen[1] is carried_seen[0]
+    assert carried_seen[2] is not carried_seen[1]
     assert [r.tau for r in traj.reports] == pytest.approx(
         [5e-3, 1e-2, 1e-2, 5e-3], rel=1e-12)
     assert traj.times == pytest.approx([0.0, 5e-3, 1.5e-2, 2.5e-2, 3e-2],
@@ -629,7 +634,7 @@ def _bump_curve_1(state):
     return state.with_values(values)
 
 
-# one doctored (state, report) per estimate of the run's ledger
+# one doctored (state, report) per a-priori estimate of the run
 _DOCTORS = {
     "energy monotonicity":
         lambda s, r: (s, replace(r, energy_after=r.energy_before + 1.0)),
