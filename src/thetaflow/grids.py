@@ -13,7 +13,8 @@ same junction), the two chord offsets between curve endpoints (zero for a
 closed theta-shaped network) and the exponent p of the elastic energy.
 """
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,9 +129,10 @@ class NetworkState(object):
 
     def with_values(self, values_per_curve) -> "NetworkState":
         """Same grids, offsets and exponent; exactly three new arrays."""
-        flds = tuple(AngleField(f.grid, v) for f, v
-                     in zip(self.fields, values_per_curve, strict=True))
-        return replace(self, fields=flds)
+        new = copy(self)  # only the new fields need validating
+        object.__setattr__(new, "fields", tuple(AngleField(f.grid, v) for f, v
+                           in zip(self.fields, values_per_curve, strict=True)))
+        return new
 
     def values(self):
         return tuple(f.values for f in self.fields)

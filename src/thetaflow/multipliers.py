@@ -31,7 +31,13 @@ provably dominates the solved multipliers whenever both determinants are
 positive.
 """
 
+import importlib.machinery
+import importlib.util
+import math
+import os
+
 import numpy as np
+import scipy
 
 from .energy import PackedLayout, _pair
 from .errors import DegenerateGeometry, SingularSystem
@@ -53,9 +59,27 @@ COND_CAP = 1e12    # largest condition number of a 4x4 system that is solved
 DET_FLOOR = 1e-12  # det A1 or det A2 at or below this is degenerate geometry
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without running
+    ``scipy.linalg``'s package init, which imports much of numpy and scipy
+    that thetaflow does not use."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError("thetaflow needs scipy's compiled LAPACK module "
+                          "scipy/linalg/_flapack, which was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the one handle on LAPACK; ``scheme`` takes its routines from it too
+_flapack = _load_flapack()
+
+
 def multiplier_norm(x: np.ndarray) -> float:
     """|lambda| + |mu|: the Euclidean norms of the pairs x[:2], x[2:]."""
-    return float(np.linalg.norm(x[:2]) + np.linalg.norm(x[2:]))
+    return math.sqrt(x[:2].dot(x[:2])) + math.sqrt(x[2:].dot(x[2:]))
 
 
 def variation_directions(state: NetworkState):
@@ -108,10 +132,17 @@ def compute_remainders(candidate: NetworkState, prev: NetworkState,
 
 
 def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):
-    """x with ``matrix @ x = rhs`` from one SVD U S V^T: x = V (U^T rhs / S).
-    Raises SingularSystem, naming ``what``, unless sigma_max / sigma_min
-    (``np.linalg.cond``) is at most ``COND_CAP``; a singular matrix fails."""
-    u, s, vt = np.linalg.svd(matrix)
+    """x with ``matrix @ x = rhs`` from one SVD U S V^T (LAPACK ``dgesdd``,
+    the routine and call of ``np.linalg.svd``): x = V (U^T rhs / S).
+    Raises SingularSystem, naming ``what``, unless sigma_max / sigma_min is
+    at most ``COND_CAP``; a singular matrix fails.  Raises LinAlgError, as
+    numpy does, when the SVD fails (a non-finite entry)."""
+    u, s, vt, info = _flapack.dgesdd(matrix)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    # numpy's C-ordered factors: the products below pick their BLAS kernel
+    # from the layout, so Fortran-ordered ones round differently
+    u, vt = np.ascontiguousarray(u), np.ascontiguousarray(vt)
     # Python floats: a zero sigma_min gives no numpy division warning
     cond = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else np.inf
     if not cond <= COND_CAP:
@@ -121,9 +152,9 @@ def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):
 
 
 def solve_multipliers(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve x . J = rhs, i.e. J^T x = rhs by :func:`solve_capped`, for the
-    multiplier vector x, J and the elastic part of rhs being those of
-    :meth:`thetaflow.energy.PackedLayout.multiplier_data`.
+    """Solve x . J = rhs, i.e. J^T x = rhs by :func:`solve_capped` (one
+    ``dgesdd``), for the multiplier vector x, J and the elastic part of
+    rhs being those of :meth:`thetaflow.energy.PackedLayout.multiplier_data`.
 
     Raises SingularSystem when J or rhs has a non-finite entry, J has a
     condition number above ``COND_CAP`` (at least two essentially flat or
@@ -135,7 +166,7 @@ def solve_multipliers(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x = solve_capped(jac.T, rhs, "multiplier system")
     resid = float(np.max(np.abs(x @ jac - rhs)))
     # NaN-safe: a NaN residual fails too
-    if not resid <= 1e-9 * (1.0 + float(np.linalg.norm(rhs))):
+    if not resid <= 1e-9 * (1.0 + math.sqrt(rhs.dot(rhs))):
         raise SingularSystem(
             f"multiplier solve residual {resid:.3e} out of tolerance"
         )

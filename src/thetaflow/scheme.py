@@ -7,19 +7,22 @@ grids, offsets and p share it); only the step's result becomes a validated
 NetworkState.  The constraint gradients are +-sin theta or +-cos theta on
 single curves, so the iteration carries only the (2, M) array T = (sin, cos)
 theta of its iterate and takes every 4x4 matrix from per-curve moments of T.
-Each inner iteration takes the constrained Newton direction of the bordered
+Every linear solve is a LAPACK routine called directly from scipy's compiled
+wrappers, which :mod:`thetaflow.multipliers` loads; each 4x4 one is the
+routine its numpy.linalg counterpart calls, with the same arguments.  Each
+inner iteration takes the constrained Newton direction of the bordered
 system [[B, C^T], [C, 0]] (C the constraint gradients), eliminated by one
-tridiagonal solve (LAPACK ``dptsv``, called directly from scipy's compiled
-wrappers) with three right-hand sides (gradient, sin theta, cos theta)
-and a 4x4 Schur complement, solved by lstsq: near a straight bar it is close
-to singular.  B is banded and uncoupled across curve breaks: the step
-functional's Hessian, and at p >= 2 the Lagrangian's, the constraint
-curvature entering as a diagonal weighted by the multiplier estimate of the
-tangent projection (its Gram system solved by LU, by lstsq only where LU
-fails) and clipped to half the movement mass, which makes the iteration SQP
-Newton with quadratic convergence; the matrix only chooses the direction.
-Armijo backtracking follows, each trial projected onto the constraint set by
-Newton iteration along variation directions frozen at the trial, one SVD per
+tridiagonal solve (``dptsv``) with three right-hand sides (gradient, sin
+theta, cos theta) and a 4x4 Schur complement, solved by least squares
+(``dgelsd``): near a straight bar it is close to singular.  B is banded and
+uncoupled across curve breaks: the step functional's Hessian, and at p >= 2
+the Lagrangian's, the constraint curvature entering as a diagonal weighted
+by the multiplier estimate of the tangent projection (its Gram system solved
+by LU, ``dgesv``, by ``dgelsd`` only where LU fails) and clipped to half the
+movement mass, which makes the iteration SQP Newton with quadratic
+convergence; the matrix only chooses the direction.  Armijo backtracking
+follows, each trial projected onto the constraint set by Newton iteration
+along variation directions frozen at the trial, one SVD (``dgesdd``) per
 iteration for the update and the condition cap; the accepted trial's T
 serves the next iteration, as do its per-curve moments, from which the
 tangent projection builds its Gram matrix.  The step's report is assembled
@@ -57,14 +60,10 @@ stream into a Trajectory, which a mid-run error carries as the partial
 trajectory.
 """
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .energy import PackedLayout, constraint_defect, step_gradient
 from .errors import (
@@ -78,6 +77,7 @@ from .errors import (
 )
 from .grids import NetworkState
 from .multipliers import (
+    _flapack,
     bound_constant,
     multiplier_bound,
     multiplier_norm,
@@ -103,22 +103,10 @@ MAX_HALVINGS = 3       # tau halvings before a step is given up
 MAX_INNER_ITERS = 5000 # inner iterations before a step retries at tau/2
 TOL_INNER = 1e-8       # tangential gradient norm that ends an inner solve
 
-
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, loaded without running
-    ``scipy.linalg``'s package init, which imports much of numpy and scipy
-    that thetaflow does not use."""
-    spec = importlib.machinery.PathFinder.find_spec(
-        "_flapack", [os.path.join(scipy.__path__[0], "linalg")])
-    if spec is None:
-        raise ImportError("thetaflow needs scipy's compiled LAPACK module "
-                          "scipy/linalg/_flapack, which was not found")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_dptsv = _load_flapack().dptsv
+_dptsv, _dgesv, _dgelsd = _flapack.dptsv, _flapack.dgesv, _flapack.dgelsd
+# np.linalg.lstsq's cutoff at rcond=None, and dgelsd's workspace, for 4x4
+_LSTSQ_COND = 4.0 * np.finfo(float).eps
+_LSTSQ_WORK = tuple(map(int, _flapack.dgelsd_lwork(4, 4, 1, _LSTSQ_COND)[:2]))
 
 
 def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,6 +128,18 @@ def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"{info}th leading minor not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
+    return x
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of the 4x4 system ``a x = b`` by LAPACK
+    ``dgelsd``, the routine and call of ``np.linalg.lstsq(a, b,
+    rcond=None)``; raises LinAlgError, as numpy does, when its SVD fails (a
+    non-finite entry)."""
+    x, _, _, info = _dgelsd(a, b, *_LSTSQ_WORK, _LSTSQ_COND)
+    if info:
+        raise np.linalg.LinAlgError(
+            "SVD did not converge in Linear Least Squares")
     return x
 
 
@@ -318,18 +318,15 @@ def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
     with themselves are ``blocks``) in the lumped L2 inner product, and the
     (4,) coefficients coef of those components, the least-squares
     multiplier estimate of grad = sum_k coef_k g_k, solved from the 4x4
-    Gram matrix of the g_k by LU (``np.linalg.solve``), or by
-    ``np.linalg.lstsq`` when LU finds it singular or returns non-finite
-    values."""
+    Gram matrix of the g_k by LU (LAPACK ``dgesv``, as ``np.linalg.solve``),
+    or by least squares (``dgelsd``, :func:`_lstsq`) when LU finds it
+    singular or returns non-finite values."""
     e = layout.E
     gram = layout.moment_products(blocks, e)
     rhs = e @ layout.products(tangents, grad)
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        coef = np.full(4, np.nan)
-    if not np.all(np.isfinite(coef)):
-        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    _, _, coef, info = _dgesv(gram, rhs)
+    if info or not np.all(np.isfinite(coef)):
+        coef = _lstsq(gram, rhs)
     return grad - layout.fields(coef @ e, tangents), coef
 
 
@@ -409,8 +406,7 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
     d0, u = sol[:, 0], sol[:, 1:].T
     e = layout.E
     schur = layout.gradient_products(tangents, u, e)
-    y, *_ = np.linalg.lstsq(schur, e @ layout.products(tangents, d0),
-                            rcond=None)
+    y = _lstsq(schur, e @ layout.products(tangents, d0))
     return d0 - layout.fields(y @ e, u)
 
 

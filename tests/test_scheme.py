@@ -24,7 +24,7 @@ from thetaflow import (
 )
 from scipy.linalg import solveh_banded
 
-from thetaflow import scheme
+from thetaflow import multipliers, scheme
 from thetaflow.energy import (
     PackedLayout,
     assemble_multiplier_data,
@@ -289,8 +289,9 @@ def test_run_flow_computes_each_by_product_once(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch, npu, tau, T):
-    """run_flow on the p=2 lens, counting np.linalg.lstsq and
-    np.linalg.cond calls and constraint evaluations outside _project."""
+    """run_flow on the p=2 lens, counting least-squares solves
+    (scheme._lstsq), np.linalg.cond calls and constraint evaluations outside
+    _project; np.linalg.solve, svd and lstsq fail the run if reached."""
     calls = {"lstsq": 0, "cond": 0, "outside": 0}
     inside = []
 
@@ -300,9 +301,13 @@ def _count_kernel_calls(monkeypatch, npu, tau, T):
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in ("lstsq", "cond"):
-        monkeypatch.setattr(np.linalg, name,
-                            counted(name, getattr(np.linalg, name)))
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the flow called numpy.linalg")
+
+    monkeypatch.setattr(scheme, "_lstsq", counted("lstsq", scheme._lstsq))
+    monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+    for name in ("solve", "svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, unreachable)
     project, values = scheme._project, PackedLayout.constraint_values
 
     def projecting(*args, **kwargs):
@@ -323,15 +328,15 @@ def _count_kernel_calls(monkeypatch, npu, tau, T):
 
 
 def test_run_flow_kernel_call_budget(monkeypatch):
-    # per inner iteration one lstsq (the Schur complement of the Newton
-    # direction), no np.linalg.cond (the projection's SVD gives its
-    # condition), and no constraint evaluation outside the projection, which
-    # also makes run_flow's initial defect check: the report takes the
-    # trial's values
+    # per inner iteration one least-squares solve (the Schur complement of
+    # the Newton direction), no np.linalg.cond (the projection's SVD gives
+    # its condition), and no constraint evaluation outside the projection,
+    # which also makes run_flow's initial defect check: the report takes
+    # the trial's values
     traj, calls = _count_kernel_calls(monkeypatch, 40, 1e-3, 0.02)
     iters = sum(r.inner_iters for r in traj.reports)
     assert len(traj.reports) == 20 and iters >= 20
-    assert calls["lstsq"] <= iters
+    assert 0 < calls["lstsq"] <= iters
     assert calls["cond"] == 0
     assert calls["outside"] == 0
 
@@ -594,10 +599,10 @@ def test_dptsv_solve_refuses_indefinite_and_non_finite_bands(rng):
 def test_missing_lapack_module_raises_import_error_naming_scipy(
         monkeypatch, tmp_path):
     # a scipy installation without its compiled LAPACK wrappers
-    monkeypatch.setattr(scheme, "scipy",
+    monkeypatch.setattr(multipliers, "scipy",
                         SimpleNamespace(__path__=[str(tmp_path)]))
     with pytest.raises(ImportError, match="scipy/linalg/_flapack"):
-        scheme._load_flapack()
+        multipliers._load_flapack()
 
 
 def test_run_flow_ends_at_the_horizon_after_a_halved_step(monkeypatch):
