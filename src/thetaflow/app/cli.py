@@ -199,11 +199,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as err:
         # argparse exits on usage errors (1) and --help (0); return that code
         return err.code
-    handler = {
-        "run": _cmd_flow,
-        "stationary": _cmd_flow,
-        "check": _cmd_check,
-    }[args.command]
+    handler = _cmd_check if args.command == "check" else _cmd_flow
     try:
         return handler(args)
     except (ThetaflowError, ValueError, OSError, MemoryError) as err:

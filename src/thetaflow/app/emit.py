@@ -43,7 +43,7 @@ import numpy as np
 from ..energy import p_energy
 from ..errors import InvalidLengths
 from ..grids import AngleField, Grid, NetworkState, cumulative_tangent_integral
-from ..scheme import FlowConfig, StepReport, Trajectory
+from ..scheme import FlowConfig, Trajectory
 
 __all__ = ["RunSpec", "save_state", "load_state", "FrameWriter",
            "emit_frames"]
@@ -131,27 +131,11 @@ def _positions(state: NetworkState):
     return [cumulative_tangent_integral(f) for f in state.fields]
 
 
-def _multipliers_dict(mult) -> dict:
-    return {"lambda": mult[:2].tolist(), "mu": mult[2:].tolist()}
-
-
-def _report_dict(rep: StepReport) -> dict:
-    d = asdict(rep)
-    d["dets"] = rep.dets.tolist()
-    d["oscs"] = rep.oscs.tolist()
-    d["multipliers"] = _multipliers_dict(rep.multipliers)
-    return d
-
-
-def _stationary_dict(rep) -> dict:
-    return {
-        "step_index": rep.step_index,
-        "residuals": rep.residuals.tolist(),
-        "bc_defect": rep.bc_defect,
-        "conserved_drift": rep.conserved_drift.tolist(),
-        "junction_balance_defect": rep.junction_balance_defect,
-        "multipliers": _multipliers_dict(rep.multipliers),
-    }
+def _record(rep) -> dict:
+    """A StepReport or StationaryReport as ``report.json`` holds it, the
+    multipliers split into their lambda and mu pairs."""
+    x = rep.multipliers
+    return {**asdict(rep), "multipliers": {"lambda": x[:2], "mu": x[2:]}}
 
 
 @lru_cache(maxsize=3)
@@ -244,14 +228,16 @@ def _write_report(traj: Trajectory, spec: RunSpec, stationary,
                   halt_reason) -> str:
     doc = {
         "config": asdict(spec),
-        "times": [float(t) for t in traj.times],
-        "steps": [_report_dict(r) for r in traj.reports],
-        "stationary": None if stationary is None else _stationary_dict(stationary),
+        "times": traj.times,
+        "steps": [_record(r) for r in traj.reports],
+        "stationary": None if stationary is None else {
+            "step_index": stationary.step_index, **_record(stationary)},
         "halt_reason": halt_reason,
     }
     path = os.path.join(spec.out_dir, "report.json")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        # every array, the times among them, is written as a list
+        json.dump(doc, fh, indent=1, default=np.ndarray.tolist)
         fh.write("\n")
     return path
 

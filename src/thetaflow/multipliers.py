@@ -103,8 +103,11 @@ def directional_constraint_jacobian(state: NetworkState, directions) -> np.ndarr
     direction r, for arbitrary nodal direction triples.
 
     With ``directions = variation_directions(state)`` this reproduces the
-    J of :func:`thetaflow.energy.assemble_multiplier_data` exactly; the
-    Newton projection uses it with directions frozen at a different state.
+    J of :func:`thetaflow.energy.assemble_multiplier_data` exactly.  The
+    flow does not call it: the Newton projection of
+    :func:`thetaflow.scheme.project_to_H` takes its Jacobian from
+    :meth:`thetaflow.energy.PackedLayout.gradient_products` on packed
+    vectors.
     """
     layout, theta = PackedLayout.of(state)
     dirs = np.stack([np.concatenate(d) for d in directions])

@@ -191,6 +191,14 @@ class StepReport(object):
     ``"precision_floor"``, ``"stall_window"`` or
     ``"line_search_floor"`` (see ``_inner_descent``); ``inner_converged``
     is ``termination == "gradient_tol"``.
+
+    ``multipliers`` are the phi-tested ones: x solves the system x . J =
+    -(D E) f + R of :mod:`thetaflow.multipliers`, the step's first
+    variation tested with the directions phi and a midpoint-rule forcing,
+    for which the a-priori bounds are proved.  They are not the step's
+    discrete Lagrange multipliers -coef, coef the tangent projection's
+    estimate at the final state: on the lens, |x + coef|_inf / |x|_inf is
+    about 0.16 h^2 (h = 1 / nodes per unit), falling 4-fold per halving.
     """
 
     step_index: int
@@ -331,12 +339,12 @@ def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
 
 
 def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
-                   tangents=None, coef=None) -> np.ndarray:
+                   tangents: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Symmetric banded (upper form) Newton matrix of one inner iteration:
     the Hessian B of the step functional, movement mass W / tau plus the
     elastic cell weights (p - 1) |D|^(p-2) / h of the slopes D, and at
-    p >= 2, given the multiplier estimate ``coef``, the constraint
-    curvature of the Lagrangian.
+    p >= 2 the constraint curvature of the Lagrangian at the multiplier
+    estimate ``coef``, built from ``tangents``.
 
     The constraints are lumped integrals of +-sin or +-cos, so their
     Euclidean Hessians are diagonal, W g_k' with g_k' = d g_k / d theta,
@@ -365,7 +373,7 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
     ab[1, 1:] += om
     ab[0, 1:] = -om
     ab[1] += layout.weights / tau
-    if p >= 2.0 and coef is not None:
+    if p >= 2.0:
         curvature = layout.fields(coef @ layout.ER, tangents)
         ab[1] -= layout.weights * np.clip(curvature, -0.5 / tau, 0.5 / tau)
     return ab

@@ -8,7 +8,9 @@ states and calls the shipped pieces, so tests of it test the solver's own
 residual.
 """
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -422,3 +424,39 @@ def per_value_svg_frame(curves, caption, lo, hi):
         f"{caption}</text>\n</svg>\n"
     )
     return "".join(parts)
+
+
+def _multipliers_dict(mult):
+    return {"lambda": mult[:2].tolist(), "mu": mult[2:].tolist()}
+
+
+def _report_dict(rep):
+    d = asdict(rep)
+    d["dets"] = rep.dets.tolist()
+    d["oscs"] = rep.oscs.tolist()
+    d["multipliers"] = _multipliers_dict(rep.multipliers)
+    return d
+
+
+def _stationary_dict(rep):
+    return {
+        "step_index": rep.step_index,
+        "residuals": rep.residuals.tolist(),
+        "bc_defect": rep.bc_defect,
+        "conserved_drift": rep.conserved_drift.tolist(),
+        "junction_balance_defect": rep.junction_balance_defect,
+        "multipliers": _multipliers_dict(rep.multipliers),
+    }
+
+
+def report_json(traj, spec, stationary, halt_reason):
+    """The text of a run's ``report.json``, every array of every record
+    converted to a list by name."""
+    doc = {
+        "config": asdict(spec),
+        "times": [float(t) for t in traj.times],
+        "steps": [_report_dict(r) for r in traj.reports],
+        "stationary": None if stationary is None else _stationary_dict(stationary),
+        "halt_reason": halt_reason,
+    }
+    return json.dumps(doc, indent=1) + "\n"

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from thetaflow import (
+    FlatnessBlowup,
     FlowConfig,
     Grid,
+    InnerSolveFailed,
     InvalidLengths,
+    detect_stationarity,
     p_energy,
     run_flow,
 )
+from thetaflow import scheme
 from thetaflow.energy import constraint_defect, constraint_vector
 from thetaflow.grids import cumulative_tangent_integral, midpoint_gradient
 from thetaflow.app import cli, presets
@@ -30,6 +34,7 @@ from oracles import (
     lens_curvature_reference,
     per_value_csv,
     per_value_svg_frame,
+    report_json,
     svg_view_box,
 )
 
@@ -302,6 +307,37 @@ def test_emit_writes_requested_artifacts(one_step_lens, tmp_path):
         svg = fh.read()
     assert svg.startswith("<svg") or "<svg" in svg
     assert svg.count("<polyline") == 3
+
+
+def test_report_json_matches_the_field_by_field_oracle(monkeypatch,
+                                                     tmp_path):
+    # a halving, a stationarity record and a halt reason: every part of
+    # report.json, in the key order and number format of the oracle
+    step = scheme._step
+    taus = []
+
+    def first_call_fails(prev, carried, cfg, tau, index):
+        taus.append(tau)
+        if len(taus) == 1:
+            raise InnerSolveFailed("forced rejection")
+        return step(prev, carried, cfg, tau, index)
+
+    monkeypatch.setattr(scheme, "_step", first_call_fails)
+    triod = preset_triod(cli._TRIOD_TARGETS, cli._TRIOD_LENGTHS,
+                         nodes_per_unit=20)
+    cfg = FlowConfig(tau=1e-2, T=2.0, osc_floor=1.95)
+    with pytest.raises(FlatnessBlowup) as info:
+        run_flow(triod, cfg)
+    traj = info.value.trajectory
+    halt = f"FlatnessBlowup: {info.value}"
+    stat = detect_stationarity(traj, tol=1e9)
+    assert traj.reports[0].tau == 5e-3
+    assert stat is not None and stat.step_index >= 0
+    spec = RunSpec(flow=cfg, preset="triod", nodes_per_unit=20,
+                   out_dir=str(tmp_path))
+    emit_frames(traj, spec, stationary=stat, halt_reason=halt)
+    with open(tmp_path / "report.json", "rb") as fh:
+        assert fh.read() == report_json(traj, spec, stat, halt).encode()
 
 
 def test_emit_is_deterministic(one_step_lens, emission_path, tmp_path):

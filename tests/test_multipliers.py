@@ -6,14 +6,17 @@ import pytest
 from thetaflow import (
     AngleField,
     DegenerateGeometry,
+    FlowConfig,
     Grid,
     NetworkState,
     SingularSystem,
     p_energy,
+    run_flow,
 )
 from thetaflow import multipliers
 from thetaflow.app.presets import preset_symmetric_lens
-from thetaflow.energy import assemble_multiplier_data, constraint_vector
+from thetaflow.energy import (PackedLayout, assemble_multiplier_data,
+                              constraint_vector)
 from thetaflow.grids import trapezoid_weights
 from thetaflow.multipliers import (
     COND_CAP,
@@ -26,6 +29,7 @@ from thetaflow.multipliers import (
     solve_multipliers,
     variation_directions,
 )
+from thetaflow.scheme import _tangent_project
 
 from helpers import make_pair, make_state
 from oracles import (
@@ -271,3 +275,38 @@ def test_solved_multipliers_rotate_with_the_frame(rng):
     x_r = solved(cand_r, prev_r, tau)
     assert np.allclose(x_r[:2], rot @ x[:2], atol=1e-9)
     assert np.allclose(x_r[2:], rot @ x[2:], atol=1e-9)
+
+
+def _multiplier_gaps(p, nodes_per_unit):
+    """Per step of a short lens flow: |x + coef|_inf / |x|_inf, x the
+    report's phi-tested multipliers and coef the tangent projection's
+    multiplier estimate at the step's final state, -coef being the
+    discrete Lagrange multipliers of the step."""
+    lens = preset_symmetric_lens(nodes_per_unit=nodes_per_unit, p=p)
+    traj = run_flow(lens, FlowConfig(p_exponent=p, tau=1e-3, T=0.02))
+    gaps = []
+    for prev, state, rep in zip(traj.states, traj.states[1:], traj.reports):
+        layout, theta = PackedLayout.of(state)
+        tangents = layout.tangents(theta)
+        grad = layout.step_gradient(theta, layout.pack(prev), rep.tau)
+        _, coef = _tangent_project(layout, tangents,
+                                   layout.moments(tangents, tangents), grad)
+        x = rep.multipliers
+        gaps.append(np.max(np.abs(x + coef)) / np.max(np.abs(x)))
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_reported_multipliers_approach_the_discrete_lagrange_ones(p):
+    # The two formulas differ only by quadrature, so the gap is O(h^2):
+    # measured, it falls by 4.00 per halving with max gap / h^2 = 0.163
+    # (p = 2) and 0.167 (p = 3).  With the forcing's sign flipped the gap
+    # is 2.0 on every mesh.
+    meshes = (50, 100, 200, 400)
+    gaps = [_multiplier_gaps(p, npu) for npu in meshes]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse.shape == fine.shape == (20,)
+        ratio = coarse / fine
+        assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
+    for npu, gap in zip(meshes, gaps):
+        assert np.max(gap) <= 0.2 / npu**2

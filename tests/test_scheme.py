@@ -812,8 +812,8 @@ def test_moment_kernel_matches_row_oracles(rng):
                 weights, packed_constraint_gradients(layout.unpack(moved)),
                 grads))
 
-        # without a multiplier estimate, and with one (Lagrangian bands)
-        for coef in (None, rng.normal(size=4)):
+        # with a zero multiplier estimate, and a random one (Lagrangian bands)
+        for coef in (np.zeros(4), rng.normal(size=4)):
             bands = _hessian_bands(layout, theta, tau, tangents, coef)
             direction, schur = rows_newton_direction(weights, grads, grad,
                                                      bands)
@@ -845,7 +845,7 @@ def test_constraint_curvature_matches_finite_differences(rng):
             return lam @ (packed_constraint_gradients(shifted) * weights)
 
         curvature = (rows(eps) - rows(-eps)) / (2.0 * eps)
-        plain = _hessian_bands(layout, theta, tau)
+        plain = _hessian_bands(layout, theta, tau, tangents, np.zeros(4))
         bands = _hessian_bands(layout, theta, tau, tangents, lam)
         assert np.array_equal(bands[0], plain[0])
         _assert_rel_close(bands[1] - plain[1], -curvature, rel=1e-8)
@@ -860,7 +860,7 @@ def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
         layout, theta = PackedLayout.of(state)
         tangents = layout.tangents(theta)
         lam = 1e12 * rng.normal(size=4)
-        plain = _hessian_bands(layout, theta, tau)
+        plain = _hessian_bands(layout, theta, tau, tangents, np.zeros(4))
         bands = _hessian_bands(layout, theta, tau, tangents, lam)
         change = np.abs(bands[1] - plain[1])
         half_mass = 0.5 * layout.weights / tau
@@ -869,7 +869,7 @@ def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
         solveh_banded(bands, np.ones(theta.shape[0]))
 
         low = PackedLayout.of(replace(state, p_exponent=1.5))[0]
-        plain = _hessian_bands(low, theta, tau)
+        plain = _hessian_bands(low, theta, tau, tangents, np.zeros(4))
         for coef in (lam, rng.normal(size=4)):
             assert np.array_equal(
                 _hessian_bands(low, theta, tau, tangents, coef), plain)
