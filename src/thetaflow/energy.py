@@ -65,15 +65,14 @@ class PackedLayout(object):
 
     The four junction constraints are tangent integrals, so every quantity
     the solver needs from them is built from the six per-curve functions
-    e_{2j+a} = T_a on curve j (zero elsewhere), with T = (sin, cos) theta
-    the (2, M) array of :meth:`tangents`:
+    e_{2j+a} = T_a on curve j (zero elsewhere), with T = (sin, cos) theta:
 
       * the constraint gradients are g = E e, E the constant (4, 6) matrix
         below; the variation directions are phi = D g = (D E) e, the
         product D E being the constant ``DE``;
-      * lumped products with the e_b are per-curve node sums
-        (:meth:`curve_sums`, one ``np.add.reduceat`` over the curve starts,
-        as accurate as a pairwise sum), so every 4x4 matrix of the solver
+      * lumped products with the e_b are per-curve node sums of W T times
+        a nodal vector (one ``np.add.reduceat`` over the curve starts, as
+        accurate as a pairwise sum), so every 4x4 matrix of the solver
         is E @ (block-diagonal per-curve 2x2 moments) @ F^T
         (:meth:`gradient_products`): the Gram matrix of the gradients
         takes F = E; the multiplier matrix J[l, r] = <g_l, phi_r> and the
@@ -82,6 +81,14 @@ class PackedLayout(object):
         multiplier forcing is -(D E) f (:meth:`multiplier_data`), the
         remainders -(D E) <e_b, move> / tau (:meth:`remainders`);
       * a combination sum_b c_b e_b is :meth:`fields` of c and T.
+
+    :meth:`tangents` returns T in rows 0-1 of a (4, M) array and W T, T
+    times the trapezoid weights, in rows 2-3, so each evaluated point is
+    weighted once: every lumped product (:meth:`products`, :meth:`moments`,
+    :meth:`constraint_values` and the Newton right-hand sides of
+    ``scheme``) reads W T, and whatever reads T as a basis (:meth:`fields`,
+    and the second factor of :meth:`moments`) takes rows 0-1 of the array
+    it is given, so a tangents array serves there too.
 
     Node sums are pairwise: BLAS sums are too coarse for the noise-level
     tests of the inner solver.
@@ -142,28 +149,29 @@ class PackedLayout(object):
         """Lumped L2 products sum_k w_k a[..., k] b_k (each row of a with b)."""
         return (a * (self.weights * b)).sum(axis=-1)
 
-    @staticmethod
-    def tangents(theta: np.ndarray) -> np.ndarray:
-        """T = (sin theta, cos theta), shape (2, M)."""
-        out = np.empty((2, theta.shape[0]))
+    def tangents(self, theta: np.ndarray) -> np.ndarray:
+        """T = (sin theta, cos theta) in rows 0-1 and W T in rows 2-3,
+        shape (4, M)."""
+        out = np.empty((4, theta.shape[0]))
         np.sin(theta, out=out[0])
         np.cos(theta, out=out[1])
+        np.multiply(out[:2], self.weights, out=out[2:])
         return out
 
-    def curve_sums(self, a: np.ndarray, b=None) -> np.ndarray:
-        """Lumped integrals of ``a * b`` (``a`` alone if b is None) over
-        each curve: shape (..., 3).  ``a`` is weighted before it is
-        broadcast against ``b``, much the faster order for the
-        (2, 1, M) x (1, 2, M) products of :meth:`moments`."""
-        rows = a * self.weights
-        if b is not None:
-            rows = rows * b
-        return np.add.reduceat(rows, self.starts, axis=-1)
+    def curve_sums(self, a: np.ndarray) -> np.ndarray:
+        """Lumped integrals of ``a`` over each curve: shape (..., 3).  The
+        lumped products with the tangents read their W T rows instead:
+        weighting T before it is broadcast against a second factor is much
+        the faster order for the (2, 1, M) x (1, 2, M) products of
+        :meth:`moments`, and W T is computed once per point."""
+        return np.add.reduceat(a * self.weights, self.starts, axis=-1)
 
-    def products(self, basis: np.ndarray, f: np.ndarray) -> np.ndarray:
+    def products(self, tangents: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The six lumped products <e_b, f>, b = 2j + a, of the basis built
-        from ``basis`` (2, M) with one nodal vector ``f``."""
-        return self.curve_sums(basis, f).T.ravel()
+        on ``tangents`` (the (4, M) array of :meth:`tangents`) with one
+        nodal vector ``f``."""
+        return np.add.reduceat(tangents[2:] * f, self.starts,
+                               axis=-1).T.ravel()
 
     def gradient_products(self, tangents: np.ndarray, other: np.ndarray,
                           coef: np.ndarray) -> np.ndarray:
@@ -177,8 +185,10 @@ class PackedLayout(object):
         return self.moment_products(self.moments(tangents, other), coef)
 
     def moments(self, tangents: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """Per-curve 2x2 moments <T_a, other_a'>, shape (2, 2, 3)."""
-        return self.curve_sums(tangents[:, None], other[None])
+        """Per-curve 2x2 moments <T_a, other_a'> of the (4, M) ``tangents``
+        with rows 0-1 of ``other``, shape (2, 2, 3)."""
+        return np.add.reduceat(tangents[2:, None] * other[None, :2],
+                               self.starts, axis=-1)
 
     def moment_products(self, blocks: np.ndarray,
                         coef: np.ndarray) -> np.ndarray:
@@ -188,11 +198,11 @@ class PackedLayout(object):
         return self.E @ moments.reshape(6, 6) @ coef.T
 
     def fields(self, coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """sum_b coef[..., b] e_b with e_{2j+a} = basis[a] on curve j:
-        nodal arrays of shape (..., M)."""
+        """sum_b coef[..., b] e_b with e_{2j+a} = basis[a] on curve j, a in
+        rows 0-1 of ``basis``: nodal arrays of shape (..., M)."""
         per_curve = coef.reshape(coef.shape[:-1] + (3, 2)).swapaxes(-1, -2)
         per_node = np.repeat(per_curve, self.counts, axis=-1)
-        return np.einsum("...am,am->...m", per_node, basis)
+        return np.einsum("...am,am->...m", per_node, basis[:2])
 
     def oscillations(self, theta: np.ndarray) -> np.ndarray:
         """Per-curve max - min of a packed vector, shape (3,)."""
@@ -200,38 +210,52 @@ class PackedLayout(object):
                 - np.minimum.reduceat(theta, self.starts))
 
     def slopes(self, theta: np.ndarray) -> np.ndarray:
+        """Cellwise D theta, shape (M - 1,): the slopes that the energies,
+        the gradients and the Newton band of a point are computed from."""
         # np.diff's subtraction, without its per-call argument handling
         return (theta[1:] - theta[:-1]) * self.inv_h
 
-    def cell_energies(self, theta: np.ndarray) -> np.ndarray:
-        """Cellwise h |D theta|^p, the midpoint-rule terms of p times the
-        elastic energy."""
-        return self.cell_h * np.abs(self.slopes(theta)) ** self.p
+    def cell_energies(self, slopes: np.ndarray) -> np.ndarray:
+        """Cellwise h |D theta|^p of the :meth:`slopes` D theta, the
+        midpoint-rule terms of p times the elastic energy."""
+        return self.cell_h * np.abs(slopes) ** self.p
 
     def elastic_energy(self, theta: np.ndarray) -> float:
         """sum_j (1/p) int |d theta^j/ds|^p (midpoint rule)."""
-        return float(self.cell_energies(theta).sum()) / self.p
+        return float(self.cell_energies(self.slopes(theta)).sum()) / self.p
 
-    def step_energy(self, theta, theta_prev, tau: float) -> float:
-        """Elastic energy plus (1/(2 tau)) ||theta - theta_prev||_L2^2."""
+    def step_energy(self, theta, theta_prev, tau: float,
+                    cells=None) -> float:
+        """Elastic energy plus (1/(2 tau)) ||theta - theta_prev||_L2^2, the
+        elastic part from the :meth:`cell_energies` ``cells`` of ``theta``
+        when the caller already has them."""
+        if cells is None:
+            cells = self.cell_energies(self.slopes(theta))
         d = theta - theta_prev
-        return (float(self.cell_energies(theta).sum()) / self.p
+        return (float(cells.sum()) / self.p
                 + float(self.inner(d, d)) / (2.0 * tau))
 
-    def elastic_gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Lumped L2 gradient of the elastic energy (flux differences)."""
-        padded = np.zeros(theta.shape[0] + 1)
-        padded[1:-1] = cell_flux(self.slopes(theta), self.p)
+    def elastic_gradient(self, slopes: np.ndarray) -> np.ndarray:
+        """Lumped L2 gradient of the elastic energy (flux differences) from
+        the :meth:`slopes` of theta."""
+        padded = np.zeros(slopes.shape[0] + 2)
+        padded[1:-1] = cell_flux(slopes, self.p)
         return (padded[:-1] - padded[1:]) / self.weights
 
-    def step_gradient(self, theta, theta_prev, tau: float) -> np.ndarray:
-        """Lumped L2 gradient of :meth:`step_energy`."""
-        return self.elastic_gradient(theta) + (theta - theta_prev) / tau
+    def step_gradient(self, theta, theta_prev, tau: float,
+                      slopes=None) -> np.ndarray:
+        """Lumped L2 gradient of :meth:`step_energy`, from the
+        :meth:`slopes` ``slopes`` of ``theta`` when the caller already has
+        them."""
+        if slopes is None:
+            slopes = self.slopes(theta)
+        return self.elastic_gradient(slopes) + (theta - theta_prev) / tau
 
     def constraint_values(self, tangents: np.ndarray) -> np.ndarray:
         """The four junction constraints (see :func:`constraint_vector`)
-        from the tangents T of :meth:`tangents`."""
-        cos_sin = self.curve_sums(tangents[::-1])  # (2, 3): rows cos, sin
+        from the (4, M) array of :meth:`tangents`."""
+        # per-curve sums of W sin and W cos, reversed to rows cos, sin
+        cos_sin = np.add.reduceat(tangents[2:], self.starts, axis=-1)[::-1]
         return np.ravel(self.SIGNS @ cos_sin.T) - self.junction_offsets
 
     def remainders(self, tangents: np.ndarray, move: np.ndarray,
@@ -254,8 +278,8 @@ class PackedLayout(object):
         # overflowing cells sum inf of both signs to NaN: a non-finite
         # forcing, which solve_multipliers refuses
         with np.errstate(invalid="ignore"):
-            f = np.add.reduceat(cells * self.tangents(mid), self.starts,
-                                axis=-1).T.ravel()
+            f = np.add.reduceat(cells * np.stack((np.sin(mid), np.cos(mid))),
+                                self.starts, axis=-1).T.ravel()
         (ss, sc), (_, cc) = blocks
         # (-D @ ER) first: an exact integer matrix, so each entry of the
         # forcing is one rounded sum of two curve totals
@@ -329,7 +353,7 @@ def assemble_multiplier_data(state: NetworkState):
     layout, theta = PackedLayout.of(state)
     tangents = layout.tangents(theta)
     return layout.multiplier_data(theta, layout.moments(tangents, tangents),
-                                  layout.cell_energies(theta))
+                                  layout.cell_energies(layout.slopes(theta)))
 
 
 def _running(op, v: np.ndarray, size: int) -> np.ndarray:

@@ -139,7 +139,11 @@ def solve_capped(matrix: np.ndarray, rhs: np.ndarray, what: str):
     the routine and call of ``np.linalg.svd``): x = V (U^T rhs / S).
     Raises SingularSystem, naming ``what``, unless sigma_max / sigma_min is
     at most ``COND_CAP``; a singular matrix fails.  Raises LinAlgError, as
-    numpy does, when the SVD fails (a non-finite entry)."""
+    numpy does, when the SVD fails or, before LAPACK is called, when
+    ``matrix`` has a non-finite entry: on an inf entry the SVD does not
+    return."""
+    if not np.isfinite(matrix).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
     u, s, vt, info = _flapack.dgesdd(matrix)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -5,8 +5,12 @@ movement penalty) over the four junction constraints, on one packed nodal
 vector (:class:`thetaflow.energy.PackedLayout`, one per run: states sharing
 grids, offsets and p share it); only the step's result becomes a validated
 NetworkState.  The constraint gradients are +-sin theta or +-cos theta on
-single curves, so the iteration carries only the (2, M) array T = (sin, cos)
-theta of its iterate and takes every 4x4 matrix from per-curve moments of T.
+single curves, so every 4x4 matrix comes from per-curve moments of T = (sin,
+cos) theta.  Each evaluated point computes its by-products once, and an
+iterate carries them: its tangents (T and the weighted W T that every lumped
+product reads, one (4, M) array), their moments with themselves, its
+constraint values, its slopes D theta (for the gradient and the Newton band)
+and its cellwise |D theta|^p (for its energy and the report's forcing).
 Every linear solve is a LAPACK routine called directly from scipy's compiled
 wrappers, which :mod:`thetaflow.multipliers` loads; each 4x4 one is the
 routine its numpy.linalg counterpart calls, with the same arguments.  Each
@@ -23,16 +27,18 @@ movement mass, which makes the iteration SQP Newton with quadratic
 convergence; the matrix only chooses the direction.  Armijo backtracking
 follows, each trial projected onto the constraint set by Newton iteration
 along variation directions frozen at the trial, one SVD (``dgesdd``) per
-iteration for the update and the condition cap; the accepted trial's T
-serves the next iteration, as do its per-curve moments, from which the
-tangent projection builds its Gram matrix.  The step's report is assembled
-from the final iterate: its T, moments and constraint values, and the
-cellwise |D theta|^p that give both the elastic forcing and the energy; the
-weak residual takes the final T too, and only its gradient comes from the
+iteration for the update and the condition cap; the accepted trial's
+by-products serve the next iteration, its tangent moments giving the
+tangent projection its Gram matrix.  The step's report is assembled from
+the final iterate: its tangents, moments and constraint values, and the
+cellwise |D theta|^p that give both the elastic forcing and the energy
+(computed from its slopes only when no trial was accepted); the weak
+residual takes the final tangents too, and only its gradient comes from the
 public :func:`thetaflow.energy.step_gradient` (timed by the benchmark).
-Each state enters a step with its T, moments, constraint values, energy
-and oscillations, computed once where it was made (the initial state's T
-and values by its projection in :func:`steps`).  The Armijo slope pairs
+Each state enters a step with its tangents, moments, constraint values,
+energy and oscillations, computed once where it was made (the initial
+state's tangents and values by its projection in :func:`steps`); its slopes
+are computed once, at the start of the step.  The Armijo slope pairs
 the direction with the tangential gradient, whose rounding stays small
 near convergence.  Once the predicted decrease is below the rounding noise
 of the functional, a trial within that noise also passes if it halves the
@@ -134,13 +140,14 @@ def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solution of the 4x4 system ``a x = b`` by LAPACK
     ``dgelsd``, the routine and call of ``np.linalg.lstsq(a, b,
-    rcond=None)``; raises LinAlgError, as numpy does, when its SVD fails (a
-    non-finite entry)."""
-    x, _, _, info = _dgelsd(a, b, *_LSTSQ_WORK, _LSTSQ_COND)
-    if info:
-        raise np.linalg.LinAlgError(
-            "SVD did not converge in Linear Least Squares")
-    return x
+    rcond=None)``; raises LinAlgError, as numpy does, when its SVD fails
+    or, before LAPACK is called, when ``a`` has a non-finite entry: on an
+    inf entry the SVD does not return."""
+    if np.isfinite(a).all():
+        x, _, _, info = _dgelsd(a, b, *_LSTSQ_WORK, _LSTSQ_COND)
+        if not info:
+            return x
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 @dataclass(frozen=True)
@@ -338,13 +345,13 @@ def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
     return grad - layout.fields(coef @ e, tangents), coef
 
 
-def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
+def _hessian_bands(layout: PackedLayout, slopes: np.ndarray, tau: float,
                    tangents: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Symmetric banded (upper form) Newton matrix of one inner iteration:
     the Hessian B of the step functional, movement mass W / tau plus the
-    elastic cell weights (p - 1) |D|^(p-2) / h of the slopes D, and at
-    p >= 2 the constraint curvature of the Lagrangian at the multiplier
-    estimate ``coef``, built from ``tangents``.
+    elastic cell weights (p - 1) |D|^(p-2) / h of the iterate's ``slopes``
+    D, and at p >= 2 the constraint curvature of the Lagrangian at the
+    multiplier estimate ``coef``, built from ``tangents``.
 
     The constraints are lumped integrals of +-sin or +-cos, so their
     Euclidean Hessians are diagonal, W g_k' with g_k' = d g_k / d theta,
@@ -362,13 +369,13 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
     costs correctness.
     """
     p = layout.p
-    mag = np.abs(layout.slopes(theta))
+    mag = np.abs(slopes)
     if p < 2.0:
         mag = np.maximum(mag, 1e-8)
     # |D|^(p-2) may overflow at large p; the solve refuses a non-finite band
     with np.errstate(over="ignore"):
         om = (p - 1.0) * mag ** (p - 2.0) * layout.inv_h
-    ab = np.zeros((2, theta.shape[0]))
+    ab = np.zeros((2, layout.weights.shape[0]))
     ab[1, :-1] += om
     ab[1, 1:] += om
     ab[0, 1:] = -om
@@ -379,7 +386,7 @@ def _hessian_bands(layout: PackedLayout, theta: np.ndarray, tau: float,
     return ab
 
 
-def _newton_direction(layout: PackedLayout, theta: np.ndarray,
+def _newton_direction(layout: PackedLayout, slopes: np.ndarray,
                       tangents: np.ndarray, grad: np.ndarray,
                       tau: float, coef) -> np.ndarray:
     """Constrained Newton direction from the bordered system
@@ -387,24 +394,27 @@ def _newton_direction(layout: PackedLayout, theta: np.ndarray,
         [ B   C^T ] [ d ]   [ e ]
         [ C    0  ] [ y ] = [ 0 ]
 
-    with B the banded matrix of :func:`_hessian_bands` (at p >= 2 the
-    Lagrangian Hessian at the multiplier estimate ``coef``, else the step
-    functional's), e the Euclidean gradient and C the Euclidean constraint
+    with B the banded matrix of :func:`_hessian_bands` from the iterate's
+    ``slopes`` (at p >= 2 the Lagrangian Hessian at the multiplier
+    estimate ``coef``, else the step functional's), e the Euclidean
+    gradient W ``grad`` and C the Euclidean constraint
     gradients (W g, W the trapezoid weights), eliminated through B and a
     4x4 Schur complement.  B does not couple curves, so
     B^-1 W (sigma T_a) = sigma B^-1 W T_a for per-curve factors sigma:
     one tridiagonal solve (LAPACK ``dptsv``, see :func:`solveh_banded`)
-    with the three right-hand sides W (grad, sin theta, cos theta) gives
+    with the three right-hand sides W grad and the rows W T of
+    ``tangents`` gives
     d0 = B^-1 W grad and U = B^-1 W T, the Schur complement is
     E @ blockdiag(<T_a, U_a'>) @ E^T and B^-1 C^T y = fields(y E, U).  Its
     fixed point d = 0 is exactly the constrained first-order condition: the
     gradient lies in the span of the constraint gradients.
     """
-    rhs = np.vstack([grad, tangents])
-    rhs *= layout.weights
     try:
-        sol = solveh_banded(_hessian_bands(layout, theta, tau, tangents, coef),
-                            rhs.T)
+        # the band first, so the right-hand sides are not held while it is
+        # built: that lowers the peak RSS of a fine mesh
+        sol = solveh_banded(
+            _hessian_bands(layout, slopes, tau, tangents, coef),
+            np.vstack([grad * layout.weights, tangents[2:]]).T)
     except np.linalg.LinAlgError as err:
         # rounding can cost the factorization its definiteness when the
         # elastic weights dwarf the mass term, and at large p the band or
@@ -423,7 +433,8 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
     """Monotone descent for one implicit step, on packed vectors, from
     ``theta_prev`` and its by-products ``carried`` (see :func:`_step`):
     its tangents, their moments with themselves, its constraint values and
-    its elastic energy, which is also its step functional value.
+    its elastic energy, which is also its step functional value.  Its
+    slopes are computed here, once.
 
     Directions come from the constrained Newton system (banded Hessian, at
     p >= 2 the Lagrangian's at the multiplier estimate of the tangent
@@ -440,14 +451,17 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
     iteration reach gradient tolerances far below sqrt(eps * energy).  If
     the slope itself is below that resolution and the full step passes
     neither test, no backtracked trial could show a measurable decrease, so
-    the iteration stops at once.  The tangents T of the accepted trial,
-    computed to test its constraints, and their moments serve the next
-    iteration.
+    the iteration stops at once.  The tangents of the accepted trial,
+    computed to test its constraints, its slopes and cell energies,
+    computed for its step functional value, and the moments of its
+    tangents serve the next iteration.
 
-    Returns (theta, tangents, blocks, c, inner_iters, termination) for the
-    returned iterate, c being its constraint values (from its projection,
-    or carried for ``theta_prev``) and termination one of the four kinds
-    that :class:`StepReport` documents:
+    Returns (theta, tangents, blocks, c, slopes, cells, inner_iters,
+    termination) for the returned iterate, c being its constraint values
+    (from its projection, or carried for ``theta_prev``), cells its
+    :meth:`~thetaflow.energy.PackedLayout.cell_energies`, None for
+    ``theta_prev`` (no trial accepted), and termination one of the four
+    kinds that :class:`StepReport` documents:
 
       * ``"gradient_tol"``: the projected gradient norm reached
         ``TOL_INNER``;
@@ -461,6 +475,7 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
     """
     layout, tangents, blocks, c, energy, _ = carried
     theta = theta_prev
+    slopes, cells = layout.slopes(theta), None
     noise = 32.0 * np.finfo(float).eps * (1.0 + abs(energy))
     window = 16
     history = [energy]
@@ -468,17 +483,19 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
         # at large p the gradient, its projection and its norm may
         # overflow; the Newton solve then refuses the non-finite system
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = layout.step_gradient(theta, theta_prev, tau)
+            grad = layout.step_gradient(theta, theta_prev, tau, slopes)
             gp, coef = _tangent_project(layout, tangents, blocks, grad)
             gp_sq = float(layout.inner(gp, gp))
         if math.sqrt(gp_sq) <= TOL_INNER:
-            return theta, tangents, blocks, c, it, "gradient_tol"
+            return theta, tangents, blocks, c, slopes, cells, it, "gradient_tol"
         if len(history) > window and history[-window - 1] - energy <= window * noise:
-            return theta, tangents, blocks, c, it, "stall_window"
-        d = _newton_direction(layout, theta, tangents, grad, tau, coef)
+            return theta, tangents, blocks, c, slopes, cells, it, "stall_window"
+        d = _newton_direction(layout, slopes, tangents, grad, tau, coef)
         slope = float(layout.inner(gp, d))
         if not np.isfinite(slope) or slope <= 0.0:
             d, slope = gp, gp_sq
+        # released before the line search, which lowers the peak RSS
+        del grad, gp
         alpha = 1.0
         accepted = None
         while alpha >= 1e-14:
@@ -488,27 +505,32 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
             except (ProjectionFailed, SingularSystem):
                 pass
             else:
+                trial_slopes = layout.slopes(trial)
                 # |slope|^p may overflow at large p; an infinite trial
                 # energy fails both acceptance tests below
                 with np.errstate(over="ignore"):
-                    trial_energy = layout.step_energy(trial, theta_prev, tau)
-                if trial_energy <= energy - ARMIJO_C1 * alpha * slope:
-                    accepted = (trial, trial_tangents, trial_c, trial_energy)
-                    break
-                if ARMIJO_C1 * alpha * slope <= noise and trial_energy <= energy + noise:
+                    trial_cells = layout.cell_energies(trial_slopes)
+                    trial_energy = layout.step_energy(trial, theta_prev, tau,
+                                                      trial_cells)
+                passed = trial_energy <= energy - ARMIJO_C1 * alpha * slope
+                if (not passed and ARMIJO_C1 * alpha * slope <= noise
+                        and trial_energy <= energy + noise):
                     gp_t, _ = _tangent_project(
                         layout, trial_tangents,
                         layout.moments(trial_tangents, trial_tangents),
-                        layout.step_gradient(trial, theta_prev, tau))
-                    if layout.inner(gp_t, gp_t) <= 0.25 * gp_sq:
-                        accepted = (trial, trial_tangents, trial_c, trial_energy)
-                        break
+                        layout.step_gradient(trial, theta_prev, tau,
+                                             trial_slopes))
+                    passed = layout.inner(gp_t, gp_t) <= 0.25 * gp_sq
+                if passed:
+                    accepted = (trial, trial_tangents, trial_c, trial_energy,
+                                trial_slopes, trial_cells)
+                    break
             if slope <= noise:
-                return theta, tangents, blocks, c, it, "precision_floor"
+                return theta, tangents, blocks, c, slopes, cells, it, "precision_floor"
             alpha *= BACKTRACK
         if accepted is None:
-            return theta, tangents, blocks, c, it, "line_search_floor"
-        theta, tangents, c, energy = accepted
+            return theta, tangents, blocks, c, slopes, cells, it, "line_search_floor"
+        theta, tangents, c, energy, slopes, cells = accepted
         blocks = layout.moments(tangents, tangents)
         history.append(energy)
     raise InnerSolveFailed(f"inner solver hit the {MAX_INNER_ITERS}-iteration "
@@ -588,19 +610,24 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
             f"{cfg.osc_floor:g} and no strictly-shortest third curve on a "
             "theta network"
         )
-    theta, tangents, blocks, c, iters, termination = _inner_descent(
-        theta_prev, carried, cfg, tau)
+    theta, tangents, blocks, c, slopes, cells, iters, termination = (
+        _inner_descent(theta_prev, carried, cfg, tau))
 
     # the report reuses the final iterate's tangents, Gram moments,
-    # constraint values and cellwise |D|^p
-    state = prev.with_values(layout.unpack(theta))
+    # constraint values and cellwise |D|^p, computed here only when no
+    # trial was accepted
+    if cells is None:
+        cells = layout.cell_energies(slopes)
+    del slopes
     move = theta - theta_prev
     move_sq = float(layout.inner(move, move))
     velocity_l1 = float(layout.inner(np.abs(move), 1.0))
-    cells = layout.cell_energies(theta)
     energy_after = float(cells.sum()) / layout.p
     jac, forcing, dets = layout.multiplier_data(theta, blocks, cells)
+    # the new state's arrays are allocated once the cells are released,
+    # which lowers the peak RSS of a fine mesh
     del cells
+    state = prev.with_values(layout.unpack(theta))
     mult = solve_multipliers(jac,
                              forcing + layout.remainders(tangents, move, tau))
     bound_const = bound_constant(dets, state.lengths)

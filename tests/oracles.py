@@ -276,6 +276,43 @@ def rows_newton_direction(weights, grads, grad, bands):
     return d0 - z @ y, schur
 
 
+def curve_sums(weights, starts, a, b=None):
+    """Per-curve lumped integrals of ``a * b`` (``a`` alone if b is None),
+    summed as the tangent kernels once summed them, weighting on every
+    call: ``a`` times the trapezoid weights, then times ``b``, then one
+    ``np.add.reduceat`` over the curve starts."""
+    rows = a * weights
+    if b is not None:
+        rows = rows * b
+    return np.add.reduceat(rows, starts, axis=-1)
+
+
+def curve_sums_products(weights, starts, tangents, f):
+    """The six products <e_b, f>, b = 2j + a, from the (2, M) T."""
+    return curve_sums(weights, starts, tangents, f).T.ravel()
+
+
+def curve_sums_moments(weights, starts, tangents, other):
+    """Per-curve 2x2 moments <T_a, other_a'>, shape (2, 2, 3)."""
+    return curve_sums(weights, starts, tangents[:, None], other[None])
+
+
+def curve_sums_constraint_values(weights, starts, offsets, tangents):
+    """The four junction constraints from the (2, M) T: per-curve
+    integrals of cos and sin, paired curve 1 with 2 and curve 3 with 1."""
+    cos_sin = curve_sums(weights, starts, tangents[::-1])
+    signs = np.array([[1.0, -1.0, 0.0], [-1.0, 0.0, 1.0]])
+    return np.ravel(signs @ cos_sin.T) - np.ravel(offsets)
+
+
+def vstack_newton_rhs(weights, grad, tangents):
+    """The (3, M) right-hand sides W (grad, sin theta, cos theta) of the
+    Newton band solve, stacked and then weighted in place."""
+    rhs = np.vstack([grad, tangents])
+    rhs *= weights
+    return rhs
+
+
 def block_diagonal_moment_products(e, blocks, coef):
     """e @ blockdiag(per-curve 2x2 blocks[:, :, j]) @ coef^T, the block
     diagonal built by zero-filling a (3, 2, 3, 2) array and fancy-indexing

@@ -10,6 +10,12 @@ same routines, but numpy and scipy may link different LAPACK builds, so the
 two libraries are not compared bit for bit.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import lstsq, lu_factor, lu_solve, svd
@@ -51,7 +57,8 @@ def _assert_rel_close(got, expect, rel=1e-13):
 def _non_finite(rng):
     """Dense seeded 4x4 matrices with one NaN entry.  inf entries are left
     out: on them LAPACK's SVD (numpy's and scipy's alike) can fail to
-    return."""
+    return, so a regression would hang here; a subprocess with a timeout
+    tests them instead."""
     for _ in range(5):
         a = rng.normal(size=(4, 4))
         a[tuple(rng.integers(4, size=2))] = np.nan
@@ -118,3 +125,40 @@ def test_non_finite_matrices_raise_numpys_errors(rng, monkeypatch):
                                "converge in Linear Least Squares$"):
                 least_squares()
 
+
+
+def test_non_finite_matrices_raise_instead_of_hanging_lapack():
+    # On a matrix with an inf entry, and on the identity with one NaN,
+    # LAPACK's SVD reports an illegal value in DLASCL and does not return;
+    # both SVD-based solves refuse a non-finite matrix first, with numpy's
+    # errors.  In a subprocess with a timeout, so a regression fails
+    # instead of hanging the suite.
+    code = textwrap.dedent("""
+        import numpy as np
+        from thetaflow.multipliers import solve_capped
+        from thetaflow.scheme import _lstsq
+
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(4, 4)), rng.normal(size=4)
+        inf_a, minus_inf_a, nan_eye = a.copy(), a.copy(), np.eye(4)
+        inf_a[1, 0], minus_inf_a[1, 0], nan_eye[1, 2] = np.inf, -np.inf, np.nan
+        for a in (inf_a, minus_inf_a, nan_eye):
+            for solve, message in (
+                    (lambda: _lstsq(a, b),
+                     "SVD did not converge in Linear Least Squares"),
+                    (lambda: solve_capped(a, b, "x"),
+                     "SVD did not converge")):
+                try:
+                    solve()
+                except np.linalg.LinAlgError as err:
+                    assert str(err) == message, err
+                else:
+                    raise AssertionError("no LinAlgError")
+        print("refused")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "refused\n"), out.stderr

@@ -48,12 +48,16 @@ from thetaflow.scheme import (
 
 from helpers import make_state
 from oracles import (
+    curve_sums_constraint_values,
+    curve_sums_moments,
+    curve_sums_products,
     packed_constraint_gradients,
     packed_weights,
     random_angle_field_values,
     rows_newton_direction,
     rows_projection_jacobian,
     rows_tangent_project,
+    vstack_newton_rhs,
     weak_residual,
 )
 
@@ -339,6 +343,49 @@ def test_run_flow_kernel_call_budget(monkeypatch):
     assert 0 < calls["lstsq"] <= iters
     assert calls["cond"] == 0
     assert calls["outside"] == 0
+
+
+def test_run_flow_computes_each_points_slopes_once(monkeypatch):
+    # Each point computes its slopes once: every step's start point, every
+    # trial point (whose cells give its energy and, once accepted, the
+    # report's forcing) and the report's public step gradient, plus the
+    # initial energy.  The lumped products read each point's W T, so
+    # curve_sums serves only the estimate ledger: the initial L2 caps and
+    # one norm check per step, none of them inside a step.
+    calls = {"slopes": 0, "cell_energies": 0, "curve_sums": 0,
+             "in_step": 0, "_project": 0}
+    inside = []
+    for name in ("slopes", "cell_energies", "curve_sums"):
+        def counted(self, a, _name=name, _inner=getattr(PackedLayout, name)):
+            calls[_name] += 1
+            calls["in_step"] += _name == "curve_sums" and bool(inside)
+            return _inner(self, a)
+        monkeypatch.setattr(PackedLayout, name, counted)
+    project, step = scheme._project, scheme._step
+
+    def projecting(*args, **kwargs):
+        calls["_project"] += 1
+        return project(*args, **kwargs)
+
+    def stepping(*args):
+        inside.append(True)
+        try:
+            return step(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scheme, "_project", projecting)
+    monkeypatch.setattr(scheme, "_step", stepping)
+    lens = preset_symmetric_lens(nodes_per_unit=40, p=2.0)
+    traj = run_flow(lens, FlowConfig(p_exponent=2.0, tau=1e-3, T=0.02))
+    steps = len(traj.reports)
+    # every trial is projected; the first projection is the initial state's
+    trials = calls["_project"] - 1
+    assert (steps, trials) == (20, 40)
+    assert calls["slopes"] == 1 + 2 * steps + trials == 81
+    assert calls["cell_energies"] == 1 + trials == 41
+    assert calls["curve_sums"] == 1 + steps == 21
+    assert calls["in_step"] == 0
 
 
 def test_idle_steps_evaluate_no_constraints(monkeypatch):
@@ -814,15 +861,63 @@ def test_moment_kernel_matches_row_oracles(rng):
 
         # with a zero multiplier estimate, and a random one (Lagrangian bands)
         for coef in (np.zeros(4), rng.normal(size=4)):
-            bands = _hessian_bands(layout, theta, tau, tangents, coef)
+            bands = _hessian_bands(layout, layout.slopes(theta), tau,
+                                   tangents, coef)
             direction, schur = rows_newton_direction(weights, grads, grad,
                                                      bands)
             u = solveh_banded(bands, (tangents * weights).T).T
             _assert_rel_close(layout.gradient_products(tangents, u, layout.E),
                               schur)
             _assert_rel_close(
-                _newton_direction(layout, theta, tangents, grad, tau, coef),
+                _newton_direction(layout, layout.slopes(theta), tangents, grad,
+                                  tau, coef),
                 direction)
+
+
+@pytest.mark.parametrize("preset, nodes_per_unit",
+                         [("lens", 200), ("lens", 3200), ("triod", 1600)])
+def test_weighted_tangent_kernels_equal_curve_sums_bitwise(
+        rng, monkeypatch, preset, nodes_per_unit):
+    # Each point's tangents carry W T, which the lumped products, moments,
+    # constraint values and Newton right-hand sides read instead of
+    # weighting T on every call: the same products in the same order, so
+    # every sum is bitwise that of the curve_sums kernels.
+    if preset == "lens":
+        state = preset_symmetric_lens(nodes_per_unit=nodes_per_unit)
+    else:
+        state = preset_triod(((1.1, 0.0), (-0.5, 0.95), (0.1, -0.8)),
+                             (1.35, 1.3, 0.95),
+                             nodes_per_unit=nodes_per_unit, p=3.0)
+    layout, theta = PackedLayout.of(state)
+    theta = theta + np.concatenate([random_angle_field_values(rng, len(v))
+                                    for v in state.values()])
+    weights, starts = layout.weights, layout.starts
+    tangents = layout.tangents(theta)
+    plain = np.array([np.sin(theta), np.cos(theta)])
+    assert np.array_equal(tangents[:2], plain)
+    f = rng.normal(size=theta.shape)
+    assert np.array_equal(layout.products(tangents, f),
+                          curve_sums_products(weights, starts, plain, f))
+    other = rng.normal(size=plain.shape)
+    for second, second_plain in ((tangents, plain), (other, other)):
+        assert np.array_equal(
+            layout.moments(tangents, second),
+            curve_sums_moments(weights, starts, plain, second_plain))
+    assert np.array_equal(
+        layout.constraint_values(tangents),
+        curve_sums_constraint_values(weights, starts, state.offsets, plain))
+
+    solve, rhs = scheme.solveh_banded, []
+
+    def recording(ab, b):
+        rhs.append(b.T.copy())
+        return solve(ab, b)
+
+    monkeypatch.setattr(scheme, "solveh_banded", recording)
+    grad = rng.normal(size=theta.shape)
+    _newton_direction(layout, layout.slopes(theta), tangents, grad, 0.05,
+                      rng.normal(size=4))
+    assert np.array_equal(rhs[0], vstack_newton_rhs(weights, grad, plain))
 
 
 def test_constraint_curvature_matches_finite_differences(rng):
@@ -845,8 +940,10 @@ def test_constraint_curvature_matches_finite_differences(rng):
             return lam @ (packed_constraint_gradients(shifted) * weights)
 
         curvature = (rows(eps) - rows(-eps)) / (2.0 * eps)
-        plain = _hessian_bands(layout, theta, tau, tangents, np.zeros(4))
-        bands = _hessian_bands(layout, theta, tau, tangents, lam)
+        plain = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
+                               np.zeros(4))
+        bands = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
+                               lam)
         assert np.array_equal(bands[0], plain[0])
         _assert_rel_close(bands[1] - plain[1], -curvature, rel=1e-8)
 
@@ -860,8 +957,10 @@ def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
         layout, theta = PackedLayout.of(state)
         tangents = layout.tangents(theta)
         lam = 1e12 * rng.normal(size=4)
-        plain = _hessian_bands(layout, theta, tau, tangents, np.zeros(4))
-        bands = _hessian_bands(layout, theta, tau, tangents, lam)
+        plain = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
+                               np.zeros(4))
+        bands = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
+                               lam)
         change = np.abs(bands[1] - plain[1])
         half_mass = 0.5 * layout.weights / tau
         assert np.all(change <= half_mass + 1e-12 * plain[1])
@@ -869,10 +968,12 @@ def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
         solveh_banded(bands, np.ones(theta.shape[0]))
 
         low = PackedLayout.of(replace(state, p_exponent=1.5))[0]
-        plain = _hessian_bands(low, theta, tau, tangents, np.zeros(4))
+        plain = _hessian_bands(low, low.slopes(theta), tau, tangents,
+                               np.zeros(4))
         for coef in (lam, rng.normal(size=4)):
             assert np.array_equal(
-                _hessian_bands(low, theta, tau, tangents, coef), plain)
+                _hessian_bands(low, low.slopes(theta), tau, tangents, coef),
+                plain)
 
 
 def test_p_at_least_2_inner_solves_converge_quadratically():
