@@ -121,8 +121,8 @@ def _cmd_flow(args):
     summary.
 
     A mid-run halt prints its reason, emits the partial trajectory with it
-    and exits 2; an error before the first step propagates to ``cli_main``
-    before anything is created.
+    and exits 2; any other error propagates to ``cli_main``, after the same
+    emission if raised mid-run, and before anything is created otherwise.
     """
     scan = args.command == "stationary"
     if scan:
@@ -138,12 +138,15 @@ def _cmd_flow(args):
         halt = None
         try:
             traj = collect(writer.feed(steps(state, cfg)))
-        except ThetaflowError as err:
-            if err.trajectory is None:
+        except Exception as err:
+            traj = getattr(err, "trajectory", None)
+            if traj is None:
                 raise
             halt = f"{type(err).__name__}: {err}"
+            if not isinstance(err, ThetaflowError):
+                writer.finish(traj, halt_reason=halt)
+                raise
             print(f"flow halted: {halt}", file=sys.stderr)
-            traj = err.trajectory
         stat = (detect_stationarity(traj, args.window, args.vel_tol)
                 if scan else None)
         written = writer.finish(traj, stationary=stat, halt_reason=halt)

@@ -73,10 +73,11 @@ class PackedLayout(object):
       * lumped products with the e_b are per-curve node sums of W T times
         a nodal vector (one ``np.add.reduceat`` over the curve starts, as
         accurate as a pairwise sum), so every 4x4 matrix of the solver
-        is E @ (block-diagonal per-curve 2x2 moments) @ F^T
-        (:meth:`gradient_products`): the Gram matrix of the gradients
-        takes F = E; the multiplier matrix J[l, r] = <g_l, phi_r> and the
-        projection Jacobian, which starts out equal to it, take F = D E;
+        is E @ (block-diagonal per-curve 2x2 :meth:`moments`) @ F^T
+        (:meth:`moment_products`): the Gram matrix of the gradients and
+        the Schur complement of the Newton direction take F = E; the
+        multiplier matrix J[l, r] = <g_l, phi_r> and the projection
+        Jacobian, which starts out equal to it, take F = D E;
       * D E maps six products with the e_b to the four directions: the
         multiplier forcing is -(D E) f (:meth:`multiplier_data`), the
         remainders -(D E) <e_b, move> / tau (:meth:`remainders`);
@@ -173,17 +174,6 @@ class PackedLayout(object):
         return np.add.reduceat(tangents[2:] * f, self.starts,
                                axis=-1).T.ravel()
 
-    def gradient_products(self, tangents: np.ndarray, other: np.ndarray,
-                          coef: np.ndarray) -> np.ndarray:
-        """Lumped products <g_k, f_r> of the constraint gradients g = E e
-        (e built on ``tangents``) with the fields f_r = sum_c coef[r, c] o_c
-        (o built on ``other``, (2, M)), shape (4, n).
-
-        e_b and o_c on different curves are orthogonal, so this is
-        E @ blockdiag(per-curve 2x2 moments <T_a, other_a'>) @ coef^T.
-        """
-        return self.moment_products(self.moments(tangents, other), coef)
-
     def moments(self, tangents: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Per-curve 2x2 moments <T_a, other_a'> of the (4, M) ``tangents``
         with rows 0-1 of ``other``, shape (2, 2, 3)."""
@@ -192,7 +182,10 @@ class PackedLayout(object):
 
     def moment_products(self, blocks: np.ndarray,
                         coef: np.ndarray) -> np.ndarray:
-        """:meth:`gradient_products` from its :meth:`moments` ``blocks``."""
+        """Lumped products <g_k, f_r>, (4, n), of the constraint gradients
+        g = E e with f_r = sum_c coef[r, c] o_c, from the :meth:`moments`
+        ``blocks`` <T_a, o_a'>: E @ blockdiag(blocks) @ coef^T, as e_b and
+        o_c on different curves are orthogonal."""
         moments = np.zeros(36)
         moments[self.BLOCK_DIAGONAL] = blocks
         return self.E @ moments.reshape(6, 6) @ coef.T
@@ -235,21 +228,17 @@ class PackedLayout(object):
         return (float(cells.sum()) / self.p
                 + float(self.inner(d, d)) / (2.0 * tau))
 
-    def elastic_gradient(self, slopes: np.ndarray) -> np.ndarray:
-        """Lumped L2 gradient of the elastic energy (flux differences) from
-        the :meth:`slopes` of theta."""
-        padded = np.zeros(slopes.shape[0] + 2)
-        padded[1:-1] = cell_flux(slopes, self.p)
-        return (padded[:-1] - padded[1:]) / self.weights
-
     def step_gradient(self, theta, theta_prev, tau: float,
                       slopes=None) -> np.ndarray:
-        """Lumped L2 gradient of :meth:`step_energy`, from the
-        :meth:`slopes` ``slopes`` of ``theta`` when the caller already has
-        them."""
+        """Lumped L2 gradient of :meth:`step_energy` (flux differences over
+        the weights plus the movement), from the :meth:`slopes` ``slopes``
+        of ``theta`` when the caller already has them."""
         if slopes is None:
             slopes = self.slopes(theta)
-        return self.elastic_gradient(slopes) + (theta - theta_prev) / tau
+        padded = np.zeros(slopes.shape[0] + 2)
+        padded[1:-1] = cell_flux(slopes, self.p)
+        return ((padded[:-1] - padded[1:]) / self.weights
+                + (theta - theta_prev) / tau)
 
     def constraint_values(self, tangents: np.ndarray) -> np.ndarray:
         """The four junction constraints (see :func:`constraint_vector`)

@@ -1,15 +1,15 @@
 """Exception hierarchy for the network-flow solver.
 
-Errors that abort a flow mid-run may carry the partial trajectory computed so
-far in their ``trajectory`` attribute (set by the driver) so callers can
-inspect the approach to a blow-up.
+Any exception that aborts a flow mid-run, one of these or not, carries the
+partial trajectory in its ``trajectory`` attribute (set by ``scheme.collect``)
+so callers can inspect the approach to a blow-up.
 """
 
 
 class ThetaflowError(Exception):
     """Base class for all solver errors."""
 
-    #: partial trajectory attached by the flow driver when the error
+    #: partial trajectory attached by ``scheme.collect`` when the error
     #: interrupts a run; None otherwise.
     trajectory = None
 

@@ -106,8 +106,8 @@ def directional_constraint_jacobian(state: NetworkState, directions) -> np.ndarr
     J of :func:`thetaflow.energy.assemble_multiplier_data` exactly.  The
     flow does not call it: the Newton projection of
     :func:`thetaflow.scheme.project_to_H` takes its Jacobian from
-    :meth:`thetaflow.energy.PackedLayout.gradient_products` on packed
-    vectors.
+    :meth:`thetaflow.energy.PackedLayout.moment_products` of the
+    :meth:`~thetaflow.energy.PackedLayout.moments` of packed vectors.
     """
     layout, theta = PackedLayout.of(state)
     dirs = np.stack([np.concatenate(d) for d in directions])

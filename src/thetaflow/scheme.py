@@ -56,8 +56,8 @@ estimates of :func:`steps` hold by construction:
     stay below an explicit budget in (T, initial energy, lengths, p),
   * nodal L2 norms grow at most like sqrt(2 T E_0).
 
-These are asserted after every accepted step and raise EstimateViolation
-if they ever fail.
+These and the constraint defect are asserted after every accepted step,
+from one table of bounds in :func:`steps`, and raise EstimateViolation.
 
 The run is a stream: :func:`steps` yields each state with its report as
 soon as its step is accepted, so a caller can use a state while the next
@@ -79,7 +79,6 @@ from .errors import (
     InnerSolveFailed,
     ProjectionFailed,
     SingularSystem,
-    ThetaflowError,
 )
 from .grids import NetworkState
 from .multipliers import (
@@ -314,7 +313,7 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig,
     t = np.zeros(4)
     tangents = frozen
     for _ in range(NEWTON_MAX_ITERS):
-        jac = layout.gradient_products(tangents, frozen, de)
+        jac = layout.moment_products(layout.moments(tangents, frozen), de)
         t = t + solve_capped(jac, -c, "projection Jacobian")
         current = theta + layout.fields(t @ de, frozen)
         tangents = layout.tangents(current)
@@ -423,7 +422,7 @@ def _newton_direction(layout: PackedLayout, slopes: np.ndarray,
                                f"tau={tau:g}: {err}") from err
     d0, u = sol[:, 0], sol[:, 1:].T
     e = layout.E
-    schur = layout.gradient_products(tangents, u, e)
+    schur = layout.moment_products(layout.moments(tangents, u), e)
     y = _lstsq(schur, e @ layout.products(tangents, d0))
     return d0 - layout.fields(y @ e, u)
 
@@ -448,13 +447,14 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
     decrement falls below the floating-point resolution of the energy, a
     trial also passes if it halves the projected gradient norm without
     letting the energy rise beyond rounding; that is what lets the
-    iteration reach gradient tolerances far below sqrt(eps * energy).  If
-    the slope itself is below that resolution and the full step passes
-    neither test, no backtracked trial could show a measurable decrease, so
-    the iteration stops at once.  The tangents of the accepted trial,
-    computed to test its constraints, its slopes and cell energies,
-    computed for its step functional value, and the moments of its
-    tangents serve the next iteration.
+    iteration reach gradient tolerances far below sqrt(eps * energy).  The
+    line search tries the step lengths 1, 1/2, ..., 2^-46 and takes the
+    first trial that passes; a failed trial ends the step at once if the
+    slope itself is below that resolution (no shorter step could show a
+    measurable decrease) or the next length would fall below 1e-14.  The
+    tangents of the accepted trial, computed to test its constraints, its
+    slopes and cell energies, computed for its step functional value, and
+    the moments of its tangents serve the next iteration.
 
     Returns (theta, tangents, blocks, c, slopes, cells, inner_iters,
     termination) for the returned iterate, c being its constraint values
@@ -497,8 +497,7 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
         # released before the line search, which lowers the peak RSS
         del grad, gp
         alpha = 1.0
-        accepted = None
-        while alpha >= 1e-14:
+        while True:
             try:
                 trial, trial_tangents, trial_c = _project(
                     layout, theta - alpha * d, cfg)
@@ -522,15 +521,15 @@ def _inner_descent(theta_prev: np.ndarray, carried, cfg: FlowConfig,
                                              trial_slopes))
                     passed = layout.inner(gp_t, gp_t) <= 0.25 * gp_sq
                 if passed:
-                    accepted = (trial, trial_tangents, trial_c, trial_energy,
-                                trial_slopes, trial_cells)
+                    theta, tangents, c, energy, slopes, cells = (
+                        trial, trial_tangents, trial_c, trial_energy,
+                        trial_slopes, trial_cells)
                     break
-            if slope <= noise:
-                return theta, tangents, blocks, c, slopes, cells, it, "precision_floor"
+            # a failed trial: backtrack, unless the step ends at a floor
             alpha *= BACKTRACK
-        if accepted is None:
-            return theta, tangents, blocks, c, slopes, cells, it, "line_search_floor"
-        theta, tangents, c, energy, slopes, cells = accepted
+            if slope <= noise or alpha < 1e-14:
+                end = "precision_floor" if slope <= noise else "line_search_floor"
+                return theta, tangents, blocks, c, slopes, cells, it, end
         blocks = layout.moments(tangents, tangents)
         history.append(energy)
     raise InnerSolveFailed(f"inner solver hit the {MAX_INNER_ITERS}-iteration "
@@ -709,11 +708,6 @@ def steps(initial: NetworkState, cfg: FlowConfig):
     l2_caps = (np.sqrt(layout.curve_sums(theta * theta))
                + math.sqrt(2.0 * horizon * d0))
     dissipation = mult_sq = c_star = 0.0
-
-    def fail(what, got, allowed):
-        raise EstimateViolation(f"{what} violated at step {index}: "
-                                f"{got:.12e} > {allowed:.12e}")
-
     carried = (layout, tangents, layout.moments(tangents, tangents), c, d0,
                oscs)
     # held here, the initial arrays would outlive the first step
@@ -744,37 +738,37 @@ def steps(initial: NetworkState, cfg: FlowConfig):
         mult = report.multipliers
         mult_sq += report.tau * float(mult @ mult)
         c_star = max(c_star, report.bound_const)
-        if report.energy_after + report.penalty_value > report.energy_before + eps:
-            fail("energy monotonicity",
-                 report.energy_after + report.penalty_value,
-                 report.energy_before)
-        if 0.5 * dissipation > d0 - report.energy_after + (index + 1) * eps:
-            fail("dissipation budget", 0.5 * dissipation,
-                 d0 - report.energy_after)
-        norm = multiplier_norm(mult)
-        if norm > report.mult_bound * (1.0 + 1e-9) + 1e-9:
-            fail("per-step multiplier bound", norm, report.mult_bound)
         budget = (2.0 * c_star**2
                   * max(cfg.p_exponent**2, 2.0 * lam_total)
                   * (horizon * d0 + 1.0) * d0)
-        if mult_sq > budget * (1.0 + 1e-6) + 1e-12:
-            fail("multiplier square budget", mult_sq, budget)
         norms = np.sqrt(layout.curve_sums(np.square(layout.pack(state))))
-        for j, (norm, cap) in enumerate(zip(norms, l2_caps)):
-            if norm > cap * (1.0 + 1e-9) + 1e-9:
-                fail(f"L2 growth of curve {j + 1}", norm, cap)
-        if report.constraint_defect > cfg.tol_constraint * (1.0 + 1e-9) + 1e-16:
-            fail("constraint defect", report.constraint_defect,
-                 cfg.tol_constraint)
+        # (estimate, value, bound, relative slack, absolute slack), in order
+        bounds = [
+            ("energy monotonicity", report.energy_after + report.penalty_value,
+             report.energy_before, 0.0, eps),
+            ("dissipation budget", 0.5 * dissipation,
+             d0 - report.energy_after, 0.0, (index + 1) * eps),
+            ("per-step multiplier bound", multiplier_norm(mult),
+             report.mult_bound, 1e-9, 1e-9),
+            ("multiplier square budget", mult_sq, budget, 1e-6, 1e-12),
+            *((f"L2 growth of curve {j + 1}", norm, cap, 1e-9, 1e-9)
+              for j, (norm, cap) in enumerate(zip(norms, l2_caps))),
+            ("constraint defect", report.constraint_defect,
+             cfg.tol_constraint, 1e-9, 1e-16),
+        ]
+        for what, got, allowed, rel, slack in bounds:
+            if got > allowed * (1.0 + rel) + slack:
+                raise EstimateViolation(f"{what} violated at step {index}: "
+                                        f"{got:.12e} > {allowed:.12e}")
         t += report.tau
         index += 1
         yield state, report, t
 
 
 def collect(stream) -> Trajectory:
-    """The Trajectory of a stream of :func:`steps` items.  A ThetaflowError
-    raised after the first item carries the partial trajectory in its
-    ``trajectory`` attribute."""
+    """The Trajectory of a stream of :func:`steps` items.  Any exception
+    raised after the first item, a ThetaflowError or not, carries the
+    partial trajectory in its ``trajectory`` attribute."""
     states = []
     reports = []
     times = []
@@ -784,7 +778,7 @@ def collect(stream) -> Trajectory:
             if report is not None:
                 reports.append(report)
             times.append(t)
-    except ThetaflowError as err:
+    except Exception as err:
         if states:
             err.trajectory = Trajectory(states, reports, times)
         raise

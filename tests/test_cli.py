@@ -471,6 +471,46 @@ def test_no_worker_outlives_a_failed_run(error, code, tmp_path, capsys,
     assert str(error) in capsys.readouterr().err
     assert pool_forks == [2]
     assert not multiprocessing.active_children()
+    # either way the artefacts hold states 0-3, every row of each
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out / "frames")) == [
+        f"frame_{i:06d}.svg" for i in range(4)]
+    with open(out / "trajectory.csv") as fh:
+        steps = [row.split(",", 1)[0] for row in fh.read().splitlines()[1:]]
+    assert sorted(set(steps)) == ["0", "1", "2", "3"]
+    assert len({steps.count(i) for i in set(steps)}) == 1
+
+
+def test_a_mid_run_error_writes_the_partial_run(tmp_path, capsys,
+                                                monkeypatch):
+    # an error that is not a halt still ends the artefacts consistently:
+    # they are those of the run that stops at the last accepted state,
+    # with the error as report.json's halt reason, and the run exits 1
+    step = scheme._step
+
+    def failing(prev, carried, cfg, tau, index):
+        if index == 3:
+            raise ValueError("injected at step 3")
+        return step(prev, carried, cfg, tau, index)
+
+    argv = ["run", "--preset", "lens", "--nodes-per-unit", "20", "--tau",
+            "1e-2", "--stride", "1", "--emit", "json,csv,svg"]
+    assert cli_main([*argv, "--T", "0.03", "--out",
+                     str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(scheme, "_step", failing)
+    assert cli_main([*argv, "--T", "0.1", "--out",
+                     str(tmp_path / "cut")]) == 1
+    assert capsys.readouterr().err == "error: injected at step 3\n"
+    whole = _artifacts(tmp_path / "whole")
+    cut = _artifacts(tmp_path / "cut")
+    cut_report = json.loads(cut.pop("report.json"))
+    whole_report = json.loads(whole.pop("report.json"))
+    assert cut_report["halt_reason"] == "ValueError: injected at step 3"
+    assert whole_report["halt_reason"] is None
+    for key in ("times", "steps", "stationary"):
+        assert cut_report[key] == whole_report[key]
+    assert cut == whole
 
 
 def _defaults(fn):

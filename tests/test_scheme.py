@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -126,7 +127,7 @@ def test_project_raises_singular_system_on_singular_jacobian(rng,
         for v in lens.values()))
     rank_two = np.diag([1.0, 2.0, 0.0, 0.0])[rng.permutation(4)]
     for jac in (np.zeros((4, 4)), rank_two):
-        monkeypatch.setattr(PackedLayout, "gradient_products",
+        monkeypatch.setattr(PackedLayout, "moment_products",
                             lambda *args, _jac=jac: _jac)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -272,6 +273,43 @@ def test_inner_iterations_accept_their_first_trial(p, monkeypatch):
     assert all(r.termination == "gradient_tol" for r in traj.reports)
     assert calls["_project"] == calls["_newton_direction"] + 1
     assert calls["_newton_direction"] == sum(r.inner_iters for r in traj.reports)
+
+
+@pytest.mark.parametrize("p, T, projections, terminations", [
+    # step 2 tries all 47 step lengths, 1 ... 2^-46, and takes none
+    (50.0, 0.02, [66, 47], [(8, "line_search_floor"),
+                             (0, "line_search_floor")]),
+    # every step ends on a failed trial at a slope below the noise
+    (1.5, 0.05, [17, 9, 41, 23, 47], [(10, "precision_floor"),
+                                      (7, "precision_floor"),
+                                      (16, "precision_floor"),
+                                      (10, "precision_floor"),
+                                      (18, "precision_floor")]),
+])
+def test_line_search_trial_budget(p, T, projections, terminations,
+                                  monkeypatch):
+    # one projection per line-search trial: the counts per step pin the
+    # budget of 47 step lengths and where a failed trial ends the search
+    counts = []
+    project, step = scheme._project, scheme._step
+
+    def projecting(*args, **kwargs):
+        counts[-1] += 1
+        return project(*args, **kwargs)
+
+    def stepping(*args):
+        counts.append(0)
+        return step(*args)
+
+    lens = preset_symmetric_lens(nodes_per_unit=20, p=p)
+    cfg = FlowConfig(p_exponent=p, tau=1e-2, T=T)
+    monkeypatch.setattr(scheme, "_project", projecting)
+    monkeypatch.setattr(scheme, "_step", stepping)
+    counts.append(0)  # the initial projection in steps
+    traj = run_flow(lens, cfg)
+    assert counts == [1, *projections]
+    assert [(r.inner_iters, r.termination)
+            for r in traj.reports] == terminations
 
 
 def test_run_flow_computes_each_by_product_once(monkeypatch):
@@ -730,6 +768,56 @@ def test_estimate_violation_halts_the_run(estimate, monkeypatch):
     assert traj.times == pytest.approx([0.0, 1e-2], rel=1e-12)
 
 
+def _run_with_second_report_doctored(doctor, monkeypatch):
+    inner = scheme._step
+    calls = []
+
+    def second_step_doctored(prev, carried, cfg, tau, index):
+        calls.append(tau)
+        state, report, carried = inner(prev, carried, cfg, tau, index)
+        if len(calls) == 2:
+            return doctor(state, report) + (carried,)
+        return state, report, carried
+
+    monkeypatch.setattr(scheme, "_step", second_step_doctored)
+    return run_flow(preset_symmetric_lens(nodes_per_unit=20),
+                    FlowConfig(tau=1e-2, T=3e-2))
+
+
+@pytest.mark.parametrize("first, second",
+                         list(itertools.combinations(_DOCTORS, 2)))
+def test_estimate_violation_names_the_first_bound_in_order(first, second,
+                                                           monkeypatch):
+    # with two estimates violated, the one checked first is named; the
+    # later doctor runs first, so the per-step bound's mult_bound = 0
+    # outlives the square budget's mult_bound = inf
+    def both(state, report):
+        return _DOCTORS[first](*_DOCTORS[second](state, report))
+
+    with pytest.raises(EstimateViolation,
+                       match=f"^{first} violated at step 1: "):
+        _run_with_second_report_doctored(both, monkeypatch)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_constraint_defect_bound_ends_at_its_slack(above, monkeypatch):
+    # the bound is tol (1 + 1e-9) + 1e-16, that value included
+    edge = FlowConfig().tol_constraint * (1 + 1e-9) + 1e-16
+    defect = np.nextafter(edge, np.inf) if above else edge
+
+    def doctor(state, report):
+        return state, replace(report, constraint_defect=defect)
+
+    if above:
+        with pytest.raises(EstimateViolation,
+                           match="^constraint defect violated at step 1: "):
+            _run_with_second_report_doctored(doctor, monkeypatch)
+    else:
+        traj = _run_with_second_report_doctored(doctor, monkeypatch)
+        assert len(traj.reports) == 3
+        assert traj.reports[1].constraint_defect == edge
+
+
 def test_trajectory_shape_validation():
     s = make_state(np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -853,8 +941,9 @@ def test_moment_kernel_matches_row_oracles(rng):
 
         moved = theta + 0.1 * rng.normal(size=theta.shape)
         _assert_rel_close(
-            layout.gradient_products(layout.tangents(moved), tangents,
-                                     layout.D @ layout.E),
+            layout.moment_products(
+                layout.moments(layout.tangents(moved), tangents),
+                layout.D @ layout.E),
             rows_projection_jacobian(
                 weights, packed_constraint_gradients(layout.unpack(moved)),
                 grads))
@@ -866,8 +955,9 @@ def test_moment_kernel_matches_row_oracles(rng):
             direction, schur = rows_newton_direction(weights, grads, grad,
                                                      bands)
             u = solveh_banded(bands, (tangents * weights).T).T
-            _assert_rel_close(layout.gradient_products(tangents, u, layout.E),
-                              schur)
+            _assert_rel_close(
+                layout.moment_products(layout.moments(tangents, u), layout.E),
+                schur)
             _assert_rel_close(
                 _newton_direction(layout, layout.slopes(theta), tangents, grad,
                                   tau, coef),
