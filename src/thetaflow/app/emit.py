@@ -13,21 +13,8 @@ strings (no plotting library), one ``%`` per polyline; the viewBox is fixed
 from the first frame's bounding box inflated by 20 percent, so frames of one
 run are comparable.
 
-Each emitted state is one job (:func:`_frame_job`): it computes the
-state's positions once, writes its SVG frame and returns its CSV rows, all
-``theta,x,y`` values of a curve in one ``%`` over a row template whose
-``curve,s`` columns are built once per process and grid.  A
-:class:`FrameWriter` takes a run's states as the flow yields them and
-starts the job of every ``stride``-th state as soon as it arrives, and the
-last state's when the run has ended; :func:`emit_frames` feeds it a
-finished trajectory.  On Linux with more than one usable CPU the jobs run
-in worker processes, forked when state 0 arrives, one per CPU up to the
-run's expected frame count; between states the parent appends the CSV
-texts of finished jobs in frame order without waiting for the others.
-Otherwise the same jobs run in-process.  ``report.json`` is written once
-the run has ended.  A job's bytes come from the same values through the
-same format strings wherever it runs, so the output does not depend on the
-number of workers or on when the jobs ran.
+A :class:`FrameWriter` writes a run's artifacts while the flow yields its
+states; :func:`emit_frames` feeds it a finished trajectory.
 """
 
 import json
@@ -188,9 +175,11 @@ def _svg_frame(positions, caption: str, lo, hi) -> str:
 
 
 def _frame_job(i: int, t: float, state: NetworkState, csv: bool, svg):
-    """Format state ``i`` at time ``t``: write its SVG frame when ``svg`` is
-    (path, caption, lo, hi), and return its CSV rows, one text per curve
-    (none unless ``csv``)."""
+    """Format state ``i`` at time ``t`` from its positions, computed once:
+    write its SVG frame when ``svg`` is (path, caption, lo, hi), and return
+    its CSV rows, one text per curve (none unless ``csv``), all ``theta,x,y``
+    values of a curve in one ``%`` over a row template whose ``curve,s``
+    columns are built once per process and grid."""
     positions = _positions(state)
     if svg is not None:
         path, caption, lo, hi = svg
@@ -242,34 +231,38 @@ def _write_report(traj: Trajectory, spec: RunSpec, stationary,
     return path
 
 
-class FrameWriter(object):
+class FrameWriter(ExitStack):
     """Writes the artifacts of one run while its states arrive.
 
     Pass the run's (state, report, t) items, as
     :func:`thetaflow.scheme.steps` yields them, through :meth:`feed`, then
     call :meth:`finish` once; a writer takes one run.  Every
-    ``stride``-th state, starting with state 0, is formatted as soon as it
-    arrives, and the last one at :meth:`finish`.  The output directory, the
-    CSV file and the worker pool are made when state 0 arrives.  Leaving the
-    ``with`` block closes the CSV file and shuts the pool down, cancelling
-    the jobs not yet started, so no worker outlives the writer.
+    ``stride``-th state, starting with state 0, is formatted by one job
+    (:func:`_frame_job`) started as soon as it arrives, and the last state
+    by one started at :meth:`finish`, which also writes ``report.json``.
+    On Linux with more than one usable CPU the jobs run in worker
+    processes, forked when state 0 arrives, one per CPU up to the run's
+    expected frame count, and between states the CSV texts of finished jobs
+    are appended in frame order without waiting for the others; otherwise
+    the same jobs run in-process.  A job's bytes come from the same values
+    through the same format strings wherever it runs, so the output does
+    not depend on the number of workers or on when the jobs ran.
+
+    The output directory, the CSV file and the worker pool are made when
+    state 0 arrives.  The writer is its own ExitStack: leaving its ``with``
+    block closes the CSV file and shuts the pool down, cancelling the jobs
+    not yet started, so no worker outlives the writer.
     """
 
     def __init__(self, spec: RunSpec):
+        super().__init__()
         self.spec = spec
-        self._stack = ExitStack()
         self._pool = None
         self._futures = deque()
         self._csv = None
         self._svg = None    # (frame directory, lo, hi) once state 0 arrives
         self._paths = []    # trajectory.csv, then the frames in order
         self._last = None   # (index, state, report, t) of the last item
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._stack.close()
 
     def _start(self, state: NetworkState):
         spec = self.spec
@@ -282,14 +275,14 @@ class FrameWriter(object):
         workers = int(min(_usable_cpus(), frames))
         if workers > 1:
             self._pool = _fork_pool(workers)
-            self._stack.callback(self._pool.shutdown, cancel_futures=True)
+            self.callback(self._pool.shutdown, cancel_futures=True)
         if "svg" in spec.emit:
             frame_dir = os.path.join(spec.out_dir, "frames")
             os.makedirs(frame_dir, exist_ok=True)
             self._svg = (frame_dir, *_frame_bbox(state))
         if "csv" in spec.emit:
             path = os.path.join(spec.out_dir, "trajectory.csv")
-            self._csv = self._stack.enter_context(open(path, "w"))
+            self._csv = self.enter_context(open(path, "w"))
             self._csv.write("step,t,curve,s,theta,x,y\n")
             self._paths.append(path)
 

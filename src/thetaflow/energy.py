@@ -83,14 +83,6 @@ class PackedLayout(object):
         remainders -(D E) <e_b, move> / tau (:meth:`remainders`);
       * a combination sum_b c_b e_b is :meth:`fields` of c and T.
 
-    :meth:`tangents` returns T in rows 0-1 of a (4, M) array and W T, T
-    times the trapezoid weights, in rows 2-3, so each evaluated point is
-    weighted once: every lumped product (:meth:`products`, :meth:`moments`,
-    :meth:`constraint_values` and the Newton right-hand sides of
-    ``scheme``) reads W T, and whatever reads T as a basis (:meth:`fields`,
-    and the second factor of :meth:`moments`) takes rows 0-1 of the array
-    it is given, so a tangents array serves there too.
-
     Node sums are pairwise: BLAS sums are too coarse for the noise-level
     tests of the inner solver.
     """
@@ -151,8 +143,10 @@ class PackedLayout(object):
         return (a * (self.weights * b)).sum(axis=-1)
 
     def tangents(self, theta: np.ndarray) -> np.ndarray:
-        """T = (sin theta, cos theta) in rows 0-1 and W T in rows 2-3,
-        shape (4, M)."""
+        """T = (sin theta, cos theta) in rows 0-1 and W T, T times the
+        trapezoid weights, in rows 2-3, shape (4, M): every lumped product
+        reads W T, so each point is weighted once, and whatever reads T as
+        a basis takes rows 0-1, so a tangents array serves there too."""
         out = np.empty((4, theta.shape[0]))
         np.sin(theta, out=out[0])
         np.cos(theta, out=out[1])
@@ -217,24 +211,18 @@ class PackedLayout(object):
         """sum_j (1/p) int |d theta^j/ds|^p (midpoint rule)."""
         return float(self.cell_energies(self.slopes(theta)).sum()) / self.p
 
-    def step_energy(self, theta, theta_prev, tau: float,
-                    cells=None) -> float:
+    def step_energy(self, theta, theta_prev, tau: float, cells) -> float:
         """Elastic energy plus (1/(2 tau)) ||theta - theta_prev||_L2^2, the
-        elastic part from the :meth:`cell_energies` ``cells`` of ``theta``
-        when the caller already has them."""
-        if cells is None:
-            cells = self.cell_energies(self.slopes(theta))
+        elastic part from the :meth:`cell_energies` ``cells`` of ``theta``."""
         d = theta - theta_prev
         return (float(cells.sum()) / self.p
                 + float(self.inner(d, d)) / (2.0 * tau))
 
     def step_gradient(self, theta, theta_prev, tau: float,
-                      slopes=None) -> np.ndarray:
+                      slopes) -> np.ndarray:
         """Lumped L2 gradient of :meth:`step_energy` (flux differences over
         the weights plus the movement), from the :meth:`slopes` ``slopes``
-        of ``theta`` when the caller already has them."""
-        if slopes is None:
-            slopes = self.slopes(theta)
+        of ``theta``."""
         padded = np.zeros(slopes.shape[0] + 2)
         padded[1:-1] = cell_flux(slopes, self.p)
         return ((padded[:-1] - padded[1:]) / self.weights
@@ -291,7 +279,8 @@ def implicit_step_energy(candidate: NetworkState, prev: NetworkState,
                          tau: float) -> float:
     """Elastic energy plus movement penalty (1/(2 tau)) ||cand - prev||_L2^2."""
     layout, theta, theta_prev = _pair(candidate, prev, tau)
-    return layout.step_energy(theta, theta_prev, tau)
+    return layout.step_energy(theta, theta_prev, tau,
+                              layout.cell_energies(layout.slopes(theta)))
 
 
 def _pair(candidate: NetworkState, prev: NetworkState, tau: float):
@@ -428,4 +417,5 @@ def step_gradient(candidate: NetworkState, prev: NetworkState, tau: float):
     trapezoid weights yields exactly these values.
     """
     layout, theta, theta_prev = _pair(candidate, prev, tau)
-    return layout.unpack(layout.step_gradient(theta, theta_prev, tau))
+    return layout.unpack(layout.step_gradient(theta, theta_prev, tau,
+                                              layout.slopes(theta)))

@@ -13,13 +13,11 @@ J is the derivative of constraint l along direction phi_r, built like
 every 4x4 matrix of the solver from the per-curve moments of T = (sin,
 cos) theta with F = D E (see :class:`thetaflow.energy.PackedLayout`); the
 elastic forcing -(D E) f tests the cellwise |D theta|^p against the
-rotated tangents dT/dtheta = (cos, -sin) theta.  A step takes both from
-:meth:`thetaflow.energy.PackedLayout.multiplier_data` and the movement
-remainders R from :meth:`~thetaflow.energy.PackedLayout.remainders`;
+rotated tangents dT/dtheta = (cos, -sin) theta.
 :func:`thetaflow.energy.assemble_multiplier_data` and
-:func:`compute_remainders` wrap them for a NetworkState.  The multipliers
-are carried as the (4,) array x; :func:`multiplier_norm` gives |lambda| +
-|mu|.
+:func:`compute_remainders` give both and the movement remainders R for a
+NetworkState.  The multipliers are carried as the (4,) array x;
+:func:`multiplier_norm` gives |lambda| + |mu|.
 
 The Gram determinants det A_i of the per-curve moments yield a fully
 explicit a-priori bound on |lambda| + |mu| in terms of det A1, det A2, the

@@ -2,52 +2,16 @@
 
 Each time step minimizes the implicit step functional (elastic energy plus
 movement penalty) over the four junction constraints, on one packed nodal
-vector (:class:`thetaflow.energy.PackedLayout`, one per run: states sharing
-grids, offsets and p share it); only the step's result becomes a validated
-NetworkState.  The constraint gradients are +-sin theta or +-cos theta on
-single curves, so every 4x4 matrix comes from per-curve moments of T = (sin,
-cos) theta.  Each evaluated point computes its by-products once, and an
-iterate carries them: its tangents (T and the weighted W T that every lumped
-product reads, one (4, M) array), their moments with themselves, its
-constraint values, its slopes D theta (for the gradient and the Newton band)
-and its cellwise |D theta|^p (for its energy and the report's forcing).
-Every linear solve is a LAPACK routine called directly from scipy's compiled
-wrappers, which :mod:`thetaflow.multipliers` loads; each 4x4 one is the
-routine its numpy.linalg counterpart calls, with the same arguments.  Each
-inner iteration takes the constrained Newton direction of the bordered
-system [[B, C^T], [C, 0]] (C the constraint gradients), eliminated by one
-tridiagonal solve (``dptsv``) with three right-hand sides (gradient, sin
-theta, cos theta) and a 4x4 Schur complement, solved by least squares
-(``dgelsd``): near a straight bar it is close to singular.  B is banded and
-uncoupled across curve breaks: the step functional's Hessian, and at p >= 2
-the Lagrangian's, the constraint curvature entering as a diagonal weighted
-by the multiplier estimate of the tangent projection (its Gram system solved
-by LU, ``dgesv``, by ``dgelsd`` only where LU fails) and clipped to half the
-movement mass, which makes the iteration SQP Newton with quadratic
-convergence; the matrix only chooses the direction.  Armijo backtracking
-follows, each trial projected onto the constraint set by Newton iteration
-along variation directions frozen at the trial, one SVD (``dgesdd``) per
-iteration for the update and the condition cap; the accepted trial's
-by-products serve the next iteration, its tangent moments giving the
-tangent projection its Gram matrix.  The step's report is assembled from
-the final iterate: its tangents, moments and constraint values, and the
-cellwise |D theta|^p that give both the elastic forcing and the energy
-(computed from its slopes only when no trial was accepted); the weak
-residual takes the final tangents too, and only its gradient comes from the
-public :func:`thetaflow.energy.step_gradient` (timed by the benchmark).
-Each state enters a step with its tangents, moments, constraint values,
-energy and oscillations, computed once where it was made (the initial
-state's tangents and values by its projection in :func:`steps`); its slopes
-are computed once, at the start of the step.  The Armijo slope pairs
-the direction with the tangential gradient, whose rounding stays small
-near convergence.  Once the predicted decrease is below the rounding noise
-of the functional, a trial within that noise also passes if it halves the
-tangential gradient norm.  The iteration stops at ``TOL_INNER``, or at the
-working-precision floor: a slope below that noise whose full step passes
-neither test, since no shorter step could show a measurable decrease.  Each
-step reports which rule ended it (``StepReport.termination``).  Acceptance
-is monotone in the step functional, which is what makes the a-priori
-estimates of :func:`steps` hold by construction:
+vector (:class:`thetaflow.energy.PackedLayout`, shared by a run's states);
+only the step's result becomes a validated NetworkState.  The inner solve
+(:func:`_inner_descent`) projects the gradient onto the tangent space of
+the constraints (:func:`_tangent_project`), takes the constrained Newton
+direction (:func:`_newton_direction`) of the tridiagonal matrix of
+:func:`_hessian_bands`, SQP Newton at p >= 2, and backtracks until the step
+functional passes an Armijo test, each trial projected onto the constraint
+set (:func:`_project`).  Acceptance is monotone in the step functional, so
+these a-priori estimates hold by construction; :func:`steps` checks them,
+and the constraint defect, on every step's report (:func:`_step`):
 
   * the elastic energy never increases along the flow,
   * half the summed tau * ||velocity||_L2^2 stays below the initial energy,
@@ -56,14 +20,8 @@ estimates of :func:`steps` hold by construction:
     stay below an explicit budget in (T, initial energy, lengths, p),
   * nodal L2 norms grow at most like sqrt(2 T E_0).
 
-These and the constraint defect are asserted after every accepted step,
-from one table of bounds in :func:`steps`, and raise EstimateViolation.
-
-The run is a stream: :func:`steps` yields each state with its report as
-soon as its step is accepted, so a caller can use a state while the next
-one is computed (the CLI formats it), and :func:`run_flow` collects the
-stream into a Trajectory, which a mid-run error carries as the partial
-trajectory.
+The run is a stream: :func:`steps` yields each state and report once its
+step is accepted, and :func:`run_flow` collects them into a Trajectory.
 """
 
 import math
@@ -114,20 +72,21 @@ _LSTSQ_COND = 4.0 * np.finfo(float).eps
 _LSTSQ_WORK = tuple(map(int, _flapack.dgelsd_lwork(4, 4, 1, _LSTSQ_COND)[:2]))
 
 
-def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a symmetric positive definite tridiagonal A in
-    upper band form ``ab`` (superdiagonal ``ab[0, 1:]``, diagonal
-    ``ab[1]``) by LAPACK ``dptsv``, the routine and call that
-    ``scipy.linalg.solveh_banded`` makes for a two-row band, so the result
-    is bitwise the same.  ``b`` is (n,) or (n, nrhs); ``ab`` and ``b`` may
-    be overwritten.
+def solveh_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a symmetric positive definite tridiagonal A with
+    diagonal ``d`` (n,) and off-diagonal ``e`` (n - 1,) by LAPACK
+    ``dptsv``, the routine and call that ``scipy.linalg.solveh_banded``
+    makes for the two-row band [[0, e], d], so the result is bitwise the
+    same.  ``b`` is (n,) or (n, nrhs); ``d``, ``e`` and ``b`` may be
+    overwritten.
 
-    Raises LinAlgError when ``ab`` or ``b`` has a non-finite entry or A is
-    not positive definite.
+    Raises LinAlgError when ``d``, ``e`` or ``b`` has a non-finite entry or
+    A is not positive definite.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    if not (np.isfinite(d).all() and np.isfinite(e).all()
+            and np.isfinite(b).all()):
         raise np.linalg.LinAlgError("band or right-hand side is not finite")
-    _, _, x, info = _dptsv(ab[1], ab[0, 1:], b, 1, 1, 1)
+    _, _, x, info = _dptsv(d, e, b, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}th leading minor not positive definite")
@@ -321,7 +280,7 @@ def _project(layout: PackedLayout, theta: np.ndarray, cfg: FlowConfig,
         if constraint_defect(c) <= tol:
             return current, tangents, c
     raise ProjectionFailed(
-        f"Newton projection stagnated at defect {np.max(np.abs(c)):.3e}"
+        f"Newton projection stagnated at defect {constraint_defect(c):.3e}"
     )
 
 
@@ -345,12 +304,13 @@ def _tangent_project(layout: PackedLayout, tangents: np.ndarray,
 
 
 def _hessian_bands(layout: PackedLayout, slopes: np.ndarray, tau: float,
-                   tangents: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Symmetric banded (upper form) Newton matrix of one inner iteration:
-    the Hessian B of the step functional, movement mass W / tau plus the
-    elastic cell weights (p - 1) |D|^(p-2) / h of the iterate's ``slopes``
-    D, and at p >= 2 the constraint curvature of the Lagrangian at the
-    multiplier estimate ``coef``, built from ``tangents``.
+                   tangents: np.ndarray, coef: np.ndarray):
+    """(d, e), the diagonal and the off-diagonal of the symmetric
+    tridiagonal Newton matrix of one inner iteration: the Hessian B of the
+    step functional, movement mass W / tau plus the elastic cell weights
+    (p - 1) |D|^(p-2) / h of the iterate's ``slopes`` D, and at p >= 2 the constraint curvature of the Lagrangian at the
+    multiplier estimate ``coef``, built from ``tangents``, which makes the
+    inner iteration SQP Newton, with quadratic convergence.
 
     The constraints are lumped integrals of +-sin or +-cos, so their
     Euclidean Hessians are diagonal, W g_k' with g_k' = d g_k / d theta,
@@ -374,15 +334,14 @@ def _hessian_bands(layout: PackedLayout, slopes: np.ndarray, tau: float,
     # |D|^(p-2) may overflow at large p; the solve refuses a non-finite band
     with np.errstate(over="ignore"):
         om = (p - 1.0) * mag ** (p - 2.0) * layout.inv_h
-    ab = np.zeros((2, layout.weights.shape[0]))
-    ab[1, :-1] += om
-    ab[1, 1:] += om
-    ab[0, 1:] = -om
-    ab[1] += layout.weights / tau
+    d = np.zeros(layout.weights.shape[0])
+    d[:-1] += om
+    d[1:] += om
+    d += layout.weights / tau
     if p >= 2.0:
         curvature = layout.fields(coef @ layout.ER, tangents)
-        ab[1] -= layout.weights * np.clip(curvature, -0.5 / tau, 0.5 / tau)
-    return ab
+        d -= layout.weights * np.clip(curvature, -0.5 / tau, 0.5 / tau)
+    return d, -om
 
 
 def _newton_direction(layout: PackedLayout, slopes: np.ndarray,
@@ -404,15 +363,17 @@ def _newton_direction(layout: PackedLayout, slopes: np.ndarray,
     with the three right-hand sides W grad and the rows W T of
     ``tangents`` gives
     d0 = B^-1 W grad and U = B^-1 W T, the Schur complement is
-    E @ blockdiag(<T_a, U_a'>) @ E^T and B^-1 C^T y = fields(y E, U).  Its
-    fixed point d = 0 is exactly the constrained first-order condition: the
-    gradient lies in the span of the constraint gradients.
+    E @ blockdiag(<T_a, U_a'>) @ E^T, solved by least squares
+    (:func:`_lstsq`) as near a straight bar it is close to singular, and
+    B^-1 C^T y = fields(y E, U).  Its fixed point d = 0 is exactly the
+    constrained first-order condition: the gradient lies in the span of the
+    constraint gradients.
     """
     try:
         # the band first, so the right-hand sides are not held while it is
         # built: that lowers the peak RSS of a fine mesh
         sol = solveh_banded(
-            _hessian_bands(layout, slopes, tau, tangents, coef),
+            *_hessian_bands(layout, slopes, tau, tangents, coef),
             np.vstack([grad * layout.weights, tangents[2:]]).T)
     except np.linalg.LinAlgError as err:
         # rounding can cost the factorization its definiteness when the
@@ -649,6 +610,8 @@ def _step(prev: NetworkState, carried, cfg: FlowConfig, tau: float,
         constraint_defect=constraint_defect(c),
         dets=dets,
         oscs=oscs,
+        # the residual's gradient comes from the public step_gradient, which
+        # the benchmark times
         weak_residual_value=_weak_residual(
             layout, tangents, np.concatenate(step_gradient(state, prev, tau)),
             mult),
@@ -665,7 +628,8 @@ def steps(initial: NetworkState, cfg: FlowConfig):
 
     Yields (state, report, t): first the initial state, projected, with
     report None at t = 0, then each accepted step's state, StepReport and
-    time.  Every check on the input runs before the first item: a p that
+    time, as soon as the step is accepted, so a caller can use a state
+    while the next one is computed (the CLI formats it).  Every check on the input runs before the first item: a p that
     differs from ``cfg``'s raises ValueError, the initial state is projected
     onto the constraint set when its defect is at most 1000x the constraint
     tolerance (larger defects are refused), a degenerate initial geometry

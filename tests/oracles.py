@@ -120,7 +120,8 @@ def weak_residual(candidate, prev, tau, mult):
     ``prev`` to ``candidate`` with multipliers ``mult``, its gradient from
     the shipped layout of ``candidate``."""
     layout, theta = PackedLayout.of(candidate)
-    grad = layout.step_gradient(theta, layout.pack(prev), tau)
+    grad = layout.step_gradient(theta, layout.pack(prev), tau,
+                                layout.slopes(theta))
     return scheme._weak_residual(layout, layout.tangents(theta), grad, mult)
 
 

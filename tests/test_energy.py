@@ -70,9 +70,21 @@ def test_packed_shortcuts_equal_what_they_replace_bitwise(rng, p):
     assert oscs.tobytes() == np.array(
         [f.oscillation() for f in state.fields]).tobytes()
     energy = layout.elastic_energy(theta)
+    slopes = layout.slopes(theta)
+    cells = layout.cell_energies(slopes)
     for tau in (1e-3, 0.5):
-        assert layout.step_energy(theta, theta, tau) == energy
+        assert layout.step_energy(theta, theta, tau, cells) == energy
     assert layout.DE.tobytes() == (layout.D @ layout.E).tobytes()
+    # the state-level wrappers build the by-products the packed kernels take
+    prev = make_state(rng, m=(7, 11, 5), p=p, scale=3.0)
+    theta_prev = layout.pack(prev)
+    for tau in (1e-3, 0.5):
+        assert (np.float64(implicit_step_energy(state, prev, tau)).tobytes()
+                == np.float64(layout.step_energy(theta, theta_prev, tau,
+                                                 cells)).tobytes())
+        assert (np.concatenate(step_gradient(state, prev, tau)).tobytes()
+                == layout.step_gradient(theta, theta_prev, tau,
+                                        slopes).tobytes())
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -288,7 +288,8 @@ def _multiplier_gaps(p, nodes_per_unit):
     for prev, state, rep in zip(traj.states, traj.states[1:], traj.reports):
         layout, theta = PackedLayout.of(state)
         tangents = layout.tangents(theta)
-        grad = layout.step_gradient(theta, layout.pack(prev), rep.tau)
+        grad = layout.step_gradient(theta, layout.pack(prev), rep.tau,
+                                    layout.slopes(theta))
         _, coef = _tangent_project(layout, tangents,
                                    layout.moments(tangents, tangents), grad)
         x = rep.multipliers

@@ -632,15 +632,20 @@ def test_overflowing_newton_system_fails_the_step(p, amplitude):
 
 
 def _random_bands(rng, n, breaks):
-    """Seeded SPD tridiagonal bands in upper form, diagonally dominant,
-    with zero off-diagonals at the curve breaks ``breaks`` as in the
-    Newton band."""
+    """Seeded SPD tridiagonal (d, e), diagonally dominant, with zero
+    off-diagonals at the curve breaks ``breaks`` as in the Newton band."""
     off = rng.normal(size=n)
     off[0] = 0.0
     off[list(breaks)] = 0.0
     diag = (np.abs(off) + np.abs(np.append(off[1:], 0.0))
             + rng.uniform(0.1, 2.0, size=n))
-    return np.vstack([off, diag])
+    return diag, off[1:]
+
+
+def _upper_band(d, e):
+    """The two-row upper band form of (d, e) that scipy's solveh_banded
+    takes."""
+    return np.vstack([np.append(0.0, e), d])
 
 
 def test_dptsv_solve_equals_scipy_solveh_banded(rng):
@@ -649,11 +654,11 @@ def test_dptsv_solve_equals_scipy_solveh_banded(rng):
     # equal; right-hand sides come as rhs.T, the layout _newton_direction
     # passes
     for n, breaks in ((3, ()), (61, (20, 41)), (701, (200, 401))):
-        ab = _random_bands(rng, n, breaks)
+        d, e = _random_bands(rng, n, breaks)
         for nrhs in (1, 3):
             rhs = rng.normal(size=(nrhs, n))
-            expect = solveh_banded(ab, rhs.T)
-            got = scheme.solveh_banded(ab.copy(), rhs.copy().T)
+            expect = solveh_banded(_upper_band(d, e), rhs.T)
+            got = scheme.solveh_banded(d.copy(), e.copy(), rhs.copy().T)
             assert got.shape == (n, nrhs)
             assert np.array_equal(got, expect)
 
@@ -661,24 +666,25 @@ def test_dptsv_solve_equals_scipy_solveh_banded(rng):
 def test_dptsv_solve_refuses_indefinite_and_non_finite_bands(rng):
     # the same leading-minor index as scipy, and LinAlgError, which
     # _newton_direction turns into InnerSolveFailed, for a non-finite input
-    ab = _random_bands(rng, 61, (20, 41))
+    d, e = _random_bands(rng, 61, (20, 41))
     rhs = rng.normal(size=(3, 61))
     for k in (0, 30, 60):
-        bad = ab.copy()
-        bad[1, k] = -1.0
+        bad = d.copy()
+        bad[k] = -1.0
         with pytest.raises(np.linalg.LinAlgError) as want:
-            solveh_banded(bad, rhs.T)
+            solveh_banded(_upper_band(bad, e), rhs.T)
         with pytest.raises(np.linalg.LinAlgError) as got:
-            scheme.solveh_banded(bad.copy(), rhs.copy().T)
+            scheme.solveh_banded(bad.copy(), e.copy(), rhs.copy().T)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"{k + 1}th leading minor")
-    for value in (np.nan, np.inf):
-        bad_ab, bad_rhs = ab.copy(), rhs.copy()
-        bad_ab[0, 5] = value
+    for value in (np.nan, np.inf, -np.inf):
+        bad_d, bad_e, bad_rhs = d.copy(), e.copy(), rhs.copy()
+        bad_d[9] = value
+        bad_e[4] = value
         bad_rhs[2, 7] = value
-        for a, b in ((bad_ab, rhs), (ab, bad_rhs)):
+        for a, b, c in ((bad_d, e, rhs), (d, bad_e, rhs), (d, e, bad_rhs)):
             with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-                scheme.solveh_banded(a.copy(), b.copy().T)
+                scheme.solveh_banded(a.copy(), b.copy(), c.copy().T)
 
 
 def test_missing_lapack_module_raises_import_error_naming_scipy(
@@ -950,8 +956,8 @@ def test_moment_kernel_matches_row_oracles(rng):
 
         # with a zero multiplier estimate, and a random one (Lagrangian bands)
         for coef in (np.zeros(4), rng.normal(size=4)):
-            bands = _hessian_bands(layout, layout.slopes(theta), tau,
-                                   tangents, coef)
+            bands = _upper_band(*_hessian_bands(
+                layout, layout.slopes(theta), tau, tangents, coef))
             direction, schur = rows_newton_direction(weights, grads, grad,
                                                      bands)
             u = solveh_banded(bands, (tangents * weights).T).T
@@ -999,9 +1005,9 @@ def test_weighted_tangent_kernels_equal_curve_sums_bitwise(
 
     solve, rhs = scheme.solveh_banded, []
 
-    def recording(ab, b):
+    def recording(d, e, b):
         rhs.append(b.T.copy())
-        return solve(ab, b)
+        return solve(d, e, b)
 
     monkeypatch.setattr(scheme, "solveh_banded", recording)
     grad = rng.normal(size=theta.shape)
@@ -1030,12 +1036,12 @@ def test_constraint_curvature_matches_finite_differences(rng):
             return lam @ (packed_constraint_gradients(shifted) * weights)
 
         curvature = (rows(eps) - rows(-eps)) / (2.0 * eps)
-        plain = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
-                               np.zeros(4))
-        bands = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
-                               lam)
-        assert np.array_equal(bands[0], plain[0])
-        _assert_rel_close(bands[1] - plain[1], -curvature, rel=1e-8)
+        plain_d, plain_e = _hessian_bands(layout, layout.slopes(theta), tau,
+                                          tangents, np.zeros(4))
+        d, e = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
+                              lam)
+        assert np.array_equal(e, plain_e)
+        _assert_rel_close(d - plain_d, -curvature, rel=1e-8)
 
 
 def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
@@ -1047,23 +1053,23 @@ def test_constraint_curvature_is_clipped_and_left_out_below_p2(rng):
         layout, theta = PackedLayout.of(state)
         tangents = layout.tangents(theta)
         lam = 1e12 * rng.normal(size=4)
-        plain = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
-                               np.zeros(4))
-        bands = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
-                               lam)
-        change = np.abs(bands[1] - plain[1])
+        plain_d, _ = _hessian_bands(layout, layout.slopes(theta), tau,
+                                    tangents, np.zeros(4))
+        d, e = _hessian_bands(layout, layout.slopes(theta), tau, tangents,
+                              lam)
+        change = np.abs(d - plain_d)
         half_mass = 0.5 * layout.weights / tau
-        assert np.all(change <= half_mass + 1e-12 * plain[1])
+        assert np.all(change <= half_mass + 1e-12 * plain_d)
         assert np.max(change / half_mass) > 0.99
-        solveh_banded(bands, np.ones(theta.shape[0]))
+        solveh_banded(_upper_band(d, e), np.ones(theta.shape[0]))
 
         low = PackedLayout.of(replace(state, p_exponent=1.5))[0]
         plain = _hessian_bands(low, low.slopes(theta), tau, tangents,
                                np.zeros(4))
         for coef in (lam, rng.normal(size=4)):
-            assert np.array_equal(
-                _hessian_bands(low, low.slopes(theta), tau, tangents, coef),
-                plain)
+            for got, want in zip(_hessian_bands(low, low.slopes(theta), tau,
+                                                tangents, coef), plain):
+                assert np.array_equal(got, want)
 
 
 def test_p_at_least_2_inner_solves_converge_quadratically():

@@ -1,7 +1,7 @@
 """The public surface: what ``thetaflow`` exports, what the demos and the
-README's library example import from it, the README's CLI examples, the
-distribution's name and version, and the names and calls the benchmark's
-tracer relies on."""
+README's library example import from it, that the example runs, the
+README's CLI examples, the distribution's name and version, and the names
+and calls the benchmark's tracer relies on."""
 
 import ast
 import importlib.util
@@ -43,6 +43,15 @@ def test_readme_library_example_imports_only_exported_names():
     names = [name.strip() for name in line.split(",")]
     assert names
     assert set(names) <= set(thetaflow.__all__)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"^```python\n(.*?)^```", example, re.M | re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["traj"].times[-1] == pytest.approx(0.5)
 
 
 def test_readme_cli_examples_parse():
